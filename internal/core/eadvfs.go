@@ -64,8 +64,8 @@ func ComputePlan(p *cpu.Processor, available, now, deadline, remaining float64) 
 		SRn:       available / p.Power(level),
 		SRmax:     available / p.MaxPower(),
 	}
-	plan.S1 = math.Max(now, deadline-plan.SRn)
-	plan.S2 = math.Max(now, deadline-plan.SRmax)
+	plan.S1 = max(now, deadline-plan.SRn)
+	plan.S2 = max(now, deadline-plan.SRmax)
 	return plan
 }
 

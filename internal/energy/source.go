@@ -61,7 +61,7 @@ func naiveEnergy(src Source, t1, t2 float64) float64 {
 	t := t1
 	for t < t2 {
 		boundary := math.Floor(t) + 1
-		end := math.Min(boundary, t2)
+		end := min(boundary, t2)
 		total += src.PowerAt(t) * (end - t)
 		t = end
 	}

@@ -612,7 +612,7 @@ func (e *engine) onDecide(now float64) {
 	// DPM: a wake transition in progress blocks scheduling.
 	if e.waking {
 		if now < e.wakeDone {
-			e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+			e.holdSleep(now, e.wakeDone)
 			return
 		}
 		e.waking, e.sleeping = false, false
@@ -640,7 +640,7 @@ func (e *engine) onDecide(now float64) {
 	if d.Job == nil {
 		if e.sleeping {
 			if now < e.sleepWake {
-				e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+				e.holdSleep(now, e.sleepWake)
 				return
 			}
 			e.initiateWake(now)
@@ -721,8 +721,7 @@ func (e *engine) maybeSleep(now, until float64) {
 	e.sleeping = true
 	e.sleepIdx = idx
 	e.sleepWake = winEnd - st.WakeLatency
-	e.setActivity(now, sim.ModeSleep, nil, idx)
-	e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+	e.holdSleep(now, e.sleepWake)
 }
 
 // initiateWake mirrors the optimized engine's sleep-exit transition.
@@ -735,7 +734,20 @@ func (e *engine) initiateWake(now float64) {
 	e.res.Wakeups++
 	e.waking = true
 	e.wakeDone = now + st.WakeLatency
-	e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+	e.holdSleep(now, e.wakeDone)
+}
+
+// holdSleep mirrors the optimized engine's sleep-segment split at the
+// store's depletion.
+func (e *engine) holdSleep(now, end float64) {
+	draw := e.cfg.CPU.SleepState(e.sleepIdx).Power
+	sustain := e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), draw)
+	if sustain < stallEps {
+		e.setActivity(now, sim.ModeStall, nil, 0)
+		return
+	}
+	e.setActivity(now, sim.ModeSleep, nil, e.sleepIdx)
+	e.scheduleSegmentEnd(now, math.Inf(1), math.Min(end, now+sustain))
 }
 
 func (e *engine) scheduleSegmentEnd(now, completion, until float64) {

@@ -179,7 +179,7 @@ func (LSA) Decide(ctx *Context) Decision {
 	}
 	available := ctx.AvailableEnergy(j.Abs)
 	srMax := available / ctx.CPU.MaxPower()
-	s2 := math.Max(ctx.Now, j.Abs-srMax)
+	s2 := max(ctx.Now, j.Abs-srMax)
 
 	if !Reached(ctx.Now, s2) {
 		ctx.AuditJob("lsa", j, available, s2, s2, -1, s2, obs.ReasonIdleRecharge)
@@ -256,7 +256,7 @@ func (GreedyStretch) Decide(ctx *Context) Decision {
 	}
 	available := ctx.AvailableEnergy(j.Abs)
 	srN := available / ctx.CPU.Power(level)
-	s1 := math.Max(ctx.Now, j.Abs-srN)
+	s1 := max(ctx.Now, j.Abs-srN)
 	if !Reached(ctx.Now, s1) {
 		return Idle(s1)
 	}

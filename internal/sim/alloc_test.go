@@ -90,3 +90,37 @@ type countingProbe struct {
 
 func (c *countingProbe) OnEvent(obs.Event)             { c.events++ }
 func (c *countingProbe) OnDecision(obs.DecisionRecord) { c.decisions++ }
+
+// A run whose task set differs from the previous run's allocates no more
+// than a run repeating the previous set: the release schedule is re-merged
+// into the arena's buffers either way, so switching sets costs no job
+// allocations (a cached schedule would be rebuilt, one job at a time, on
+// every switch).
+func TestArenaTaskSetSwitchAllocs(t *testing.T) {
+	sets := [2][]task.Task{paperWorkload(3, 0.6, 5), paperWorkload(4, 0.8, 5)}
+	cfg := func(i int) *Config { return rotationConfig(sets[i%2], 1, nil) }
+	a := NewArena()
+	for i := 0; i < 4; i++ { // warm the arena on both sets
+		if _, err := a.Run(cfg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(i int) {
+		if _, err := a.Run(cfg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var repeated float64
+	for s := 0; s < 2; s++ {
+		repeated = max(repeated, testing.AllocsPerRun(20, func() { run(s) }))
+	}
+	i := 0
+	switched := testing.AllocsPerRun(20, func() { i++; run(i) })
+	t.Logf("allocs/run: %.1f switching task sets, %.1f repeating one", switched, repeated)
+	if raceEnabled {
+		t.Skip("race detector changes allocation behaviour; numeric bound not meaningful")
+	}
+	if switched > repeated {
+		t.Fatalf("a run after a task-set switch allocates %.1f times, a repeated run %.1f", switched, repeated)
+	}
+}

@@ -15,19 +15,23 @@ import (
 
 // Arena is the reusable cross-run state of the engine: the pooled DES
 // kernel (event free list), the ready queue, the per-task stats table and
-// the release-schedule template (task.ReleasePlan). One engine run churns
-// through hundreds of job structs and kernel events; an arena allocates
-// them once and resets them per run, which is what turns a repeated
-// workload — a capacity bisection, a sweep cell, a service worker slot —
-// from ~800 allocations per run into ~20.
+// the release-schedule buffers. One engine run churns through hundreds of
+// job structs and kernel events; an arena allocates them once and resets
+// them per run, which is what turns a repeated workload — a capacity
+// bisection, a sweep cell, a service worker slot — from ~800 allocations
+// per run into ~20.
+//
+// The periodic release schedule is re-merged into the arena's buffers on
+// every run (mergeReleases), so a run costs the same whether or not its
+// task set matches the previous run's: there is no plan to cache or to
+// miss.
 //
 // Reuse is strictly sequential: an arena serves one run at a time and is
 // not safe for concurrent use. Run (the package function) draws arenas
 // from an internal sync.Pool, which gives every concurrently executing
 // worker — the experiment parallel runner's goroutines, the service's
-// bounded pool slots — its own warm arena without coordination; hold an
-// explicit Arena only when batching runs that share a task set and
-// horizon, so the release plan survives from run to run.
+// bounded pool slots — its own warm arena without coordination; an
+// explicit Arena (or RunMany) only pins that reuse to one caller.
 //
 // The contract the reset relies on: nothing retains engine-owned state
 // past Run. Tracers and probes copy job fields rather than keep *Job
@@ -38,8 +42,14 @@ type Arena struct {
 	kernel *des.Kernel
 	queue  *task.ReadyQueue
 	tasks  *taskTable
-	plan   *task.ReleasePlan // cached release schedule; nil until first use
-	eng    engine
+
+	// The periodic release schedule of the current run: job values in
+	// release order, pointers to them, and the merge's per-task cursors.
+	jobs  []task.Job
+	ptrs  []*task.Job
+	heads []releaseHead
+
+	eng engine
 }
 
 // NewArena returns an empty arena. The first Run populates its pools; an
@@ -68,11 +78,9 @@ type RunOutcome struct {
 // RunMany executes the configs sequentially on a single pooled arena and
 // returns one outcome per config, in order. Each run is bit-identical to
 // an independent Run of the same config (the internal/verify differential
-// pins this down); the batch form amortizes the kernel, queue and — when
-// consecutive configs share Tasks and Horizon, as replications and
-// capacity columns do — the release-schedule expansion across the whole
-// batch. Stateful components (Store, Predictor, Policy) are consumed per
-// run as always and must be fresh per config.
+// pins this down); the batch form amortizes the kernel, queue and release
+// buffers across the whole batch. Stateful components (Store, Predictor,
+// Policy) are consumed per run as always and must be fresh per config.
 func RunMany(cfgs []*Config) []RunOutcome {
 	a := arenaPool.Get().(*Arena)
 	out := make([]RunOutcome, len(cfgs))
@@ -230,18 +238,12 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 
 // releaseJobs produces the run's release schedule, sorted by arrival.
 //
-// The pure-periodic case (no explicit Config.Jobs) serves from the
-// arena's cached ReleasePlan, rebuilt only when the task set or horizon
-// changes: ReleaseJobs already emits (arrival, task ID, seq) order, the
-// exact order the former per-run stable sort preserved, so the template
-// path is bit-identical to the allocating one. Explicit jobs are caller
-// state a template cannot own, so that path keeps the per-run build.
+// The pure-periodic case (no explicit Config.Jobs) merges into the
+// arena's buffers. Explicit jobs are caller state the buffers cannot own,
+// so that path keeps the per-run build.
 func (a *Arena) releaseJobs(cfg *Config) []*task.Job {
 	if len(cfg.Jobs) == 0 {
-		if a.plan == nil || !a.plan.Matches(cfg.Tasks, cfg.Horizon) {
-			a.plan = task.NewReleasePlan(cfg.Tasks, cfg.Horizon)
-		}
-		return a.plan.Jobs()
+		return a.mergeReleases(cfg.Tasks, cfg.Horizon)
 	}
 	release := task.ReleaseJobs(cfg.Tasks, cfg.Horizon)
 	for _, j := range cfg.Jobs {
@@ -254,4 +256,76 @@ func (a *Arena) releaseJobs(cfg *Config) []*task.Job {
 	// former kernel-heap insertion order).
 	sort.SliceStable(release, func(x, y int) bool { return release[x].Arrival < release[y].Arrival })
 	return release
+}
+
+// releaseHead is one task's cursor in the release merge: the arrival and
+// sequence number of its next job.
+type releaseHead struct {
+	next   float64
+	period float64
+	id     int // task ID
+	seq    int
+	task   int // index into the task set
+}
+
+// before orders merge cursors by (arrival, task ID). Task IDs are unique
+// (Config.Validate) and a task's own stream is increasing, so this yields
+// ReleaseJobs' (arrival, task ID, seq) order exactly.
+func (h *releaseHead) before(o *releaseHead) bool {
+	return h.next < o.next || (h.next == o.next && h.id < o.id)
+}
+
+// mergeReleases refills the arena's buffers with the periodic release
+// schedule — the jobs of task.ReleaseJobs, in its order — by a k-way merge
+// of the tasks' release streams over a min-heap of cursors. Each stream
+// steps exactly as ReleaseJobs does (a := Offset; a < horizon; a +=
+// Period), so arrivals are bit-identical; no job is allocated and nothing
+// is sorted. The returned slice and its jobs are overwritten by the next
+// run.
+func (a *Arena) mergeReleases(tasks []task.Task, horizon float64) []*task.Job {
+	h := a.heads[:0]
+	for i := range tasks {
+		if t := &tasks[i]; t.Offset < horizon {
+			h = append(h, releaseHead{next: t.Offset, period: t.Period, id: t.ID, task: i})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	jobs := a.jobs[:0]
+	for len(h) > 0 {
+		top := &h[0]
+		jobs = append(jobs, tasks[top.task].Release(top.seq, top.next))
+		top.seq++
+		top.next += top.period
+		if top.next >= horizon {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	ptrs := a.ptrs[:0]
+	for i := range jobs {
+		ptrs = append(ptrs, &jobs[i])
+	}
+	a.heads, a.jobs, a.ptrs = h, jobs, ptrs
+	return ptrs
+}
+
+// siftDown restores the heap order of h below index i.
+func siftDown(h []releaseHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -189,9 +189,14 @@ func (c *Config) Validate() error {
 	case c.BCWCRatio < 0 || c.BCWCRatio > 1 || math.IsNaN(c.BCWCRatio):
 		return fmt.Errorf("sim: BCWCRatio %v outside [0, 1]", c.BCWCRatio)
 	}
-	for _, t := range c.Tasks {
+	for i, t := range c.Tasks {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
+		}
+		for _, u := range c.Tasks[:i] {
+			if u.ID == t.ID {
+				return fmt.Errorf("sim: duplicate task ID %d", t.ID)
+			}
 		}
 	}
 	for i, j := range c.Jobs {
@@ -363,11 +368,9 @@ type engine struct {
 // *EventBudgetError with a nil Result.
 //
 // Runs execute on pooled arenas (see Arena): the DES kernel, ready queue,
-// per-task table and release-schedule template are reused across runs, so
+// per-task table and release-schedule buffers are reused across runs, so
 // steady-state simulation allocates only the Result and the caller's
-// stateful components. Callers batching many related runs can hold an
-// explicit arena (NewArena, RunMany) for release-plan reuse across the
-// whole batch.
+// stateful components, whatever the task set.
 func Run(cfg *Config) (*Result, error) {
 	a := arenaPool.Get().(*Arena)
 	res, err := a.Run(cfg)
@@ -505,7 +508,7 @@ func (e *engine) syncTo(now float64) {
 		// Split at the next unit boundary: the source power is constant
 		// on [k, k+1). floor(lastT)+1 > lastT always, so progress is
 		// guaranteed.
-		end := math.Min(math.Floor(e.lastT)+1, now)
+		end := min(math.Floor(e.lastT)+1, now)
 		dt := end - e.lastT
 		ps := e.cfg.Source.PowerAt(e.lastT)
 		delivered, _ := e.cfg.Store.Flow(ps, pc, dt)
@@ -627,7 +630,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	if of := e.faults.OverrunFactor(j.TaskID, j.Seq); of > 1 {
 		actual *= of
 		j.SetOverrunWork(actual)
-		e.faults.AddOverrunWork(math.Max(0, actual-j.WCET))
+		e.faults.AddOverrunWork(max(0, actual-j.WCET))
 	} else if drawn {
 		j.SetActualWork(actual)
 	}
@@ -772,7 +775,7 @@ func (e *engine) onDecide(now float64) {
 	// is not consulted until the latency has elapsed.
 	if e.waking {
 		if now < e.wakeDone {
-			e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+			e.holdSleep(now, e.wakeDone)
 			return
 		}
 		e.waking, e.sleeping = false, false
@@ -780,18 +783,19 @@ func (e *engine) onDecide(now float64) {
 	}
 
 	// The context struct is reused across decisions — policies must not
-	// retain it past Decide (sched.Context's documented contract).
-	e.ctx = sched.Context{
-		Now:       now,
-		Queue:     e.queue,
-		Stored:    e.cfg.Store.Level(),
-		Capacity:  e.cfg.Store.Capacity(),
-		CPU:       e.cfg.CPU,
-		Predictor: e.cfg.Predictor,
-		Reclaimed: e.res.Slack.ReclaimedWork,
-		Probe:     e.cfg.Probe,
-	}
-	d := e.cfg.Policy.Decide(&e.ctx)
+	// retain it past Decide (sched.Context's documented contract). Its
+	// fields are assigned in place: a composite literal would build a
+	// temporary and block-copy it on every decision.
+	ctx := &e.ctx
+	ctx.Now = now
+	ctx.Queue = e.queue
+	ctx.Stored = e.cfg.Store.Level()
+	ctx.Capacity = e.cfg.Store.Capacity()
+	ctx.CPU = e.cfg.CPU
+	ctx.Predictor = e.cfg.Predictor
+	ctx.Reclaimed = e.res.Slack.ReclaimedWork
+	ctx.Probe = e.cfg.Probe
+	d := e.cfg.Policy.Decide(ctx)
 	e.res.Decisions++
 	if e.mode == ModeRun && e.running != nil && !e.running.Done() &&
 		d.Job != nil && d.Job != e.running {
@@ -803,7 +807,7 @@ func (e *engine) onDecide(now float64) {
 			if now < e.sleepWake {
 				// Still idle and still ahead of the planned wake: stay in
 				// the sleep state without re-paying the enter energy.
-				e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+				e.holdSleep(now, e.sleepWake)
 				return
 			}
 			e.initiateWake(now)
@@ -819,7 +823,7 @@ func (e *engine) onDecide(now float64) {
 				e.setActivity(now, ModeStall, nil, 0)
 				return
 			}
-			until = math.Min(until, now+sustain)
+			until = min(until, now+sustain)
 		}
 		if e.cfg.CPU.SleepLevels() > 0 {
 			e.maybeSleep(now, until)
@@ -875,7 +879,7 @@ func (e *engine) onDecide(now float64) {
 
 	e.setActivity(now, ModeRun, d.Job, level)
 	completion := now + d.Job.ActualRemaining()/e.cfg.CPU.Speed(level)
-	e.scheduleSegmentEnd(now, completion, math.Min(d.Until, now+sustain))
+	e.scheduleSegmentEnd(now, completion, min(d.Until, now+sustain))
 }
 
 // maybeSleep is the DPM idle manager: with the processor freshly idle,
@@ -886,9 +890,9 @@ func (e *engine) onDecide(now float64) {
 // break-even gating prices in). The planned wake initiates one latency
 // early, so the processor is available again right when the window ends.
 func (e *engine) maybeSleep(now, until float64) {
-	winEnd := math.Min(until, e.cfg.Horizon)
+	winEnd := min(until, e.cfg.Horizon)
 	if e.nextArrival < len(e.release) {
-		winEnd = math.Min(winEnd, e.release[e.nextArrival].Arrival)
+		winEnd = min(winEnd, e.release[e.nextArrival].Arrival)
 	}
 	idx := e.cfg.CPU.DeepestSleepFor(winEnd - now)
 	if idx < 0 {
@@ -902,8 +906,7 @@ func (e *engine) maybeSleep(now, until float64) {
 	e.sleeping = true
 	e.sleepIdx = idx
 	e.sleepWake = winEnd - st.WakeLatency
-	e.setActivity(now, ModeSleep, nil, idx)
-	e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+	e.holdSleep(now, e.sleepWake)
 }
 
 // initiateWake starts the sleep-exit transition: the exit energy is paid
@@ -919,7 +922,23 @@ func (e *engine) initiateWake(now float64) {
 	e.res.Wakeups++
 	e.waking = true
 	e.wakeDone = now + st.WakeLatency
-	e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+	e.holdSleep(now, e.wakeDone)
+}
+
+// holdSleep keeps the processor in its sleep state — asleep, or waking —
+// until end. The sleep draw can empty a small store, so the segment ends
+// at the store's depletion, and a store that cannot sustain the draw at
+// all stalls the processor until conditions change (next unit boundary or
+// arrival re-decides), exactly as run and idle segments do.
+func (e *engine) holdSleep(now, end float64) {
+	draw := e.cfg.CPU.SleepState(e.sleepIdx).Power
+	sustain := e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), draw)
+	if sustain < stallEps {
+		e.setActivity(now, ModeStall, nil, 0)
+		return
+	}
+	e.setActivity(now, ModeSleep, nil, e.sleepIdx)
+	e.scheduleSegmentEnd(now, math.Inf(1), min(end, now+sustain))
 }
 
 // scheduleSegmentEnd installs the next forced re-evaluation at
@@ -927,7 +946,7 @@ func (e *engine) initiateWake(now float64) {
 // their own events, so a segment never actually outlives a source change:
 // the depletion time computed above is exact within the current unit.
 func (e *engine) scheduleSegmentEnd(now, completion, until float64) {
-	end := math.Min(completion, until)
+	end := min(completion, until)
 	if math.IsInf(end, 1) {
 		return
 	}

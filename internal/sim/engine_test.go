@@ -491,6 +491,7 @@ func TestValidationErrors(t *testing.T) {
 		func(c *Config) { c.CPU = nil },
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.Tasks = []task.Task{{Period: -1}} },
+		func(c *Config) { c.Tasks = []task.Task{oneShot(3, 0, 5, 1), oneShot(4, 1, 5, 1), oneShot(3, 2, 5, 1)} },
 	}
 	for i, mutate := range cases {
 		c := good()

@@ -114,9 +114,9 @@ func (c *invariantChecker) checkClock(now float64) {
 
 // checkStoreBounds verifies level ∈ [0, capacity] up to float tolerance.
 func (c *invariantChecker) checkStoreBounds(t, level, capacity float64) {
-	tol := 1e-6 * math.Max(1, capacity)
+	tol := 1e-6 * max(1, capacity)
 	if math.IsInf(capacity, 1) {
-		tol = 1e-6 * math.Max(1, level)
+		tol = 1e-6 * max(1, level)
 	}
 	if level < -tol || math.IsNaN(level) {
 		c.record("store-bounds", t, "level %g below empty", level)
@@ -128,7 +128,7 @@ func (c *invariantChecker) checkStoreBounds(t, level, capacity float64) {
 // checkConservation verifies the store's cumulative energy balance. scale
 // anchors the relative tolerance to the magnitude of energy that moved.
 func (c *invariantChecker) checkConservation(t, conservationErr, scale float64) {
-	tol := 1e-6 * math.Max(1, scale)
+	tol := 1e-6 * max(1, scale)
 	if math.Abs(conservationErr) > tol || math.IsNaN(conservationErr) {
 		c.record("conservation", t, "energy balance off by %g (tolerance %g)", conservationErr, tol)
 	}

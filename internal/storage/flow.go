@@ -66,7 +66,7 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	end := s.level + net*dt
 
 	const tol = 1e-7
-	if end < -tol*math.Max(1, pc*dt) {
+	if end < -tol*max(1, pc*dt) {
 		inflow := ps * s.chargeEff
 		loadRate := pc / s.dischargeEff
 		if loadRate > inflow+tol {
@@ -79,7 +79,7 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		// leaking. Account the two phases exactly.
 		tc := dt
 		if net < 0 {
-			tc = math.Min(dt, s.level/-net)
+			tc = min(dt, s.level/-net)
 		}
 		s.totalHarvested += ps * dt
 		delivered = pc * dt

@@ -98,7 +98,7 @@ func (h *Hybrid) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		panic(fmt.Sprintf("storage: Flow over invalid interval %v", dt))
 	}
 	const tol = 1e-9
-	if dt > h.TimeToEmpty(ps, pc)+tol*math.Max(1, dt) {
+	if dt > h.TimeToEmpty(ps, pc)+tol*max(1, dt) {
 		panic(fmt.Sprintf("storage: hybrid Flow empties mid-interval (dt %v, tte %v)", dt, h.TimeToEmpty(ps, pc)))
 	}
 	h.totalHarvested += ps * dt
@@ -119,12 +119,12 @@ func (h *Hybrid) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 			}
 			switch {
 			case !h.cap.Full():
-				step = math.Min(remaining, h.cap.FillFor(surplus))
+				step = min(remaining, h.cap.FillFor(surplus))
 				h.cap.Harvest(surplus * step)
 			case !h.batt.Full():
 				// Battery stores surplus·ηc per unit time.
 				tFill := h.batt.FillFor(surplus * h.batt.chargeEff)
-				step = math.Min(remaining, tFill)
+				step = min(remaining, tFill)
 				overflow += h.batt.Harvest(surplus * step)
 			default:
 				step = remaining
@@ -134,7 +134,7 @@ func (h *Hybrid) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 			// Deficit drains the supercap, then the battery.
 			deficit := pc - ps
 			if h.cap.Level() > tol {
-				step = math.Min(remaining, h.cap.RunFor(deficit))
+				step = min(remaining, h.cap.RunFor(deficit))
 				h.cap.Draw(deficit * step)
 			} else {
 				step = remaining

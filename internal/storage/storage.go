@@ -126,7 +126,7 @@ func (s *Store) Harvest(e float64) (overflow float64) {
 	if math.IsInf(space, 1) {
 		space = math.Inf(1)
 	}
-	stored := math.Min(usable, space)
+	stored := min(usable, space)
 	s.level += stored
 	s.totalStored += stored
 	overflow = usable - stored
@@ -143,7 +143,7 @@ func (s *Store) Draw(e float64) (delivered float64) {
 		panic(fmt.Sprintf("storage: drawing invalid energy %v", e))
 	}
 	need := e / s.dischargeEff // stored energy required
-	taken := math.Min(need, s.level)
+	taken := min(need, s.level)
 	s.level -= taken
 	delivered = taken * s.dischargeEff
 	s.totalDrawn += delivered
@@ -180,7 +180,7 @@ func (s *Store) Leak(dt float64) {
 	if s.leakRate == 0 {
 		return
 	}
-	lost := math.Min(s.leakRate*dt, s.level)
+	lost := min(s.leakRate*dt, s.level)
 	s.level -= lost
 	s.totalLeaked += lost
 }

@@ -110,7 +110,14 @@ func NewJob(taskID, seq int, arrival, relDeadline, wcet float64) *Job {
 	if wcet < 0 || relDeadline <= 0 || arrival < 0 {
 		panic(fmt.Sprintf("task: invalid job parameters (a=%v d=%v w=%v)", arrival, relDeadline, wcet))
 	}
-	return &Job{
+	j := released(taskID, seq, arrival, relDeadline, wcet)
+	return &j
+}
+
+// released is a job's state at its release: all work outstanding, not
+// queued.
+func released(taskID, seq int, arrival, relDeadline, wcet float64) Job {
+	return Job{
 		TaskID:    taskID,
 		Seq:       seq,
 		Arrival:   arrival,
@@ -120,6 +127,15 @@ func NewJob(taskID, seq int, arrival, relDeadline, wcet float64) *Job {
 		actual:    wcet,
 		heapIndex: -1,
 	}
+}
+
+// Release returns the task's seq-th job, released at arrival, by value:
+// the job ReleaseJobs allocates for that instance, for callers that keep
+// release schedules in reusable buffers. The task must be valid.
+func (t Task) Release(seq int, arrival float64) Job {
+	j := released(t.ID, seq, arrival, t.Deadline, t.WCET)
+	j.Exec = t.Exec
+	return j
 }
 
 // SetActualWork declares that the job will really take work <= WCET. It
@@ -160,7 +176,7 @@ func (j *Job) SetOverrunWork(work float64) {
 // Overrun returns how much outstanding actual work exceeds the
 // outstanding budgeted work (0 for a well-declared job). Before execution
 // starts this is the amount by which the job will overrun its WCET.
-func (j *Job) Overrun() float64 { return math.Max(0, j.actual-j.remaining) }
+func (j *Job) Overrun() float64 { return max(0, j.actual-j.remaining) }
 
 // Remaining returns the outstanding *budgeted* work at f_max — what the
 // scheduler plans with.
@@ -179,7 +195,7 @@ func (j *Job) Progress(work float64) {
 	}
 	j.remaining -= work
 	j.actual -= work
-	if j.actual < -1e-6*math.Max(1, j.WCET) {
+	if j.actual < -1e-6*max(1, j.WCET) {
 		panic(fmt.Sprintf("task: job %d/%d overran its work by %v", j.TaskID, j.Seq, -j.actual))
 	}
 	if j.actual < 0 {
