@@ -139,11 +139,12 @@ type fleetConfig struct {
 }
 
 // runSweep produces the result JSON (with trailing newline) either
-// in-process (-local) or via the fabric coordinator. Both paths marshal
-// the identical aggregate type, which is what makes the outputs
-// byte-comparable.
+// in-process (-local) or via the fabric coordinator. Both paths merge
+// shard results with experiment.MergeShards — the local path merges its
+// one whole-grid shard — and marshal the identical aggregate type, which
+// is what makes the outputs byte-comparable.
 func runSweep(ctx context.Context, local bool, workersFlag, kind string, spec experiment.Spec, policies []string, fc fleetConfig) ([]byte, error) {
-	var aggregate any
+	var merged *experiment.MergedSweep
 	if local {
 		// A local run still gets a root span when tracing is requested —
 		// a one-node tree, but the same JSONL format as a fleet trace.
@@ -157,14 +158,7 @@ func runSweep(ctx context.Context, local bool, workersFlag, kind string, spec ex
 			spec.Spans = parentedSink{sink: recorder, parent: root.Context()}
 		}
 		var err error
-		switch kind {
-		case "missrate":
-			aggregate, err = experiment.MissRateSweepCtx(ctx, spec, policies)
-		case "remaining":
-			aggregate, err = experiment.RemainingEnergyCtx(ctx, spec, policies)
-		default:
-			err = fmt.Errorf("unknown sweep kind %q", kind)
-		}
+		merged, err = experiment.RunSweep(ctx, kind, spec, policies)
 		root.End()
 		if err != nil {
 			return nil, err
@@ -218,14 +212,9 @@ func runSweep(ctx context.Context, local bool, workersFlag, kind string, spec ex
 				return nil, terr
 			}
 		}
-		switch kind {
-		case "missrate":
-			aggregate = res.Merged.MissRate
-		case "remaining":
-			aggregate = res.Merged.Remaining
-		}
+		merged = res.Merged
 	}
-	raw, err := json.Marshal(aggregate)
+	raw, err := json.Marshal(merged.Result())
 	if err != nil {
 		return nil, err
 	}

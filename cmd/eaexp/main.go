@@ -7,17 +7,27 @@
 //	eaexp -exp fig9              miss rate vs capacity, U = 0.8 (Figure 9)
 //	eaexp -exp table1            minimum-capacity ratios (Table 1)
 //	eaexp -exp all               everything
-//	eaexp -exp robustness        miss rate vs fault intensity (beyond the paper)
-//	eaexp -exp slack             miss rate vs best-case/WCET ratio, reclaiming policies (beyond the paper)
-//	eaexp -exp sleep             miss rate per DPM sleep preset (beyond the paper)
+//
+// Studies beyond the paper (not part of -exp all; name them explicitly):
+//
+//	eaexp -exp sens-levels       miss rate vs number of DVFS operating points
+//	eaexp -exp sens-pmax         miss rate vs processor power scale
+//	eaexp -exp sens-tasks        miss rate vs number of tasks per set
+//	eaexp -exp sens-predictors   miss rate per registered harvest predictor
+//	eaexp -exp overhead          switches, preemptions, decisions and events per run
+//	eaexp -exp convergence       miss-rate estimate vs replication count
+//	eaexp -exp robustness        miss rate vs fault intensity
+//	eaexp -exp slack             miss rate vs best-case/WCET ratio, reclaiming policies
+//	eaexp -exp sleep             miss rate per DPM sleep preset
 //
 // Each experiment prints an ASCII chart or table and, with -csv DIR,
 // writes the raw series as CSV. -replications trades fidelity for time
 // (the paper used 5000 task sets per point).
 //
 // Further flags: -seed, -pmax, -predictor, -alpha and -width shape the
-// spec and charts; -cpuprofile/-memprofile write pprof profiles;
-// -version prints the build identity.
+// spec and charts (-alpha tunes the -predictor; sens-predictors runs
+// every predictor at its built-in default); -cpuprofile/-memprofile write
+// pprof profiles; -version prints the build identity.
 //
 // The robustness sweep subjects the -policies set (default EDF, LSA and
 // EA-DVFS) to the canonical mixed-fault model (harvester dropouts,
@@ -52,7 +62,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table1, all")
+		exp   = flag.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table1, all; beyond the paper: sens-levels, sens-pmax, sens-tasks, sens-predictors, overhead, convergence, robustness, slack, sleep")
 		reps  = flag.Int("replications", 0, "task sets per point (0 = experiment default)")
 		seed  = flag.Uint64("seed", 1, "master seed")
 		pmax  = flag.Float64("pmax", 10, "processor maximum power")

@@ -14,8 +14,10 @@ import (
 // processor is built once, the solar trace is realized once and a single
 // fork of it is reused run to run, and every run executes on one dedicated
 // sim.Arena, so the release schedule is expanded exactly once. RunOne
-// re-derives all of that per run; over a capacity bisection or a batch of
-// sweep columns the difference is most of the non-engine cost.
+// re-derives all of that per run — it builds an arena-less Runner for
+// every run, since Runner.config is the package's one run builder; over a
+// capacity bisection or a batch of sweep columns the difference is most
+// of the non-engine cost.
 //
 // Each run is bit-identical to the corresponding RunOne: a prepared
 // SolarModel fork is a pure function of time (queries within the realized
@@ -38,19 +40,67 @@ type Runner struct {
 // The replication's solar master is prepared through the horizon (a no-op
 // when the caller already did) and forked once.
 func NewRunner(s Spec, rep Replication) (*Runner, error) {
-	predF, err := s.PredictorFor(s.Predictor)
+	rep.PrepareSource(s.Horizon)
+	r, err := newRunner(s, rep)
 	if err != nil {
 		return nil, err
 	}
-	rep.PrepareSource(s.Horizon)
-	return &Runner{
-		spec:  s,
-		rep:   rep,
-		predF: predF,
-		proc:  s.Processor(),
-		src:   rep.Source(),
-		arena: sim.NewArena(),
-	}, nil
+	r.arena = sim.NewArena()
+	return &r, nil
+}
+
+// newRunner resolves the run material of one (spec, replication) pair:
+// the spec's predictor (with its smoothing override), its processor and
+// one fork of the replication's solar source. Without an arena its runs
+// go through sim.Run's pooled arenas; RunOne builds one per run.
+func newRunner(s Spec, rep Replication) (Runner, error) {
+	predF, err := s.PredictorFor(s.Predictor)
+	if err != nil {
+		return Runner{}, err
+	}
+	return Runner{spec: s, rep: rep, predF: predF, proc: s.Processor(), src: rep.Source()}, nil
+}
+
+// config builds the sim.Config of one run — the only place the experiment
+// package builds one: the replication's task set, solar path and
+// execution seed, the spec's processor and predictor, a full ideal store
+// of the given capacity, a fresh policy from pf, the event-budget
+// watchdog and the spec's probe. record enables the per-unit energy
+// series; a ctx that can be cancelled is handed to the engine. A sweep
+// that varies something the spec cannot express (a cubic processor, a
+// fault schedule) sets that field on the returned config.
+func (r *Runner) config(ctx context.Context, capacity float64, pf PolicyFactory, record bool) *sim.Config {
+	cfg := &sim.Config{
+		Horizon:      r.spec.Horizon,
+		Tasks:        r.rep.Tasks,
+		Source:       r.src,
+		Predictor:    r.predF(r.src),
+		Store:        storage.NewIdeal(capacity),
+		CPU:          r.proc,
+		Policy:       pf(),
+		RecordEnergy: record,
+		ExecSeed:     execSeedOf(r.rep),
+		MaxEvents:    defaultEventBudget(r.spec.Horizon),
+		Probe:        r.spec.Probe,
+	}
+	if ctx != nil && ctx.Done() != nil {
+		cfg.Context = ctx
+	}
+	return cfg
+}
+
+// run executes cfg on the runner's arena (sim.Run's pool when it has
+// none) and feeds the spec's run observability.
+func (r *Runner) run(cfg *sim.Config) (*sim.Result, error) {
+	var res *sim.Result
+	var err error
+	if r.arena != nil {
+		res, err = r.arena.Run(cfg)
+	} else {
+		res, err = sim.Run(cfg)
+	}
+	r.spec.recordRun(res)
+	return res, err
 }
 
 // RunCtx executes one run of the runner's replication at the given
@@ -59,25 +109,9 @@ func NewRunner(s Spec, rep Replication) (*Runner, error) {
 // (sim.Config.StopAtFirstMiss — the Result is then a prefix ending at the
 // first miss, and the spec's run metrics record that prefix).
 func (r *Runner) RunCtx(ctx context.Context, capacity float64, pf PolicyFactory, record, stopAtFirstMiss bool) (*sim.Result, error) {
-	cfg := &sim.Config{
-		Horizon:         r.spec.Horizon,
-		Tasks:           r.rep.Tasks,
-		Source:          r.src,
-		Predictor:       r.predF(r.src),
-		Store:           storage.NewIdeal(capacity),
-		CPU:             r.proc,
-		Policy:          pf(),
-		RecordEnergy:    record,
-		StopAtFirstMiss: stopAtFirstMiss,
-		MaxEvents:       defaultEventBudget(r.spec.Horizon),
-		Probe:           r.spec.Probe,
-	}
-	if ctx != nil && ctx != context.Background() {
-		cfg.Context = ctx
-	}
-	res, err := r.arena.Run(cfg)
-	r.spec.recordRun(res)
-	return res, err
+	cfg := r.config(ctx, capacity, pf, record)
+	cfg.StopAtFirstMiss = stopAtFirstMiss
+	return r.run(cfg)
 }
 
 // RunBatch executes one replication's full (capacity × policy) grid on a

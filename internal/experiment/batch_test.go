@@ -15,7 +15,7 @@ func TestWarmBisectionMatchesCold(t *testing.T) {
 	s.Horizon = 1500
 	s.Replications = 2
 	policies := []string{"lsa", "ea-dvfs"}
-	factories, err := policyFactories(s, policies)
+	factories, err := s.Policies(policies)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"github.com/eadvfs/eadvfs/internal/rng"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -221,9 +220,9 @@ type Spec struct {
 	Metrics *obs.Registry `json:"-"`
 
 	// Spans, when non-nil, receives wall-clock phase spans from the shard
-	// runner (plan / realize-solar / simulate / aggregate — DESIGN.md §15),
-	// parented under the span context the sink carries (obs.TraceCarrier),
-	// e.g. the service's per-request engine span. Shared across parallel
+	// runner (plan / simulate / aggregate — DESIGN.md §15), parented under
+	// the span context the sink carries (obs.TraceCarrier), e.g. the
+	// service's per-request engine span. Shared across parallel
 	// workers, so it must be safe for concurrent use. Excluded from
 	// serialization and therefore from the config digest: tracing a sweep
 	// must not change its cache identity.
@@ -439,28 +438,9 @@ func RunOne(s Spec, rep Replication, capacity float64, pf PolicyFactory, record 
 // aborts the run mid-flight instead of finishing a result nobody wants.
 // context.Background() reproduces RunOne exactly.
 func RunOneCtx(ctx context.Context, s Spec, rep Replication, capacity float64, pf PolicyFactory, record bool) (*sim.Result, error) {
-	predF, err := s.PredictorFor(s.Predictor)
+	r, err := newRunner(s, rep)
 	if err != nil {
 		return nil, err
 	}
-	src := rep.Source()
-	cfg := &sim.Config{
-		Horizon:      s.Horizon,
-		Tasks:        rep.Tasks,
-		Source:       src,
-		Predictor:    predF(src),
-		Store:        storage.NewIdeal(capacity),
-		CPU:          s.Processor(),
-		Policy:       pf(),
-		RecordEnergy: record,
-		ExecSeed:     execSeedOf(rep),
-		MaxEvents:    defaultEventBudget(s.Horizon),
-		Probe:        s.Probe,
-	}
-	if ctx != context.Background() && ctx != nil {
-		cfg.Context = ctx
-	}
-	res, err := sim.Run(cfg)
-	s.recordRun(res)
-	return res, err
+	return r.run(r.config(ctx, capacity, pf, record))
 }

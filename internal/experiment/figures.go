@@ -6,7 +6,6 @@ import (
 
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/metrics"
-	"github.com/eadvfs/eadvfs/internal/obs"
 )
 
 // SourceTrace regenerates Figure 5: one sample path of the eq. (13) solar
@@ -43,69 +42,11 @@ func RemainingEnergy(s Spec, policyNames []string) (*RemainingEnergyResult, erro
 // mid-flight, and surfaces as a *CancelledError instead of a partial
 // (and therefore wrong) average.
 func RemainingEnergyCtx(ctx context.Context, s Spec, policyNames []string) (*RemainingEnergyResult, error) {
-	traceParent := obs.SpanParentOf(s.Spans)
-	phase := func(name string) *obs.ActiveSpan {
-		return obs.StartSpan(s.Spans, "experiment", name, traceParent)
-	}
-	plan := phase("plan")
-	if err := s.Validate(); err != nil {
-		plan.End()
-		return nil, err
-	}
-	factories, err := policyFactories(s, policyNames)
+	m, err := RunSweep(ctx, "remaining", s, policyNames)
 	if err != nil {
-		plan.End()
 		return nil, err
 	}
-	reps, err := replicateAll(s)
-	if err != nil {
-		plan.End()
-		return nil, err
-	}
-
-	// One slot per (replication, capacity, policy).
-	nc, np := len(s.Capacities), len(policyNames)
-	series := make([]*metrics.Series, s.Replications*nc*np)
-	var jobs []job
-	for r := 0; r < s.Replications; r++ {
-		for ci := range s.Capacities {
-			for pi := range policyNames {
-				slot := (r*nc+ci)*np + pi
-				r, ci, pi := r, ci, pi
-				jobs = append(jobs, job{slot: slot, run: func() error {
-					res, err := RunOneCtx(ctx, s, reps[r], s.Capacities[ci], factories[pi], true)
-					if err != nil {
-						return err
-					}
-					series[slot] = res.EnergySeries
-					return nil
-				}})
-			}
-		}
-	}
-	plan.SetInt("runs", int64(len(jobs)))
-	plan.End()
-	sim := phase("simulate")
-	sim.SetInt("runs", int64(len(jobs)))
-	if err := runParallelCtx(ctx, jobs); err != nil {
-		sim.SetAttr("error", err.Error())
-		sim.End()
-		return nil, err
-	}
-	sim.End()
-	agg := phase("aggregate")
-	defer agg.End()
-
-	// Fold each replication's (capacity, policy) block into per-policy
-	// partial curves, then fold replications in r order. This two-level
-	// fold is the merge contract: a shard ships its replications' partial
-	// curves and MergeShards runs the identical outer fold, so a complete
-	// merge is bit-identical to this single-node path.
-	curves := make([][][]float64, s.Replications)
-	for r := 0; r < s.Replications; r++ {
-		curves[r] = repEnergyCurves(s, np, series[r*nc*np:(r+1)*nc*np])
-	}
-	return aggregateRemaining(s, policyNames, curves, nil)
+	return m.Remaining, nil
 }
 
 // repEnergyCurves folds one replication's (capacity, policy) block of
@@ -131,10 +72,9 @@ func repEnergyCurves(s Spec, np int, block []*metrics.Series) [][]float64 {
 
 // aggregateRemaining folds per-replication partial curves (repEnergyCurves
 // output, indexed by replication) into the Figures 6–7 averages.
-// Replications are folded in r order so the result is deterministic. When
-// present is non-nil, replications marked absent are skipped (curves[r]
-// may be nil) and the average runs over the covered replications only;
-// present == nil means full coverage.
+// Replications are folded in r order so the result is deterministic.
+// Replications not marked present are skipped (curves[r] may be nil) and
+// the average runs over the covered replications only.
 func aggregateRemaining(s Spec, policyNames []string, curves [][][]float64, present []bool) (*RemainingEnergyResult, error) {
 	n := int(s.Horizon) + 1
 	np := len(policyNames)
@@ -144,7 +84,7 @@ func aggregateRemaining(s Spec, policyNames []string, curves [][][]float64, pres
 	}
 	completed := 0
 	for r := 0; r < s.Replications; r++ {
-		if present != nil && !present[r] {
+		if !present[r] {
 			continue
 		}
 		completed++
@@ -202,72 +142,27 @@ func MissRateSweep(s Spec, policyNames []string) (*MissRateResult, error) {
 // engines at their next poll, and returns a *CancelledError — a partial
 // pooled miss rate is statistically meaningless, so none is produced.
 func MissRateSweepCtx(ctx context.Context, s Spec, policyNames []string) (*MissRateResult, error) {
-	traceParent := obs.SpanParentOf(s.Spans)
-	phase := func(name string) *obs.ActiveSpan {
-		return obs.StartSpan(s.Spans, "experiment", name, traceParent)
-	}
-	plan := phase("plan")
-	if err := s.Validate(); err != nil {
-		plan.End()
-		return nil, err
-	}
-	factories, err := policyFactories(s, policyNames)
+	m, err := RunSweep(ctx, "missrate", s, policyNames)
 	if err != nil {
-		plan.End()
 		return nil, err
 	}
-	reps, err := replicateAll(s)
-	if err != nil {
-		plan.End()
-		return nil, err
-	}
-
-	nc, np := len(s.Capacities), len(policyNames)
-	tallies := make([]metrics.MissStats, s.Replications*nc*np)
-	var jobs []job
-	for r := 0; r < s.Replications; r++ {
-		for ci := range s.Capacities {
-			for pi := range policyNames {
-				slot := (r*nc+ci)*np + pi
-				r, ci, pi := r, ci, pi
-				jobs = append(jobs, job{slot: slot, run: func() error {
-					res, err := RunOneCtx(ctx, s, reps[r], s.Capacities[ci], factories[pi], false)
-					if err != nil {
-						return err
-					}
-					tallies[slot] = res.Miss
-					return nil
-				}})
-			}
-		}
-	}
-	plan.SetInt("runs", int64(len(jobs)))
-	plan.End()
-	sim := phase("simulate")
-	sim.SetInt("runs", int64(len(jobs)))
-	if err := runParallelCtx(ctx, jobs); err != nil {
-		sim.SetAttr("error", err.Error())
-		sim.End()
-		return nil, err
-	}
-	sim.End()
-	agg := phase("aggregate")
-	defer agg.End()
-	return aggregateMissRate(s, policyNames, tallies, nil), nil
+	return m.MissRate, nil
 }
 
-// aggregateMissRate pools per-run tallies — slot layout (r*nc+ci)*np+pi —
-// into the Figures 8–9 result. The fold order (replication outermost,
+// aggregateMissRate pools per-run tallies — slot layout (r*nc+ci)*np+pi
+// over the sweep's nc points (the capacities of Figures 8–9, or a
+// sensitivity sweep's parameter values) — into a MissRateResult whose
+// Capacities are those points. The fold order (replication outermost,
 // policy innermost) fixes the Welford accumulation sequence, so the same
 // tallies always produce bit-identical standard errors; MergeShards runs
 // this same fold over scattered shard tallies. When present is non-nil,
 // slots marked absent are skipped and the pooled rates cover the remaining
 // cells only; present == nil means full coverage.
-func aggregateMissRate(s Spec, policyNames []string, tallies []metrics.MissStats, present []bool) *MissRateResult {
-	nc, np := len(s.Capacities), len(policyNames)
+func aggregateMissRate(s Spec, points []float64, policyNames []string, tallies []metrics.MissStats, present []bool) *MissRateResult {
+	nc, np := len(points), len(policyNames)
 	out := &MissRateResult{
 		Spec:       s,
-		Capacities: append([]float64(nil), s.Capacities...),
+		Capacities: append([]float64(nil), points...),
 		Rates:      make(map[string][]float64, np),
 		Stats:      make(map[string][]metrics.MissStats, np),
 		StdErr:     make(map[string][]float64, np),
@@ -280,7 +175,7 @@ func aggregateMissRate(s Spec, policyNames []string, tallies []metrics.MissStats
 		acc[name] = make([]metrics.Welford, nc)
 	}
 	for r := 0; r < s.Replications; r++ {
-		for ci := range s.Capacities {
+		for ci := 0; ci < nc; ci++ {
 			for pi, name := range policyNames {
 				slot := (r*nc+ci)*np + pi
 				if present != nil && !present[slot] {
@@ -293,7 +188,7 @@ func aggregateMissRate(s Spec, policyNames []string, tallies []metrics.MissStats
 		}
 	}
 	for _, name := range policyNames {
-		for ci := range s.Capacities {
+		for ci := 0; ci < nc; ci++ {
 			out.Rates[name][ci] = out.Stats[name][ci].Rate()
 			out.StdErr[name][ci] = acc[name][ci].StdErr()
 		}
@@ -301,24 +196,19 @@ func aggregateMissRate(s Spec, policyNames []string, tallies []metrics.MissStats
 	return out
 }
 
-// replicateAll derives every replication up front (cheap; keeps worker
-// closures free of generator state).
-func replicateAll(s Spec) ([]Replication, error) {
-	reps := make([]Replication, s.Replications)
-	for r := range reps {
+// replicate derives replications [lo, hi) up front (cheap; keeps worker
+// closures free of generator state), each with its solar trace realized
+// through the horizon: one trace per replication, shared (via Fork) by
+// every paired policy/capacity run, and never mutated by the parallel
+// workers.
+func replicate(s Spec, lo, hi int) ([]Replication, error) {
+	reps := make([]Replication, hi-lo)
+	for i := range reps {
 		var err error
-		reps[r], err = Replicate(s, r)
-		if err != nil {
+		if reps[i], err = Replicate(s, lo+i); err != nil {
 			return nil, err
 		}
-		// One realized trace per replication, shared (via Fork) by every
-		// paired policy/capacity run below; warmed to the horizon so the
-		// parallel workers never mutate the master.
-		reps[r].PrepareSource(s.Horizon)
+		reps[i].PrepareSource(s.Horizon)
 	}
 	return reps, nil
-}
-
-func policyFactories(s Spec, names []string) ([]PolicyFactory, error) {
-	return s.Policies(names)
 }

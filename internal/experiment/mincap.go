@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -201,7 +202,7 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 	if len(utils) == 0 {
 		return nil, fmt.Errorf("experiment: no utilizations")
 	}
-	factories, err := policyFactories(s, policyNames)
+	factories, err := s.Policies(policyNames)
 	if err != nil {
 		return nil, err
 	}
@@ -228,36 +229,31 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 			ok     bool
 		}
 		results := make([]pair, spec.Replications)
-		var jobs []job
-		for r := 0; r < spec.Replications; r++ {
-			rep, err := Replicate(spec, r)
-			if err != nil {
-				return nil, err
-			}
-			rep.PrepareSource(spec.Horizon) // shared across the capacity search runs
-			r, rep := r, rep
-			jobs = append(jobs, job{slot: r, run: func() error {
-				// Warm-start searcher: one arena, one solar fork and one
-				// probe memo per replication job, first-miss early exit on
-				// every infeasible probe. Returns exactly the cold
-				// MinCapacitySearch capacities (see MinCapacitySearcher).
-				search, err := NewMinCapacitySearcher(spec, rep, factories)
-				if err != nil {
-					return err
-				}
-				ca, okA, err := search.Search(0, lo, maxHi, tol)
-				if err != nil {
-					return err
-				}
-				cb, okB, err := search.Search(1, lo, maxHi, tol)
-				if err != nil {
-					return err
-				}
-				results[r] = pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}
-				return nil
-			}})
+		reps, err := replicate(spec, 0, spec.Replications) // sources shared across each search's probes
+		if err != nil {
+			return nil, err
 		}
-		if err := runParallel(jobs); err != nil {
+		jobs := gridJobs(spec.Replications, 1, 1, func(_, r, _, _ int) error {
+			// Warm-start searcher: one arena, one solar fork and one probe
+			// memo per replication job, first-miss early exit on every
+			// infeasible probe. Returns exactly the cold MinCapacitySearch
+			// capacities (see MinCapacitySearcher).
+			search, err := NewMinCapacitySearcher(spec, reps[r], factories)
+			if err != nil {
+				return err
+			}
+			ca, okA, err := search.Search(0, lo, maxHi, tol)
+			if err != nil {
+				return err
+			}
+			cb, okB, err := search.Search(1, lo, maxHi, tol)
+			if err != nil {
+				return err
+			}
+			results[r] = pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}
+			return nil
+		})
+		if err := runJobs(context.TODO(), jobs); err != nil {
 			return nil, err
 		}
 		var meanA, meanB, ratio metrics.Welford

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 
 	"github.com/eadvfs/eadvfs/internal/metrics"
@@ -31,11 +32,11 @@ func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	factories, err := policyFactories(s, policyNames)
+	factories, err := s.Policies(policyNames)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := replicateAll(s)
+	reps, err := replicate(s, 0, s.Replications)
 	if err != nil {
 		return nil, err
 	}
@@ -48,32 +49,25 @@ func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
 	}
 	np := len(policyNames)
 	slots := make([]counters, s.Replications*np)
-	var jobs []job
-	for r := 0; r < s.Replications; r++ {
-		for pi := range policyNames {
-			slot := r*np + pi
-			r, pi := r, pi
-			jobs = append(jobs, job{slot: slot, run: func() error {
-				res, err := RunOne(s, reps[r], capacity, factories[pi], false)
-				if err != nil {
-					return err
-				}
-				c := &slots[slot]
-				c.switches = float64(res.Switches)
-				c.preempts = float64(res.Preemptions)
-				c.decisions = float64(res.Decisions)
-				c.events = float64(res.Events)
-				c.miss = res.Miss
-				for _, ts := range res.PerTask {
-					if ts.Finished > 0 {
-						c.resp.Add(ts.ResponseMean)
-					}
-				}
-				return nil
-			}})
+	jobs := gridJobs(s.Replications, 1, np, func(slot, r, _, pi int) error {
+		res, err := RunOne(s, reps[r], capacity, factories[pi], false)
+		if err != nil {
+			return err
 		}
-	}
-	if err := runParallel(jobs); err != nil {
+		c := &slots[slot]
+		c.switches = float64(res.Switches)
+		c.preempts = float64(res.Preemptions)
+		c.decisions = float64(res.Decisions)
+		c.events = float64(res.Events)
+		c.miss = res.Miss
+		for _, ts := range res.PerTask {
+			if ts.Finished > 0 {
+				c.resp.Add(ts.ResponseMean)
+			}
+		}
+		return nil
+	})
+	if err := runJobs(context.TODO(), jobs); err != nil {
 		return nil, err
 	}
 
@@ -149,29 +143,24 @@ func Convergence(s Spec, policy string, counts []int) (*ConvergenceResult, error
 	if err != nil {
 		return nil, err
 	}
+	reps, err := replicate(spec, 0, maxN)
+	if err != nil {
+		return nil, err
+	}
 	capacity := spec.Capacities[0]
 
 	rates := make([]float64, maxN)
 	tallies := make([]metrics.MissStats, maxN)
-	var jobs []job
-	for r := 0; r < maxN; r++ {
-		rep, err := Replicate(spec, r)
+	jobs := gridJobs(maxN, 1, 1, func(_, r, _, _ int) error {
+		res, err := RunOne(spec, reps[r], capacity, pf, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rep.PrepareSource(spec.Horizon)
-		r, rep := r, rep
-		jobs = append(jobs, job{slot: r, run: func() error {
-			res, err := RunOne(spec, rep, capacity, pf, false)
-			if err != nil {
-				return err
-			}
-			rates[r] = res.Miss.Rate()
-			tallies[r] = res.Miss
-			return nil
-		}})
-	}
-	if err := runParallel(jobs); err != nil {
+		rates[r] = res.Miss.Rate()
+		tallies[r] = res.Miss
+		return nil
+	})
+	if err := runJobs(context.TODO(), jobs); err != nil {
 		return nil, err
 	}
 

@@ -34,7 +34,20 @@ type job struct {
 	run  func() error
 }
 
-// TransientError marks a job failure as retryable: runParallel re-executes
+// gridJobs fans a replication × point × policy grid out into one job per
+// cell. Cell (r, p, pi) owns slot (r*points+p)*policies+pi — the layout
+// every sweep's raw material and fold share — and run executes the cell,
+// storing its material at that slot.
+func gridJobs(reps, points, policies int, run func(slot, r, p, pi int) error) []job {
+	jobs := make([]job, reps*points*policies)
+	for slot := range jobs {
+		r, p, pi := slot/(points*policies), slot/policies%points, slot%policies
+		jobs[slot] = job{slot: slot, run: func() error { return run(slot, r, p, pi) }}
+	}
+	return jobs
+}
+
+// TransientError marks a job failure as retryable: runJobs re-executes
 // the job (up to maxJobAttempts total) before recording the error.
 // Simulations are deterministic, so genuine model errors are NOT
 // transient; this classifies environmental failures (e.g. a temp-file
@@ -94,7 +107,7 @@ func RunHardened(fn func() error) error {
 	return runJob(job{slot: 0, run: fn})
 }
 
-// runParallel executes jobs across min(Parallelism, len(jobs)) workers and
+// runJobs executes jobs across min(Parallelism, len(jobs)) workers and
 // returns the first error (by slot order) if any failed. Each job writes
 // its result into caller-owned, slot-indexed storage, which keeps merging
 // deterministic.
@@ -104,17 +117,12 @@ func RunHardened(fn func() error) error {
 // retried a bounded number of times, and after the first recorded error
 // the remaining queued jobs are cancelled at pickup — already-running jobs
 // finish, and their errors still participate in lowest-slot selection.
-func runParallel(jobs []job) error {
-	return runParallelCtx(context.Background(), jobs)
-}
-
-// runParallelCtx is runParallel with cooperative cancellation: when ctx is
-// cancelled, queued jobs are dropped at pickup (already-running jobs
-// finish) and the batch returns a *CancelledError describing the partial
-// aggregation, taking precedence over per-job errors — a cancelled sweep's
-// job errors are usually just the engine reporting the same cancellation.
-func runParallelCtx(ctx context.Context, jobs []job) error {
-	errs, skipped := runParallelPartialCtx(ctx, jobs, false)
+// When ctx is cancelled, queued jobs are dropped at pickup as well and the
+// batch returns a *CancelledError describing the partial aggregation,
+// taking precedence over per-job errors — a cancelled sweep's job errors
+// are usually just the engine reporting the same cancellation.
+func runJobs(ctx context.Context, jobs []job) error {
+	errs, skipped := runJobsPartial(ctx, jobs, false)
 	if err := ctx.Err(); err != nil && skipped > 0 {
 		return &CancelledError{
 			Done:    len(jobs) - skipped,
@@ -126,20 +134,14 @@ func runParallelCtx(ctx context.Context, jobs []job) error {
 	return lowestSlotError(errs)
 }
 
-// runParallelPartial is runParallelPartialCtx without a cancellation
-// context (robustness sweeps want every slot attempted regardless).
-func runParallelPartial(jobs []job, keepGoing bool) (map[int]error, int) {
-	return runParallelPartialCtx(context.Background(), jobs, keepGoing)
-}
-
-// runParallelPartialCtx is the engine behind the batch runners. With
-// keepGoing set, a failing job does not cancel the rest: every job runs,
-// the per-slot errors are returned, and the caller aggregates the
-// surviving slots — one bad replication no longer discards a whole sweep.
-// A cancelled ctx stops the batch at job pickup either way (keepGoing
-// tolerates job failures, not an abandoned request). It returns the
-// recorded errors by slot and the number of jobs skipped by cancellation.
-func runParallelPartialCtx(ctx context.Context, jobs []job, keepGoing bool) (map[int]error, int) {
+// runJobsPartial is the engine behind runJobs. With keepGoing set, a
+// failing job does not cancel the rest: every job runs, the per-slot
+// errors are returned, and the caller aggregates the surviving slots — one
+// bad replication no longer discards a whole sweep. A cancelled ctx stops
+// the batch at job pickup either way (keepGoing tolerates job failures,
+// not an abandoned request). It returns the recorded errors by slot and
+// the number of jobs skipped by cancellation.
+func runJobsPartial(ctx context.Context, jobs []job, keepGoing bool) (map[int]error, int) {
 	workers := Parallelism
 	if workers < 1 {
 		workers = 1

@@ -33,12 +33,12 @@ func TestRunParallelCtxCancelMidBatch(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- runParallelCtx(ctx, jobs) }()
+	go func() { done <- runJobs(ctx, jobs) }()
 	select {
 	case err := <-done:
 		var ce *CancelledError
 		if !errors.As(err, &ce) {
-			t.Fatalf("runParallelCtx = %v, want *CancelledError", err)
+			t.Fatalf("runJobs = %v, want *CancelledError", err)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("error %v does not unwrap to context.Canceled", err)
@@ -59,7 +59,7 @@ func TestRunParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := []job{{slot: 0, run: func() error { t.Error("job ran under cancelled ctx"); return nil }}}
-	err := runParallelCtx(ctx, jobs)
+	err := runJobs(ctx, jobs)
 	var ce *CancelledError
 	if !errors.As(err, &ce) || ce.Done != 0 || ce.Skipped != 1 {
 		t.Fatalf("pre-cancelled batch: err = %v, want CancelledError{Done:0, Skipped:1}", err)

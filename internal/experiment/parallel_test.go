@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -18,7 +19,7 @@ func TestRunParallelExecutesAll(t *testing.T) {
 			return nil
 		}})
 	}
-	if err := runParallel(jobs); err != nil {
+	if err := runJobs(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
@@ -48,27 +49,27 @@ func TestRunParallelReportsLowestSlotError(t *testing.T) {
 		{slot: 2, run: func() error { return gate(errA) }},
 		{slot: 9, run: func() error { return gate(nil) }},
 	}
-	if err := runParallel(jobs); err != errA {
+	if err := runJobs(context.Background(), jobs); err != errA {
 		t.Fatalf("got %v, want the slot-2 error", err)
 	}
 }
 
 func TestRunParallelEmptyAndSerial(t *testing.T) {
-	if err := runParallel(nil); err != nil {
+	if err := runJobs(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	old := Parallelism
 	defer func() { Parallelism = old }()
 	Parallelism = 1
 	ran := false
-	if err := runParallel([]job{{slot: 0, run: func() error { ran = true; return nil }}}); err != nil {
+	if err := runJobs(context.Background(), []job{{slot: 0, run: func() error { ran = true; return nil }}}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
 		t.Fatal("serial path did not run the job")
 	}
 	Parallelism = 0 // degenerate setting must still work
-	if err := runParallel([]job{{slot: 0, run: func() error { return nil }}}); err != nil {
+	if err := runJobs(context.Background(), []job{{slot: 0, run: func() error { return nil }}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +92,7 @@ func TestRunParallelPanicSurfacesAsError(t *testing.T) {
 			return nil
 		}})
 	}
-	err := runParallel(jobs)
+	err := runJobs(context.Background(), jobs)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
@@ -118,7 +119,7 @@ func TestRunParallelAllPanicNoHang(t *testing.T) {
 		jobs = append(jobs, job{slot: i, run: func() error { panic("everyone") }})
 	}
 	var pe *PanicError
-	if err := runParallel(jobs); !errors.As(err, &pe) {
+	if err := runJobs(context.Background(), jobs); !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
 	}
 }
@@ -138,7 +139,7 @@ func TestRunParallelCancelsQueuedAfterError(t *testing.T) {
 		{slot: 2, run: func() error { atomic.AddInt64(&ran, 1); return nil }},
 		{slot: 3, run: func() error { atomic.AddInt64(&ran, 1); return nil }},
 	}
-	errs, skipped := runParallelPartial(jobs, false)
+	errs, skipped := runJobsPartial(context.Background(), jobs, false)
 	if err := lowestSlotError(errs); err != boom {
 		t.Fatalf("got %v, want boom", err)
 	}
@@ -170,7 +171,7 @@ func TestRunParallelPartialKeepsGoing(t *testing.T) {
 			return nil
 		}})
 	}
-	errs, skipped := runParallelPartial(jobs, true)
+	errs, skipped := runJobsPartial(context.Background(), jobs, true)
 	if ran != 12 || skipped != 0 {
 		t.Fatalf("ran %d skipped %d, want 12/0", ran, skipped)
 	}
@@ -199,7 +200,7 @@ func TestRunParallelTransientRetry(t *testing.T) {
 		}
 		return nil
 	}}
-	if err := runParallel([]job{recovers}); err != nil {
+	if err := runJobs(context.Background(), []job{recovers}); err != nil {
 		t.Fatalf("job recovered on retry but sweep failed: %v", err)
 	}
 	if attempts != 3 {
@@ -211,7 +212,7 @@ func TestRunParallelTransientRetry(t *testing.T) {
 		atomic.AddInt64(&attempts, 1)
 		return &TransientError{Err: flaky}
 	}}
-	err := runParallel([]job{hopeless})
+	err := runJobs(context.Background(), []job{hopeless})
 	if !errors.Is(err, flaky) {
 		t.Fatalf("got %v, want wrapped flaky error", err)
 	}
@@ -224,7 +225,7 @@ func TestRunParallelTransientRetry(t *testing.T) {
 		atomic.AddInt64(&attempts, 1)
 		return flaky
 	}}
-	if err := runParallel([]job{plain}); err != flaky {
+	if err := runJobs(context.Background(), []job{plain}); err != flaky {
 		t.Fatalf("got %v, want flaky", err)
 	}
 	if attempts != 1 {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestProgressHookCountsEveryJob(t *testing.T) {
 	for i := 0; i < n; i++ {
 		jobs = append(jobs, job{slot: i, run: func() error { return nil }})
 	}
-	if err := runParallel(jobs); err != nil {
+	if err := runJobs(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != n {
@@ -53,7 +54,7 @@ func TestProgressHookRunsOnFailures(t *testing.T) {
 		{slot: 0, run: func() error { return errBoom }},
 		{slot: 1, run: func() error { return nil }}, // cancelled at pickup
 	}
-	if err := runParallel(jobs); err == nil {
+	if err := runJobs(context.Background(), jobs); err == nil {
 		t.Fatal("want the job error back")
 	}
 	if last != 1 {

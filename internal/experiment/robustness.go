@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,8 +10,6 @@ import (
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/rng"
-	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
 )
 
 // RobustnessSpec drives a fault-intensity sweep: each policy is simulated
@@ -110,11 +109,11 @@ func RobustnessSweep(rs RobustnessSpec) (*RobustnessResult, error) {
 	}
 	base := rs.Base
 	base.Capacities = []float64{rs.Capacity}
-	factories, err := policyFactories(base, rs.Policies)
+	factories, err := base.Policies(rs.Policies)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := replicateAll(base)
+	reps, err := replicate(base, 0, base.Replications)
 	if err != nil {
 		return nil, err
 	}
@@ -125,26 +124,23 @@ func RobustnessSweep(rs RobustnessSpec) (*RobustnessResult, error) {
 		deg  metrics.Degradation
 	}
 	cells := make([]cell, base.Replications*ni*np)
-	var jobs []job
-	for r := 0; r < base.Replications; r++ {
-		fseed := rs.faultSeed(r)
-		for ii := range rs.Intensities {
-			fspec := fault.AtIntensity(fseed, rs.Intensities[ii])
-			for pi := range rs.Policies {
-				slot := (r*ni+ii)*np + pi
-				r, pi, fspec := r, pi, fspec
-				jobs = append(jobs, job{slot: slot, run: func() error {
-					res, err := runFaulted(base, reps[r], rs.Capacity, factories[pi], fspec)
-					if err != nil {
-						return err
-					}
-					cells[slot] = cell{miss: res.Miss, deg: res.Degradation}
-					return nil
-				}})
-			}
+	jobs := gridJobs(base.Replications, ni, np, func(slot, r, ii, pi int) error {
+		runner, err := newRunner(base, reps[r])
+		if err != nil {
+			return err
 		}
-	}
-	errs, _ := runParallelPartial(jobs, true)
+		cfg := runner.config(context.TODO(), rs.Capacity, factories[pi], false)
+		if fspec := fault.AtIntensity(rs.faultSeed(r), rs.Intensities[ii]); fspec.Enabled() {
+			cfg.Faults = &fspec
+		}
+		res, err := runner.run(cfg)
+		if err != nil {
+			return err
+		}
+		cells[slot] = cell{miss: res.Miss, deg: res.Degradation}
+		return nil
+	})
+	errs, _ := runJobsPartial(context.TODO(), jobs, true)
 
 	out := &RobustnessResult{
 		Spec:        rs,
@@ -236,31 +232,4 @@ func predictorName(name string) string {
 		return "ewma"
 	}
 	return name
-}
-
-// runFaulted is RunOne with a fault spec applied (and no energy series —
-// robustness sweeps only need tallies).
-func runFaulted(s Spec, rep Replication, capacity float64, pf PolicyFactory, fspec fault.Spec) (*sim.Result, error) {
-	predF, err := s.PredictorFor(s.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	src := rep.Source()
-	cfg := &sim.Config{
-		Horizon:   s.Horizon,
-		Tasks:     rep.Tasks,
-		Source:    src,
-		Predictor: predF(src),
-		Store:     storage.NewIdeal(capacity),
-		CPU:       s.Processor(),
-		Policy:    pf(),
-		MaxEvents: defaultEventBudget(s.Horizon),
-		Probe:     s.Probe,
-	}
-	if fspec.Enabled() {
-		cfg.Faults = &fspec
-	}
-	res, err := sim.Run(cfg)
-	s.recordRun(res)
-	return res, err
 }

@@ -110,26 +110,30 @@ func TestRobustnessSweepReproducible(t *testing.T) {
 
 // At intensity 0 the fault layer must be completely inert: the sweep's
 // miss tallies are bit-identical to the fault-free MissRateSweep on the
-// same workload seeds.
+// same workload seeds. Under a stochastic workload this also pins the
+// execution seed: each replication draws its own per-job execution times,
+// paired with the fault-free sweep's.
 func TestRobustnessIntensityZeroMatchesBaseline(t *testing.T) {
-	rs := testRobustnessSpec()
-	rs.Intensities = []float64{0}
-	rs.Policies = []string{"edf", "lsa"}
+	for _, model := range []string{"", "stochastic-periodic"} {
+		rs := testRobustnessSpec()
+		rs.Base.TaskModel = model
+		rs.Intensities = []float64{0}
 
-	res, err := RobustnessSweep(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := rs.Base
-	base.Capacities = []float64{rs.Capacity}
-	ref, err := MissRateSweep(base, rs.Policies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rs.Policies {
-		got, want := res.Stats[name][0], ref.Stats[name][0]
-		if got != want {
-			t.Fatalf("%s: faults-disabled tallies %+v != baseline %+v", name, got, want)
+		res, err := RobustnessSweep(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := rs.Base
+		base.Capacities = []float64{rs.Capacity}
+		ref, err := MissRateSweep(base, rs.Policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range rs.Policies {
+			got, want := res.Stats[name][0], ref.Stats[name][0]
+			if got != want {
+				t.Fatalf("%s (task model %q): faults-disabled tallies %+v != baseline %+v", name, model, got, want)
+			}
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
 )
 
 // SensitivityResult holds one parameter sweep: the miss rate of each
@@ -30,12 +30,14 @@ func (r *SensitivityResult) PointLabel(i int) string {
 	return fmt.Sprintf("%g", r.Points[i])
 }
 
-// sweepRunner builds the per-point sim config; the capacity, workload and
-// predictor come from the spec unless the sweep overrides them.
+// sweepRunner executes one (replication, point) cell of a sensitivity
+// sweep under policy pf. Cells express their point as a modified Spec
+// (re-deriving the replication when the workload depends on it) or, for
+// what a Spec cannot express, as a field set on the run's config.
 type sweepRunner func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error)
 
-// runSweep executes a generic (point × replication × policy) sweep in
-// parallel with deterministic pooling.
+// runSweep executes a generic (replication × point × policy) sweep in
+// parallel and pools it with the miss-rate fold.
 func runSweep(s Spec, param string, points []float64, policyNames []string, run sweepRunner) (*SensitivityResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -43,62 +45,33 @@ func runSweep(s Spec, param string, points []float64, policyNames []string, run 
 	if len(points) == 0 {
 		return nil, fmt.Errorf("experiment: empty %s sweep", param)
 	}
-	factories, err := policyFactories(s, policyNames)
+	factories, err := s.Policies(policyNames)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := replicateAll(s)
+	reps, err := replicate(s, 0, s.Replications)
 	if err != nil {
 		return nil, err
 	}
-	np, nc := len(policyNames), len(points)
-	tallies := make([]metrics.MissStats, s.Replications*nc*np)
-	var jobs []job
-	for r := 0; r < s.Replications; r++ {
-		for ci := range points {
-			for pi := range policyNames {
-				slot := (r*nc+ci)*np + pi
-				r, ci, pi := r, ci, pi
-				jobs = append(jobs, job{slot: slot, run: func() error {
-					res, err := run(s, reps[r], points[ci], factories[pi])
-					if err != nil {
-						return err
-					}
-					tallies[slot] = res.Miss
-					return nil
-				}})
-			}
+	tallies := make([]metrics.MissStats, s.Replications*len(points)*len(policyNames))
+	jobs := gridJobs(s.Replications, len(points), len(policyNames), func(slot, r, p, pi int) error {
+		res, err := run(s, reps[r], points[p], factories[pi])
+		if err != nil {
+			return err
 		}
-	}
-	if err := runParallel(jobs); err != nil {
+		tallies[slot] = res.Miss
+		return nil
+	})
+	if err := runJobs(context.TODO(), jobs); err != nil {
 		return nil, err
 	}
-	out := &SensitivityResult{
+	pooled := aggregateMissRate(s, points, policyNames, tallies, nil)
+	return &SensitivityResult{
 		Param:    param,
-		Points:   append([]float64(nil), points...),
+		Points:   pooled.Capacities,
 		Policies: append([]string(nil), policyNames...),
-		Rates:    make(map[string][]float64, np),
-	}
-	for _, name := range policyNames {
-		out.Rates[name] = make([]float64, nc)
-	}
-	pooled := make(map[string][]metrics.MissStats, np)
-	for _, name := range policyNames {
-		pooled[name] = make([]metrics.MissStats, nc)
-	}
-	for r := 0; r < s.Replications; r++ {
-		for ci := range points {
-			for pi, name := range policyNames {
-				pooled[name][ci].Add(tallies[(r*nc+ci)*np+pi])
-			}
-		}
-	}
-	for _, name := range policyNames {
-		for ci := range points {
-			out.Rates[name][ci] = pooled[name][ci].Rate()
-		}
-	}
-	return out, nil
+		Rates:    pooled.Rates,
+	}, nil
 }
 
 // defaultSweepCapacity is the storage size sensitivity sweeps run at: the
@@ -116,8 +89,13 @@ func LevelCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivi
 			if n < 1 {
 				return nil, fmt.Errorf("experiment: level count %v < 1", point)
 			}
-			proc := cpu.Cubic("cubic", n, 1000, s.PMax, s.PMax*0.02)
-			return runWith(s, rep, defaultSweepCapacity, pf, proc, s.Predictor)
+			r, err := newRunner(s, rep)
+			if err != nil {
+				return nil, err
+			}
+			cfg := r.config(context.TODO(), defaultSweepCapacity, pf, false)
+			cfg.CPU = cpu.Cubic("cubic", n, 1000, s.PMax, s.PMax*0.02)
+			return r.run(cfg)
 		})
 }
 
@@ -131,16 +109,8 @@ func PMaxSweep(s Spec, pmaxes []float64, policyNames []string) (*SensitivityResu
 			}
 			sp := s
 			sp.PMax = point
-			// Re-derive the workload: WCETs depend on PMax (§5.1). The
-			// source seed does not, so adopt the original replication's
-			// prepared solar master instead of re-realizing the trace
-			// once per (point, policy) cell.
-			rep2, err := Replicate(sp, repIndexOf(rep))
-			if err != nil {
-				return nil, err
-			}
-			rep2.AdoptSource(rep)
-			return runWith(sp, rep2, defaultSweepCapacity, pf, sp.Processor(), sp.Predictor)
+			// WCETs depend on PMax (§5.1).
+			return runShifted(sp, rep, pf)
 		})
 }
 
@@ -156,35 +126,30 @@ func TaskCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivit
 			}
 			sp := s
 			sp.NumTasks = n
-			rep2, err := Replicate(sp, repIndexOf(rep))
-			if err != nil {
-				return nil, err
-			}
-			// Same source seed as rep — share its realized trace.
-			rep2.AdoptSource(rep)
-			return runWith(sp, rep2, defaultSweepCapacity, pf, sp.Processor(), sp.Predictor)
+			return runShifted(sp, rep, pf)
 		})
 }
 
 // PredictorSweep measures the miss rate of each named predictor (sweep
-// "points" are indices into the names slice).
+// "points" are indices into the names slice). Every predictor runs at its
+// built-in default parameters: the spec's PredictorAlpha tunes the spec's
+// own predictor, not the swept ones.
 func PredictorSweep(s Spec, predictors []string, policyNames []string) (*SensitivityResult, error) {
-	points := make([]float64, len(predictors))
-	for i := range predictors {
-		points[i] = float64(i)
+	for _, name := range predictors {
+		if _, err := Predictor(name); err != nil {
+			return nil, err
+		}
 	}
-	res, err := runSweep(s, "predictor", points, policyNames,
+	res, err := runSweep(s, "predictor", indexPoints(len(predictors)), policyNames,
 		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
-			name := predictors[int(point)]
-			if _, err := Predictor(name); err != nil {
-				return nil, err
-			}
-			return runWith(s, rep, defaultSweepCapacity, pf, s.Processor(), name)
+			sp := s
+			sp.Predictor = predictors[int(point)]
+			sp.PredictorAlpha = 0
+			return RunOne(sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
 	}
-	res.Param = "predictor"
 	res.Labels = append([]string(nil), predictors...)
 	return res, nil
 }
@@ -210,15 +175,8 @@ func SlackFactorSweep(s Spec, factors []float64, policyNames []string) (*Sensiti
 			}
 			params["bc_ratio"] = point
 			sp.TaskParams = params
-			// Re-derive the workload: the execution spec is part of the
-			// task set. The source seed is not, so adopt the original
-			// replication's prepared solar master.
-			rep2, err := Replicate(sp, repIndexOf(rep))
-			if err != nil {
-				return nil, err
-			}
-			rep2.AdoptSource(rep)
-			return runWith(sp, rep2, defaultSweepCapacity, pf, sp.Processor(), sp.Predictor)
+			// The execution spec is part of the task set.
+			return runShifted(sp, rep, pf)
 		})
 }
 
@@ -228,21 +186,16 @@ func SlackFactorSweep(s Spec, factors []float64, policyNames []string) (*Sensiti
 // attaches cpu.DefaultSleepStates. An unknown preset name is an error,
 // not a silent baseline run.
 func SleepStateSweep(s Spec, presets []string, policyNames []string) (*SensitivityResult, error) {
-	points := make([]float64, len(presets))
-	for i := range presets {
-		points[i] = float64(i)
+	for _, name := range presets {
+		if _, _, err := cpu.SleepPreset(name, 1); err != nil {
+			return nil, err
+		}
 	}
-	res, err := runSweep(s, "sleep", points, policyNames,
+	res, err := runSweep(s, "sleep", indexPoints(len(presets)), policyNames,
 		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
-			proc := cpu.XScaleScaled(s.PMax)
-			idle, states, err := cpu.SleepPreset(presets[int(point)], proc.MaxPower())
-			if err != nil {
-				return nil, err
-			}
-			if idle > 0 || len(states) > 0 {
-				proc = proc.WithDPM(idle, states)
-			}
-			return runWith(s, rep, defaultSweepCapacity, pf, proc, s.Predictor)
+			sp := s
+			sp.Sleep = presets[int(point)]
+			return RunOne(sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
@@ -251,28 +204,25 @@ func SleepStateSweep(s Spec, presets []string, policyNames []string) (*Sensitivi
 	return res, nil
 }
 
-// runWith is RunOne with an explicit processor and predictor name.
-func runWith(s Spec, rep Replication, capacity float64, pf PolicyFactory, proc *cpu.Processor, predictor string) (*sim.Result, error) {
-	predF, err := Predictor(predictor)
+// indexPoints returns the points 0, 1, …, n-1 of a categorical sweep.
+func indexPoints(n int) []float64 {
+	points := make([]float64, n)
+	for i := range points {
+		points[i] = float64(i)
+	}
+	return points
+}
+
+// runShifted runs replication rep's cell under a spec whose workload
+// parameters moved: the task set is re-derived for the shifted spec, and
+// since the source seed does not depend on those parameters the new
+// replication adopts rep's prepared solar master instead of re-realizing
+// the trace once per (point, policy) cell.
+func runShifted(s Spec, rep Replication, pf PolicyFactory) (*sim.Result, error) {
+	shifted, err := Replicate(s, rep.Index)
 	if err != nil {
 		return nil, err
 	}
-	src := rep.Source()
-	res, err := sim.Run(&sim.Config{
-		Horizon:   s.Horizon,
-		Tasks:     rep.Tasks,
-		Source:    src,
-		Predictor: predF(src),
-		Store:     storage.NewIdeal(capacity),
-		CPU:       proc,
-		Policy:    pf(),
-		ExecSeed:  execSeedOf(rep),
-		Probe:     s.Probe,
-	})
-	s.recordRun(res)
-	return res, err
+	shifted.AdoptSource(rep)
+	return RunOne(s, shifted, defaultSweepCapacity, pf, false)
 }
-
-// repIndexOf recovers a replication's index so sweeps that re-derive the
-// workload stay paired. Replications memoize their index.
-func repIndexOf(rep Replication) int { return rep.Index }

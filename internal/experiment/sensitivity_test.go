@@ -126,3 +126,37 @@ func TestStaticDVFSCrossover(t *testing.T) {
 		t.Fatalf("U=0.9: ea %v should beat static %v (energy awareness matters)", eaHigh, staticHigh)
 	}
 }
+
+// Sensitivity cells run through the same run builder as every other
+// sweep, so the spec's predictor smoothing override reaches them: at the
+// spec's own PMax, PMaxSweep reproduces MissRateSweep at the sweep
+// capacity — and the override must matter for the chosen spec, or the
+// equality would prove nothing.
+func TestPMaxSweepHonoursPredictorAlpha(t *testing.T) {
+	s := sensSpec()
+	s.Capacities = []float64{defaultSweepCapacity}
+	s.PredictorAlpha = 0.05
+	policies := []string{"ea-dvfs"}
+
+	swept, err := PMaxSweep(s, []float64{s.PMax}, policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := MissRateSweep(s, policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := swept.Rates["ea-dvfs"][0], ref.Rates["ea-dvfs"][0]; got != want {
+		t.Fatalf("PMaxSweep at PMax %v: rate %v, MissRateSweep %v", s.PMax, got, want)
+	}
+
+	s.PredictorAlpha = 0
+	def, err := MissRateSweep(s, policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Rates["ea-dvfs"][0] == ref.Rates["ea-dvfs"][0] {
+		t.Fatalf("alpha 0.05 and the default alpha give the same rate %v; pick a spec where alpha matters",
+			ref.Rates["ea-dvfs"][0])
+	}
+}

@@ -9,13 +9,14 @@ package experiment
 // per-cell material of its slice of the (replication × capacity × policy)
 // grid — integer miss tallies for miss-rate sweeps, per-replication
 // partial energy curves for remaining-energy sweeps — and MergeShards
-// scatters that material back into the full grid before running the very
-// same aggregation code the single-node sweep runs (aggregateMissRate /
-// aggregateRemaining). Identical inputs through identical float operations
-// in identical order means the merged result is bit-for-bit the
-// single-node result, regardless of how many shards there were or in what
-// order they arrived. Float64 values survive the JSON hop exactly:
-// encoding/json emits the shortest round-trip representation.
+// scatters that material back into the full grid before running the one
+// aggregation fold (aggregateMissRate / aggregateRemaining). A single-node
+// sweep is the one-shard plan through the same runner and merge
+// (RunSweep). Identical inputs through identical float operations in
+// identical order means the merged result is bit-for-bit the single-node
+// result, regardless of how many shards there were or in what order they
+// arrived. Float64 values survive the JSON hop exactly: encoding/json
+// emits the shortest round-trip representation.
 
 import (
 	"context"
@@ -146,12 +147,11 @@ func PlanShards(kind string, s Spec, n int) ([]Shard, error) {
 //
 //   - missrate: Tallies holds the integer deadline-outcome counts of every
 //     (replication, capacity, policy) cell of the shard, row-major with the
-//     policy index minor — the same layout MissRateSweepCtx uses, offset to
-//     the shard's window. Integers merge exactly by placement.
+//     policy index minor — the grid layout of every sweep (gridJobs),
+//     offset to the shard's window. Integers merge exactly by placement.
 //   - remaining: Curves[i][pi][k] is replication RepLo+i's per-policy
 //     partial curve Σ_ci EC(t_k)/C_ci (repEnergyCurves) — the exact
-//     floating-point values the single-node sweep folds in replication
-//     order.
+//     floating-point values the merge folds in replication order.
 type ShardResult struct {
 	Kind    string              `json:"kind"`
 	Shard   Shard               `json:"shard"`
@@ -166,126 +166,117 @@ func RunShard(kind string, s Spec, policyNames []string, sh Shard) (*ShardResult
 }
 
 // RunShardCtx executes one shard of a sweep: the shard's replications are
-// derived from the master seed exactly as a single-node sweep derives
-// them, runs fan out across Parallelism workers, and the raw per-cell
-// material is returned for merging. This is what a worker node computes
-// when a coordinator posts a sharded /v1/sweep request.
+// derived from the master seed exactly as every other shard derives them,
+// runs fan out across Parallelism workers, and the raw per-cell material
+// is returned for merging. This is what a worker node computes when a
+// coordinator posts a sharded /v1/sweep request, and — on the whole-grid
+// shard — what RunSweep computes for a single-node sweep.
 func RunShardCtx(ctx context.Context, kind string, s Spec, policyNames []string, sh Shard) (*ShardResult, error) {
-	// Phase spans (DESIGN.md §15): when the spec carries a span sink, the
-	// four stages of a shard — deriving the plan, realizing the solar
-	// sample paths, the parallel simulation fan-out, and the aggregation
-	// fold — each emit one wall-clock span under the sink's parent
-	// context. A nil sink costs one comparison per phase.
+	out, agg, err := runShard(ctx, kind, s, policyNames, sh)
+	agg.End()
+	return out, err
+}
+
+// runShard is RunShardCtx with the aggregate phase span left open, so a
+// single-node sweep can fold the whole grid inside it. The span is nil
+// (and End a no-op) when the shard failed or no span sink is attached.
+//
+// Phase spans (DESIGN.md §15): when the spec carries a span sink, the
+// three stages of a shard — the plan (validation, replication derivation
+// and solar realization), the parallel simulation fan-out, and the
+// aggregation fold — each emit one wall-clock span under the sink's
+// parent context. A nil sink costs one comparison per phase.
+func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh Shard) (*ShardResult, *obs.ActiveSpan, error) {
 	traceParent := obs.SpanParentOf(s.Spans)
 	phase := func(name string) *obs.ActiveSpan {
 		return obs.StartSpan(s.Spans, "experiment", name, traceParent)
 	}
 
 	sp := phase("plan")
-	if err := s.Validate(); err != nil {
+	reps, factories, err := planShard(kind, s, policyNames, sh)
+	sp.SetInt("shard", int64(sh.Index))
+	sp.SetInt("replications", int64(sh.Reps()))
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Remaining-energy shards span every capacity (Shard.Validate), so
+	// both kinds run the shard's capacity window.
+	record := kind == "remaining"
+	nr, ncw, np := sh.Reps(), sh.Caps(), len(policyNames)
+	var tallies []metrics.MissStats
+	var series []*metrics.Series
+	if record {
+		series = make([]*metrics.Series, nr*ncw*np)
+	} else {
+		tallies = make([]metrics.MissStats, nr*ncw*np)
+	}
+	jobs := gridJobs(nr, ncw, np, func(slot, i, c, pi int) error {
+		res, err := RunOneCtx(ctx, s, reps[i], s.Capacities[sh.CapLo+c], factories[pi], record)
+		if err != nil {
+			return err
+		}
+		if record {
+			series[slot] = res.EnergySeries
+		} else {
+			tallies[slot] = res.Miss
+		}
+		return nil
+	})
+	sp = phase("simulate")
+	sp.SetInt("runs", int64(len(jobs)))
+	if err := runJobs(ctx, jobs); err != nil {
+		sp.SetAttr("error", err.Error())
 		sp.End()
-		return nil, err
+		return nil, nil, err
+	}
+	sp.End()
+
+	agg := phase("aggregate")
+	out := &ShardResult{Kind: kind, Shard: sh}
+	if record {
+		out.Curves = make([][][]float64, nr)
+		for i := range out.Curves {
+			out.Curves[i] = repEnergyCurves(s, np, series[i*ncw*np:(i+1)*ncw*np])
+		}
+	} else {
+		out.Tallies = tallies
+	}
+	return out, agg, nil
+}
+
+// planShard validates a shard request and derives its replications, solar
+// traces realized, and its policy factories.
+func planShard(kind string, s Spec, policyNames []string, sh Shard) ([]Replication, []PolicyFactory, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if err := sh.Validate(s, kind); err != nil {
-		sp.End()
-		return nil, err
+		return nil, nil, err
 	}
-	factories, err := policyFactories(s, policyNames)
+	factories, err := s.Policies(policyNames)
 	if err != nil {
-		sp.End()
+		return nil, nil, err
+	}
+	reps, err := replicate(s, sh.RepLo, sh.RepHi)
+	if err != nil {
+		return nil, nil, err
+	}
+	return reps, factories, nil
+}
+
+// RunSweep runs a whole sweep on this node: the one-shard plan, computed
+// by the shard runner and merged by MergeShards, so a single-node result
+// is by construction the fleet's merged result for the same request.
+func RunSweep(ctx context.Context, kind string, s Spec, policyNames []string) (*MergedSweep, error) {
+	whole := Shard{Count: 1, RepHi: s.Replications, CapHi: len(s.Capacities)}
+	res, agg, err := runShard(ctx, kind, s, policyNames, whole)
+	defer agg.End()
+	if err != nil {
 		return nil, err
 	}
-	nr := sh.Reps()
-	reps := make([]Replication, nr)
-	for i := range reps {
-		if reps[i], err = Replicate(s, sh.RepLo+i); err != nil {
-			sp.End()
-			return nil, err
-		}
-	}
-	sp.SetInt("shard", int64(sh.Index))
-	sp.SetInt("replications", int64(nr))
-	sp.End()
-
-	sp = phase("realize-solar")
-	for i := range reps {
-		reps[i].PrepareSource(s.Horizon)
-	}
-	sp.SetFloat("horizon", s.Horizon)
-	sp.End()
-
-	np := len(policyNames)
-	out := &ShardResult{Kind: kind, Shard: sh}
-	switch kind {
-	case "missrate":
-		ncw := sh.Caps()
-		tallies := make([]metrics.MissStats, nr*ncw*np)
-		var jobs []job
-		for i := 0; i < nr; i++ {
-			for c := 0; c < ncw; c++ {
-				for pi := 0; pi < np; pi++ {
-					slot := (i*ncw+c)*np + pi
-					i, c, pi := i, c, pi
-					jobs = append(jobs, job{slot: slot, run: func() error {
-						res, err := RunOneCtx(ctx, s, reps[i], s.Capacities[sh.CapLo+c], factories[pi], false)
-						if err != nil {
-							return err
-						}
-						tallies[slot] = res.Miss
-						return nil
-					}})
-				}
-			}
-		}
-		sp = phase("simulate")
-		sp.SetInt("runs", int64(len(jobs)))
-		if err := runParallelCtx(ctx, jobs); err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, err
-		}
-		sp.End()
-		sp = phase("aggregate")
-		out.Tallies = tallies
-		sp.SetInt("cells", int64(len(tallies)))
-		sp.End()
-	case "remaining":
-		nc := len(s.Capacities)
-		series := make([]*metrics.Series, nr*nc*np)
-		var jobs []job
-		for i := 0; i < nr; i++ {
-			for ci := 0; ci < nc; ci++ {
-				for pi := 0; pi < np; pi++ {
-					slot := (i*nc+ci)*np + pi
-					i, ci, pi := i, ci, pi
-					jobs = append(jobs, job{slot: slot, run: func() error {
-						res, err := RunOneCtx(ctx, s, reps[i], s.Capacities[ci], factories[pi], true)
-						if err != nil {
-							return err
-						}
-						series[slot] = res.EnergySeries
-						return nil
-					}})
-				}
-			}
-		}
-		sp = phase("simulate")
-		sp.SetInt("runs", int64(len(jobs)))
-		if err := runParallelCtx(ctx, jobs); err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, err
-		}
-		sp.End()
-		sp = phase("aggregate")
-		out.Curves = make([][][]float64, nr)
-		for i := 0; i < nr; i++ {
-			out.Curves[i] = repEnergyCurves(s, np, series[i*nc*np:(i+1)*nc*np])
-		}
-		sp.SetInt("curves", int64(nr))
-		sp.End()
-	}
-	return out, nil
+	return MergeShards(kind, s, policyNames, []*ShardResult{res}, false)
 }
 
 // MergedSweep is the output of MergeShards: exactly one of MissRate /
@@ -297,6 +288,15 @@ type MergedSweep struct {
 	MissRate     *MissRateResult
 	Remaining    *RemainingEnergyResult
 	MissingCells int
+}
+
+// Result returns the set member for the sweep's kind — the value eactl
+// and the service marshal as the sweep's result.
+func (m *MergedSweep) Result() any {
+	if m.Kind == "remaining" {
+		return m.Remaining
+	}
+	return m.MissRate
 }
 
 // MergeShards reassembles shard results into the full sweep result.
@@ -311,9 +311,9 @@ type MergedSweep struct {
 // cells, with MissingCells accounting for the loss).
 //
 // A complete merge is byte-identical (after JSON marshalling) to the
-// single-node sweep for the same spec and policies: the scattered raw
-// material is the single-node slot array, and the same aggregation code
-// consumes it in the same order.
+// single-node sweep for the same spec and policies: whatever the plan, the
+// scattered raw material is the whole grid's slot array, and the
+// single-node sweep is itself a merge of the one whole-grid shard.
 func MergeShards(kind string, s Spec, policyNames []string, results []*ShardResult, allowPartial bool) (*MergedSweep, error) {
 	if err := ValidateSweepKind(kind); err != nil {
 		return nil, err
@@ -365,7 +365,7 @@ func MergeShards(kind string, s Spec, policyNames []string, results []*ShardResu
 			return nil, fmt.Errorf("experiment: merge covers %d/%d cells; %d missing",
 				len(covered)-out.MissingCells, len(covered), out.MissingCells)
 		}
-		out.MissRate = aggregateMissRate(s, policyNames, tallies, covered)
+		out.MissRate = aggregateMissRate(s, s.Capacities, policyNames, tallies, covered)
 	case "remaining":
 		curves := make([][][]float64, s.Replications)
 		covered := make([]bool, s.Replications)

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 )
@@ -107,11 +109,42 @@ func TestShardValidate(t *testing.T) {
 	}
 }
 
+// Pinned sha256 digests of the marshalled single-node sweeps for the
+// edf/lsa policy pair, recorded from the hand-built single-node loops that
+// preceded one-shard runs. They keep TestMergeShardsByteIdentical
+// anchored: with both sides on the shard runner, comparing merge against
+// single-node alone would compare the pipeline with itself.
+const (
+	pinnedMissRate            = "78c5dccbbc455ab08ca3374bdb3df846933a26b46bc39a8ebbedd164006896b6"
+	pinnedRemaining           = "b6b9410018df7aa00624a706e0ad6529e65b06bd7d5253ca075ba483f591178e"
+	pinnedStochasticMissRate  = "83c0884ab9e466f09a86751622f41c4b33c75784ef6b73ede02effdd011a718c"
+	pinnedStochasticRemaining = "2e0986bb5a9d96e7099bc7f0577527f64d14f8cfafcefc3501b38f52f74460e3"
+)
+
 // TestMergeShardsByteIdentical is the core contract: run each sweep kind
-// whole and sharded (out of order, several plan sizes), and require the
-// merged JSON to be byte-identical to the single-node JSON.
+// whole and sharded (out of order, several plan sizes), require the
+// merged JSON to be byte-identical to the single-node JSON, and require
+// the single-node JSON to hash to its pinned digest. The second spec
+// exercises per-job execution draws and DPM sleep.
 func TestMergeShardsByteIdentical(t *testing.T) {
-	s := shardSpec(t)
+	stochastic := shardSpec(t)
+	stochastic.TaskModel = "stochastic-periodic"
+	stochastic.Sleep = "default"
+	for _, tc := range []struct {
+		name                string
+		spec                Spec
+		missRate, remaining string
+	}{
+		{"wcet", shardSpec(t), pinnedMissRate, pinnedRemaining},
+		{"stochastic-sleep", stochastic, pinnedStochasticMissRate, pinnedStochasticRemaining},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkMergeByteIdentical(t, tc.spec, tc.missRate, tc.remaining)
+		})
+	}
+}
+
+func checkMergeByteIdentical(t *testing.T, s Spec, pinnedMiss, pinnedRem string) {
 	policies := []string{"edf", "lsa"}
 
 	wholeMiss, err := MissRateSweep(s, policies)
@@ -119,11 +152,17 @@ func TestMergeShardsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMiss := mustJSON(t, wholeMiss)
+	if got := sha256Hex(wantMiss); got != pinnedMiss {
+		t.Fatalf("single-node missrate digest %s, pinned %s", got, pinnedMiss)
+	}
 	wholeRem, err := RemainingEnergy(s, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRem := mustJSON(t, wholeRem)
+	if got := sha256Hex(wantRem); got != pinnedRem {
+		t.Fatalf("single-node remaining digest %s, pinned %s", got, pinnedRem)
+	}
 
 	for _, n := range []int{1, 2, 3, 8} {
 		for _, kind := range SweepKinds() {
@@ -285,6 +324,11 @@ func TestMergeShardsPartial(t *testing.T) {
 			t.Fatalf("partial remaining curve out of range at %d: %v", k, v)
 		}
 	}
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 func mustJSON(t *testing.T, v any) string {

@@ -650,10 +650,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sweep request: %w", err))
 		return
 	}
-	switch req.Kind {
-	case "missrate", "remaining":
-	default:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown sweep kind %q (want missrate or remaining)", req.Kind))
+	if err := experiment.ValidateSweepKind(req.Kind); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Spec = NormalizeSpec(req.Spec)
@@ -682,9 +680,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The registry and span-sink attachments are observers, excluded from
 	// the JSON form, so they cannot perturb the digest computed above. A
 	// traced sweep collects the experiment-level phase spans (plan /
-	// realize-solar / simulate / aggregate) — deliberately not the
-	// per-run engine spans, which would mean thousands of spans for one
-	// response header.
+	// simulate / aggregate) — deliberately not the per-run engine spans,
+	// which would mean thousands of spans for one response header.
 	req.Spec.Metrics = s.reg
 	rt := s.beginTrace(r, "sweep")
 	if rt != nil {
@@ -692,17 +689,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveCached(w, r, key, rt, func(ctx context.Context) ([]byte, error) {
 		var out any
-		var err error
-		switch {
-		case req.Shard != nil:
-			out, err = experiment.RunShardCtx(ctx, req.Kind, req.Spec, req.Policies, *req.Shard)
-		case req.Kind == "missrate":
-			out, err = experiment.MissRateSweepCtx(ctx, req.Spec, req.Policies)
-		case req.Kind == "remaining":
-			out, err = experiment.RemainingEnergyCtx(ctx, req.Spec, req.Policies)
-		}
-		if err != nil {
-			return nil, err
+		if req.Shard != nil {
+			res, err := experiment.RunShardCtx(ctx, req.Kind, req.Spec, req.Policies, *req.Shard)
+			if err != nil {
+				return nil, err
+			}
+			out = res
+		} else {
+			res, err := experiment.RunSweep(ctx, req.Kind, req.Spec, req.Policies)
+			if err != nil {
+				return nil, err
+			}
+			out = res.Result()
 		}
 		s.engineRuns.Inc()
 		return json.Marshal(out)
