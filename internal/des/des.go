@@ -3,12 +3,17 @@
 // tie-breaking, and a clock that dispatches events in order.
 //
 // The paper's evaluation (§5) is produced by "a discrete-event simulation in
-// C/C++"; this package is the Go equivalent of that substrate. Everything
-// above it (energy flows, scheduling decisions) is expressed as events.
+// C/C++"; this package is a general-purpose Go kernel of that kind, with
+// handler callbacks, cancellation and priorities.
+//
+// The simulation engine (internal/sim) does not use it: each of the
+// engine's event streams has a structure of its own, and its one priority
+// queue, the deadline checks, is a typed heap of values in the engine. The
+// kernel is kept as a standalone component with its own tests.
 //
 // The kernel recycles Event structs through an internal free list, so a
-// steady-state simulation allocates nothing per event. The pooling contract
-// (DESIGN.md §9): an *Event handle returned by At/AtArg/After is valid only
+// steady-state simulation allocates nothing per event. The pooling
+// contract: an *Event handle returned by At/AtArg/After is valid only
 // until the event fires or its cancellation is collected — holders must drop
 // the pointer once the event has been dispatched. Cancel remains safe on
 // live handles; retaining a handle past dispatch and cancelling it later
@@ -143,21 +148,6 @@ func (k *Kernel) recycle(e *Event) {
 	k.free = append(k.free, e)
 }
 
-// Reset returns the kernel to its initial state — clock at 0, step and
-// sequence counters cleared, no queued events — while keeping the recycled
-// free list warm, so a reused kernel (internal/sim's run arenas) schedules
-// its first events without allocating. Still-queued events are recycled;
-// any outstanding *Event handles are invalidated exactly as if their
-// events had fired (the pooling contract in the package comment).
-func (k *Kernel) Reset() {
-	for len(k.queue) > 0 {
-		k.recycle(heap.Pop(&k.queue).(*Event))
-	}
-	k.now = 0
-	k.steps = 0
-	k.nextSeq = 0
-}
-
 // At schedules handler to fire at absolute time t with the given priority.
 // Scheduling in the past (t < Now) panics: it would silently corrupt
 // causality, which in a simulator is always a bug upstream.
@@ -217,19 +207,11 @@ func (k *Kernel) Cancel(e *Event) {
 // PeekTime returns the timestamp of the next non-cancelled event and true,
 // or (0, false) when the queue is drained.
 func (k *Kernel) PeekTime() (float64, bool) {
-	t, _, ok := k.Peek()
-	return t, ok
-}
-
-// Peek returns the timestamp and priority of the next non-cancelled event.
-// Callers merging the kernel queue with externally maintained event streams
-// (internal/sim) use the priority to preserve the total dispatch order.
-func (k *Kernel) Peek() (t float64, priority int, ok bool) {
 	k.dropCancelled()
 	if len(k.queue) == 0 {
-		return 0, 0, false
+		return 0, false
 	}
-	return k.queue[0].Time, k.queue[0].Priority, true
+	return k.queue[0].Time, true
 }
 
 func (k *Kernel) dropCancelled() {

@@ -166,13 +166,18 @@ var solarRealized atomic.Uint64
 // realized so far (see solarRealized).
 func SolarRealizations() uint64 { return solarRealized.Load() }
 
-// ensure extends the memoized tables through unit interval k. All three
+// ensure makes the memoized tables cover unit interval k. It is the check
+// every query pays, small enough to inline; growth is out of line.
+func (s *SolarModel) ensure(k int) {
+	if k >= len(s.power) {
+		s.extend(k)
+	}
+}
+
+// extend grows the memoized tables through unit interval k. All three
 // slices are pre-grown with one reservation each (the former one-append-
 // per-element growth was quadratic from a cold start at large t).
-func (s *SolarModel) ensure(k int) {
-	if k < len(s.power) {
-		return
-	}
+func (s *SolarModel) extend(k int) {
 	solarRealized.Add(uint64(k + 1 - len(s.power)))
 	if k >= maxSolarSamples {
 		panic(fmt.Sprintf("energy: solar trace would exceed %d units at t=%d — runaway horizon? (see SolarModel retention policy)", maxSolarSamples, k))

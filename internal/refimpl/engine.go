@@ -33,8 +33,8 @@ const (
 
 // deadlineEvent is one pending deadline check in the linear-scan event
 // list. seq preserves insertion order at equal times, which is the order
-// the optimized kernel's global sequence number imposes (deadlines are
-// the only events it holds).
+// the optimized engine's deadline heap imposes with its own sequence
+// number.
 type deadlineEvent struct {
 	time float64
 	seq  uint64
@@ -129,8 +129,8 @@ type refTaskStats struct {
 
 // engine is the reference per-run state: the same virtual-stream layout
 // as the optimized engine (boundary chain, arrival cursor, one pending
-// segment end, one pending decision) with the kernel heap replaced by the
-// linear-scan eventList and the ready heap by readyList. Keeping the
+// segment end, one pending decision) with the deadline heap replaced by
+// the linear-scan eventList and the ready heap by readyList. Keeping the
 // stream structure identical is what makes the dispatch order — and hence
 // every downstream float accumulation — reproducible bit for bit.
 type engine struct {

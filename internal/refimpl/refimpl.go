@@ -1,9 +1,10 @@
 // Package refimpl contains deliberately naive reference implementations
 // of the optimized hot path: O(n) energy integration with no prefix sums
 // or caching, a linear-scan event queue and ready list instead of the
-// pooled DES kernel and binary heap, literal transcriptions of the
-// EA-DVFS (§4, Figure 4) and LSA pseudocode, and an unpooled simulation
-// loop that allocates a fresh scheduling context per decision.
+// engine's deadline-check heap and binary ready heap, literal
+// transcriptions of the EA-DVFS (§4, Figure 4) and LSA pseudocode, and an
+// unpooled simulation loop that allocates a fresh scheduling context per
+// decision.
 //
 // Nothing here is meant to be fast. The package exists so that
 // internal/verify can run the optimized engine (internal/sim + friends)
@@ -16,9 +17,10 @@
 // Bit-identity is achievable — not just epsilon-closeness — because the
 // optimized layers were built as accumulation-order-preserving rewrites:
 // the prefix-sum tables add unit powers left to right exactly like the
-// naive walk (see energy.Cumulative's contract), the pooled kernel orders
-// events by the same (time, priority, insertion) key as a linear scan,
-// and the reused sched.Context holds the same values a fresh one would.
+// naive walk (see energy.Cumulative's contract), the merged event streams
+// order events by the same (time, priority, insertion) key as a linear
+// scan, and the reused sched.Context holds the same values a fresh one
+// would.
 // DESIGN.md §11 spells out which outputs are bit-identical and which are
 // only epsilon-close.
 package refimpl

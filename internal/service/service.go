@@ -183,8 +183,8 @@ type Server struct {
 	// slots bounds concurrent engine runs. Per-run state reuse is
 	// slot-affine for free: the engine draws a sim.Arena from a
 	// sync.Pool, and with at most Workers concurrent runs the pool
-	// stabilizes at ~one warm arena (kernel free list, queues, release
-	// plan) per slot (DESIGN.md §14).
+	// stabilizes at ~one warm arena (deadline heap, queues, release
+	// buffers) per slot (DESIGN.md §14).
 	slots    chan struct{} // executing jobs; cap = Workers
 	queued   chan struct{} // jobs waiting for a slot; cap = Queue
 	draining atomic.Bool

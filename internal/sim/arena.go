@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/eadvfs/eadvfs/internal/des"
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/obs"
@@ -13,13 +12,12 @@ import (
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
-// Arena is the reusable cross-run state of the engine: the pooled DES
-// kernel (event free list), the ready queue, the per-task stats table and
-// the release-schedule buffers. One engine run churns through hundreds of
-// job structs and kernel events; an arena allocates them once and resets
-// them per run, which is what turns a repeated workload — a capacity
-// bisection, a sweep cell, a service worker slot — from ~800 allocations
-// per run into ~20.
+// Arena is the reusable cross-run state of the engine: the deadline-check
+// heap, the ready queue, the per-task stats table and the release-schedule
+// buffers. One engine run churns through hundreds of jobs and deadline
+// checks; an arena allocates their storage once and resets it per run,
+// which is what turns a repeated workload — a capacity bisection, a sweep
+// cell, a service worker slot — from ~800 allocations per run into ~20.
 //
 // The periodic release schedule is re-merged into the arena's buffers on
 // every run (mergeReleases), so a run costs the same whether or not its
@@ -34,14 +32,13 @@ import (
 // explicit Arena (or RunMany) only pins that reuse to one caller.
 //
 // The contract the reset relies on: nothing retains engine-owned state
-// past Run. Tracers and probes copy job fields rather than keep *Job
-// (they already must, per the des event-pooling contract), and
-// Result.PerTask entries are freshly allocated per run precisely because
-// callers do retain those.
+// past Run. Tracers and probes copy job fields rather than keep *Job (the
+// arena's jobs are overwritten by the next run), and Result.PerTask
+// entries are freshly allocated per run precisely because callers do
+// retain those.
 type Arena struct {
-	kernel *des.Kernel
-	queue  *task.ReadyQueue
-	tasks  *taskTable
+	queue *task.ReadyQueue
+	tasks *taskTable
 
 	// The periodic release schedule of the current run: job values in
 	// release order, pointers to them, and the merge's per-task cursors.
@@ -56,9 +53,8 @@ type Arena struct {
 // arena warms up in one run.
 func NewArena() *Arena {
 	return &Arena{
-		kernel: des.NewKernel(),
-		queue:  task.NewReadyQueue(),
-		tasks:  newTaskTable(),
+		queue: task.NewReadyQueue(),
+		tasks: newTaskTable(),
 	}
 }
 
@@ -78,9 +74,10 @@ type RunOutcome struct {
 // RunMany executes the configs sequentially on a single pooled arena and
 // returns one outcome per config, in order. Each run is bit-identical to
 // an independent Run of the same config (the internal/verify differential
-// pins this down); the batch form amortizes the kernel, queue and release
-// buffers across the whole batch. Stateful components (Store, Predictor,
-// Policy) are consumed per run as always and must be fresh per config.
+// pins this down); the batch form amortizes the deadline heap, queue and
+// release buffers across the whole batch. Stateful components (Store,
+// Predictor, Policy) are consumed per run as always and must be fresh per
+// config.
 func RunMany(cfgs []*Config) []RunOutcome {
 	a := arenaPool.Get().(*Arena)
 	out := make([]RunOutcome, len(cfgs))
@@ -141,16 +138,18 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 
 	// Reset the pooled state up front (not on exit): a panicking run can
 	// never leave a stale arena behind, because the next run starts from a
-	// clean slate regardless.
-	a.kernel.Reset()
+	// clean slate regardless. The deadline heap keeps its backing array;
+	// checks an aborted run left queued are cleared so no job is pinned.
 	a.queue.Reset()
 	a.tasks.reset()
-
 	e := &a.eng
+	checks := e.checks
+	clear(checks)
+
 	*e = engine{
 		cfg:       cfg,
-		kernel:    a.kernel,
 		queue:     a.queue,
+		checks:    checks[:0],
 		lastRunLv: -1,
 		tasks:     a.tasks,
 		faults:    faults,
@@ -189,7 +188,6 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		e.nextBoundary = 1
 	}
 	e.segTime = math.Inf(1)
-	e.deadlineFn = e.onDeadlineArg
 
 	simSpan := obs.StartSpan(trace, "sim", "simulate", traceParent)
 	simSpan.SetFloat("sim_start", 0)
@@ -252,8 +250,7 @@ func (a *Arena) releaseJobs(cfg *Config) []*task.Job {
 		}
 	}
 	// The stable re-sort folds the appended explicit jobs in while keeping
-	// the original tie order at equal arrival instants (which is the
-	// former kernel-heap insertion order).
+	// the original tie order at equal arrival instants.
 	sort.SliceStable(release, func(x, y int) bool { return release[x].Arrival < release[y].Arrival })
 	return release
 }

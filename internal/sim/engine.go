@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"github.com/eadvfs/eadvfs/internal/cpu"
-	"github.com/eadvfs/eadvfs/internal/des"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
@@ -299,25 +298,27 @@ type SlackStats struct {
 
 // engine is the per-run mutable state.
 //
-// Event plumbing: only deadline checks live in the DES kernel heap. The
-// other event classes each have a natural structure that makes a heap (and
-// its per-event bookkeeping) unnecessary, so they are kept as *virtual
-// streams* and merged with the kernel by (time, priority) in dispatch():
+// Event plumbing: the engine runs five event streams and merges them by
+// (time, priority) in dispatch(). Only deadline checks need a priority
+// queue — a typed min-heap of values (deadlineHeap), ordered by (time,
+// scheduling order). The other classes each have a natural structure that
+// makes a heap unnecessary:
 //
 //   - unit boundaries are a monotone +1 chain (nextBoundary),
 //   - at most one segment end is pending at a time (segTime — superseding
-//     it is a field write, which also removes the stale-handle hazard of
-//     cancelling a pooled kernel event after it fired),
+//     it is a field write, so no event is ever cancelled),
 //   - arrivals are a cursor over the pre-sorted release slice,
 //   - at most one decision is pending at a time (decideAt).
 //
 // The priorities are disjoint per stream, so the merged order is exactly
-// the order the old all-in-kernel design produced, and dispatched counts
-// every fired event the same way kernel.Steps() used to.
+// the (time, priority, insertion) order of a single event queue holding
+// every event (refimpl's linear-scan list), and dispatched counts every
+// fired event once.
 type engine struct {
-	cfg    *Config
-	kernel *des.Kernel // deadline checks only; see above
-	queue  *task.ReadyQueue
+	cfg      *Config
+	queue    *task.ReadyQueue
+	checks   deadlineHeap // pending deadline checks
+	checkSeq uint64       // scheduling order of the next deadline check
 
 	lastT float64 // state integrated up to here
 
@@ -349,8 +350,7 @@ type engine struct {
 	waking    bool
 	wakeDone  float64 // wake transition completes here
 
-	deadlineFn des.ArgHandler // shared handler for all deadline events
-	ctx        sched.Context  // rebuilt in place per decision (sched contract)
+	ctx sched.Context // rebuilt in place per decision (sched contract)
 
 	initialLevel float64
 	tasks        *taskTable
@@ -367,10 +367,10 @@ type engine struct {
 // diagnose the drift; a watchdog abort (Config.MaxEvents) returns a
 // *EventBudgetError with a nil Result.
 //
-// Runs execute on pooled arenas (see Arena): the DES kernel, ready queue,
-// per-task table and release-schedule buffers are reused across runs, so
-// steady-state simulation allocates only the Result and the caller's
-// stateful components, whatever the task set.
+// Runs execute on pooled arenas (see Arena): the deadline heap, ready
+// queue, per-task table and release-schedule buffers are reused across
+// runs, so steady-state simulation allocates only the Result and the
+// caller's stateful components, whatever the task set.
 func Run(cfg *Config) (*Result, error) {
 	a := arenaPool.Get().(*Arena)
 	res, err := a.Run(cfg)
@@ -380,9 +380,9 @@ func Run(cfg *Config) (*Result, error) {
 	return res, err
 }
 
-// dispatch merges the virtual event streams with the kernel heap and runs
-// the earliest (time, priority) pair until the horizon, enforcing the
-// optional event budget (Config.MaxEvents).
+// dispatch merges the event streams and runs the earliest (time, priority)
+// pair until the horizon, enforcing the optional event budget
+// (Config.MaxEvents).
 func (e *engine) dispatch() error {
 	for !e.stopped {
 		t, prio, ok := e.peekNext()
@@ -423,7 +423,7 @@ func (e *engine) dispatch() error {
 			e.nextArrival++
 			e.onArrival(t, j)
 		case prioDeadline:
-			e.kernel.Step()
+			e.onDeadline(t, e.checks.pop())
 		case prioDecide:
 			e.onDecide(t)
 		}
@@ -431,13 +431,13 @@ func (e *engine) dispatch() error {
 	return nil
 }
 
-// peekNext returns the earliest pending (time, priority) across the kernel
-// heap and the virtual streams. The priorities are disjoint per stream, so
-// (time, priority) alone is a total order.
+// peekNext returns the earliest pending (time, priority) across the event
+// streams. The priorities are disjoint per stream, so (time, priority)
+// alone is a total order.
 func (e *engine) peekNext() (float64, int, bool) {
-	best, bestPrio, ok := e.kernel.Peek()
-	if !ok {
-		best, bestPrio = math.Inf(1), prioDecide+1
+	best, bestPrio := math.Inf(1), prioDecide+1
+	if len(e.checks) > 0 {
+		best, bestPrio = e.checks[0].t, prioDeadline
 	}
 	better := func(t float64, prio int) bool {
 		return t < best || (t == best && prio < bestPrio)
@@ -462,7 +462,7 @@ func (e *engine) peekNext() (float64, int, bool) {
 // pendingEvents counts queued events across all streams (diagnostics for
 // EventBudgetError).
 func (e *engine) pendingEvents() int {
-	n := e.kernel.Pending() + (len(e.release) - e.nextArrival)
+	n := len(e.checks) + (len(e.release) - e.nextArrival)
 	if !math.IsInf(e.nextBoundary, 1) {
 		n++
 	}
@@ -653,18 +653,12 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	}
 	e.queue.Push(j)
 	// Deadline check, scheduled only if it falls inside the horizon; jobs
-	// whose deadlines lie beyond the horizon are left unadjudicated. The
-	// shared ArgHandler keeps this allocation-free (a *Job in an interface
-	// does not allocate, and the kernel pools the Event itself).
+	// whose deadlines lie beyond the horizon are left unadjudicated.
 	if j.Abs <= e.cfg.Horizon {
-		e.kernel.AtArg(j.Abs, prioDeadline, "deadline", e.deadlineFn, j)
+		e.checks.push(deadlineCheck{t: j.Abs, seq: e.checkSeq, job: j})
+		e.checkSeq++
 	}
 	e.requestDecide(now)
-}
-
-// onDeadlineArg adapts onDeadline to the kernel's shared-handler shape.
-func (e *engine) onDeadlineArg(now float64, arg any) {
-	e.onDeadline(now, arg.(*task.Job))
 }
 
 func (e *engine) onDeadline(now float64, j *task.Job) {

@@ -10,6 +10,7 @@ import (
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
+	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/storage"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
@@ -276,5 +277,47 @@ func TestEventBudgetWatchdog(t *testing.T) {
 	}
 	if be.Events < 10 || be.Horizon != 600 {
 		t.Fatalf("unhelpful watchdog report: %+v", be)
+	}
+}
+
+// The watchdog's Pending counts every queued event across the engine's
+// streams: deadline checks, remaining arrivals, the next unit boundary,
+// the pending segment end and the pending decision. The run is small
+// enough to trace by hand. Releases are (0, τ1), (0, τ2), (4, τ1),
+// (5, τ2), (8, τ1); EDF runs flat out, so τ1's first job (1 unit of work)
+// completes at t=1. The first four events are the two arrivals at t=0
+// (each queues a deadline check), the decision at t=0 (τ1 runs, segment
+// end at t=1) and the unit boundary at t=1 (requests a decision).
+func TestEventBudgetPending(t *testing.T) {
+	cfg := &Config{
+		Horizon: 10,
+		Tasks: []task.Task{
+			{ID: 1, Period: 4, Deadline: 4, WCET: 1},
+			{ID: 2, Period: 5, Deadline: 5, WCET: 2},
+		},
+		Source:    energy.Constant{P: 1},
+		Predictor: energy.NewEWMA(0.2),
+		Store:     storage.NewIdeal(1000),
+		CPU:       cpu.XScale(),
+		Policy:    sched.EDF{},
+		MaxEvents: 4,
+	}
+	_, err := Run(cfg)
+	var be *EventBudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("got %v, want *EventBudgetError", err)
+	}
+	const (
+		checks   = 2 // deadline checks at t=4 and t=5
+		arrivals = 3 // releases at t=4, 5 and 8
+		boundary = 1 // the unit boundary at t=2
+		segment  = 1 // τ1's completion at t=1
+		decide   = 1 // requested by the boundary at t=1
+	)
+	if want := checks + arrivals + boundary + segment + decide; be.Pending != want {
+		t.Fatalf("Pending = %d, want %d (%+v)", be.Pending, want, be)
+	}
+	if be.Events != 4 || be.Time != 1 {
+		t.Fatalf("watchdog fired after %d events at t=%g, want 4 at t=1", be.Events, be.Time)
 	}
 }

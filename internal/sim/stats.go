@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/task"
@@ -48,26 +48,40 @@ func (t *TaskStats) MissRate() float64 {
 	return float64(t.Missed) / float64(t.Released)
 }
 
-// taskTable accumulates per-task statistics during a run.
+// taskTable accumulates per-task statistics during a run, in a slice kept
+// sorted by task ID. An entry is inserted the first time its task is seen,
+// so the table holds exactly the tasks the run touched.
 type taskTable struct {
-	byID map[int]*TaskStats
+	stats []*TaskStats
 }
 
-func newTaskTable() *taskTable {
-	return &taskTable{byID: make(map[int]*TaskStats)}
-}
+func newTaskTable() *taskTable { return &taskTable{} }
 
 // reset empties the table for arena reuse. The *TaskStats values are NOT
 // recycled: table() hands them to Result.PerTask, where callers retain
 // them past the run, so each run must mint fresh ones.
-func (tt *taskTable) reset() { clear(tt.byID) }
+func (tt *taskTable) reset() {
+	clear(tt.stats)
+	tt.stats = tt.stats[:0]
+}
 
+// get returns the stats of task id, inserting a fresh entry at its sorted
+// position on first sight.
 func (tt *taskTable) get(id int) *TaskStats {
-	s, ok := tt.byID[id]
-	if !ok {
-		s = &TaskStats{TaskID: id}
-		tt.byID[id] = s
+	lo, hi := 0, len(tt.stats)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tt.stats[m].TaskID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	if lo < len(tt.stats) && tt.stats[lo].TaskID == id {
+		return tt.stats[lo]
+	}
+	s := &TaskStats{TaskID: id}
+	tt.stats = slices.Insert(tt.stats, lo, s)
 	return s
 }
 
@@ -85,13 +99,13 @@ func (tt *taskTable) finished(j *task.Job, now float64) {
 
 func (tt *taskTable) missed(j *task.Job) { tt.get(j.TaskID).Missed++ }
 
-// table returns the stats sorted by task ID with derived fields filled.
+// table returns a copy of the stats, sorted by task ID, with derived
+// fields filled.
 func (tt *taskTable) table() []*TaskStats {
-	out := make([]*TaskStats, 0, len(tt.byID))
-	for _, s := range tt.byID {
+	out := make([]*TaskStats, len(tt.stats))
+	for i, s := range tt.stats {
 		s.ResponseMean = s.resp.Mean()
-		out = append(out, s)
+		out[i] = s
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TaskID < out[j].TaskID })
 	return out
 }

@@ -1,41 +1,16 @@
 package task
 
-import "container/heap"
-
 // ReadyQueue is the EDF-ordered set of released, unfinished jobs — the
 // paper's queue Q ("maintain a task queue Q containing all ready but not
 // finished tasks", Fig. 4 line 1). The earliest-deadline job is always at
 // the head; ordering is the total order of EarlierDeadline.
 //
-// Jobs track their own heap position, so Remove is O(log n) instead of a
-// linear scan; a job can therefore sit in at most one ReadyQueue at a time
-// (the engine's model — each run owns its jobs).
+// The queue is a binary min-heap over h, sifted directly with
+// EarlierDeadline. Jobs track their own heap position, so Remove is
+// O(log n) instead of a linear scan; a job can therefore sit in at most
+// one ReadyQueue at a time (the engine's model — each run owns its jobs).
 type ReadyQueue struct {
-	h jobHeap
-}
-
-type jobHeap []*Job
-
-func (h jobHeap) Len() int           { return len(h) }
-func (h jobHeap) Less(i, j int) bool { return EarlierDeadline(h[i], h[j]) }
-func (h jobHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *jobHeap) Push(x any) {
-	j := x.(*Job)
-	j.heapIndex = len(*h)
-	*h = append(*h, j)
-}
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.heapIndex = -1
-	*h = old[:n-1]
-	return j
+	h []*Job
 }
 
 // NewReadyQueue returns an empty queue.
@@ -62,7 +37,9 @@ func (q *ReadyQueue) Push(j *Job) {
 	if j == nil {
 		panic("task: pushing nil job")
 	}
-	heap.Push(&q.h, j)
+	j.heapIndex = len(q.h)
+	q.h = append(q.h, j)
+	q.up(j.heapIndex)
 }
 
 // Peek returns the earliest-deadline job without removing it, or nil.
@@ -78,7 +55,7 @@ func (q *ReadyQueue) Pop() *Job {
 	if len(q.h) == 0 {
 		return nil
 	}
-	return heap.Pop(&q.h).(*Job)
+	return q.take(0)
 }
 
 // Remove deletes a specific job (e.g. dropped at its deadline) in O(log n)
@@ -89,8 +66,68 @@ func (q *ReadyQueue) Remove(j *Job) bool {
 	if i < 0 || i >= len(q.h) || q.h[i] != j {
 		return false
 	}
-	heap.Remove(&q.h, i)
+	q.take(i)
 	return true
+}
+
+// take removes and returns the job at heap position i: the last job fills
+// the hole and sifts down, or up when it is earlier than the hole's parent.
+func (q *ReadyQueue) take(i int) *Job {
+	j := q.h[i]
+	n := len(q.h) - 1
+	if i != n {
+		q.h[i] = q.h[n]
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	q.h[n] = nil
+	q.h = q.h[:n]
+	j.heapIndex = -1
+	return j
+}
+
+// up moves the job at position i toward the root past every later parent.
+func (q *ReadyQueue) up(i int) {
+	h := q.h
+	j := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !EarlierDeadline(j, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].heapIndex = i
+		i = p
+	}
+	h[i] = j
+	j.heapIndex = i
+}
+
+// down moves the job at position i0 toward the leaves of h[:n] past every
+// earlier child, and reports whether it moved.
+func (q *ReadyQueue) down(i0, n int) bool {
+	h := q.h
+	j := h[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && EarlierDeadline(h[r], h[c]) {
+			c = r
+		}
+		if !EarlierDeadline(h[c], j) {
+			break
+		}
+		h[i] = h[c]
+		h[i].heapIndex = i
+		i = c
+	}
+	h[i] = j
+	j.heapIndex = i
+	return i > i0
 }
 
 // Jobs returns the queued jobs in no particular order (a copy).

@@ -53,8 +53,8 @@ func (s *runManySide) flush(t *testing.T) {
 // sharing one arena back to back) must be bit-identical to an independent
 // sim.Run of an identically-built config — same Result fields, same error,
 // same decision audits and event records, and byte-identical JSONL streams.
-// Any state leaking across a reused arena (job prototypes, kernel free
-// list, ready queue, stats table) diverges here.
+// Any state leaking across a reused arena (release buffers, deadline
+// heap, ready queue, stats table) diverges here.
 func TestRunManyMatchesRunOne(t *testing.T) {
 	n := *verifyN
 	if *quick {

@@ -1,5 +1,5 @@
 // Package verify is the differential-verification harness: it runs the
-// optimized engine (internal/sim with the pooled kernel, prefix-sum
+// optimized engine (internal/sim with its typed event heaps, prefix-sum
 // energy caches and reused contexts) and the deliberately naive reference
 // engine (internal/refimpl) on identical inputs and demands bit-identical
 // outputs — decision audits, engine event streams, and every exported
