@@ -236,16 +236,19 @@ func BenchmarkAblationSlackReclamation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					tasks := append([]task.Task(nil), rep.Tasks...)
+					for i := range tasks {
+						tasks[i].Exec = task.UniformExec(ratio)
+					}
 					src := energy.NewSolarModel(rep.SourceSeed)
 					res, err := sim.Run(&sim.Config{
 						Horizon:   spec.Horizon,
-						Tasks:     rep.Tasks,
+						Tasks:     tasks,
 						Source:    src,
 						Predictor: energy.NewEWMA(0.2),
 						Store:     storage.NewIdeal(300),
 						CPU:       spec.Processor(),
 						Policy:    core.NewEADVFS(),
-						BCWCRatio: ratio,
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -443,7 +444,7 @@ func fig5(spec experiment.Spec, csvDir string, width int) error {
 
 func remaining(spec experiment.Spec, u float64, name, csvDir string, width int) error {
 	spec.Utilization = u
-	res, err := experiment.RemainingEnergy(spec, []string{"lsa", "ea-dvfs"})
+	res, err := experiment.RemainingEnergy(context.Background(), spec, []string{"lsa", "ea-dvfs"})
 	if err != nil {
 		return err
 	}

@@ -119,11 +119,11 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Policy = pf()
-	cfg.Tracer = rec
+	cfg.Probe = rec
 	var auditRec *obs.Recorder
 	if *audit {
-		auditRec = &obs.Recorder{}
-		cfg.Probe = auditRec
+		auditRec = obs.NewRecorder()
+		cfg.Probe = obs.Multi(rec, auditRec)
 	}
 
 	res, err := sim.Run(cfg)

@@ -73,7 +73,7 @@ func runScenario(mk func() *sim.Config, policies ...string) {
 		rec := trace.NewRecorder()
 		cfg := mk()
 		cfg.Policy = pf()
-		cfg.Tracer = rec
+		cfg.Probe = rec
 		res, err := sim.Run(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/eadvfs/eadvfs/internal/core"
@@ -81,7 +82,7 @@ func remaining(u float64) func(int) (map[string]float64, error) {
 		s.Utilization = u
 		var ea, lsa float64
 		for i := 0; i < n; i++ {
-			res, err := experiment.RemainingEnergy(s, []string{"lsa", "ea-dvfs"})
+			res, err := experiment.RemainingEnergy(context.Background(), s, []string{"lsa", "ea-dvfs"})
 			if err != nil {
 				return nil, err
 			}

@@ -116,7 +116,7 @@ func (r *Runner) RunCtx(ctx context.Context, capacity float64, pf PolicyFactory,
 
 // RunBatch executes one replication's full (capacity × policy) grid on a
 // single amortized Runner and returns results indexed [capacity][policy].
-// It is the batched equivalent of calling RunOneCtx per cell — each cell
+// It is the batched equivalent of calling RunOne per cell — each cell
 // is bit-identical — with the scheduler plan, task-set expansion and solar
 // realization computed once for the whole grid instead of once per cell.
 func RunBatch(ctx context.Context, s Spec, rep Replication, capacities []float64, pfs []PolicyFactory, record bool) ([][]*sim.Result, error) {

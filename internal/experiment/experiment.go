@@ -428,16 +428,10 @@ func execSeedOf(rep Replication) uint64 {
 
 // RunOne executes a single simulation of replication rep at the given
 // capacity under the given policy, with the spec's predictor. The store
-// starts full (§5.1).
-func RunOne(s Spec, rep Replication, capacity float64, pf PolicyFactory, record bool) (*sim.Result, error) {
-	return RunOneCtx(context.Background(), s, rep, capacity, pf, record)
-}
-
-// RunOneCtx is RunOne under a cancellation context: the context is handed
-// to the engine (sim.Config.Context), so an abandoned or timed-out request
-// aborts the run mid-flight instead of finishing a result nobody wants.
-// context.Background() reproduces RunOne exactly.
-func RunOneCtx(ctx context.Context, s Spec, rep Replication, capacity float64, pf PolicyFactory, record bool) (*sim.Result, error) {
+// starts full (§5.1). A ctx that can be cancelled is handed to the engine
+// (sim.Config.Context), so an abandoned or timed-out request aborts the
+// run mid-flight instead of finishing a result nobody wants.
+func RunOne(ctx context.Context, s Spec, rep Replication, capacity float64, pf PolicyFactory, record bool) (*sim.Result, error) {
 	r, err := newRunner(s, rep)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -105,11 +106,11 @@ func TestRunOnePairedComparability(t *testing.T) {
 	}
 	lsa, _ := Policy("lsa")
 	ea, _ := Policy("ea-dvfs")
-	ra, err := RunOne(s, rep, 500, lsa, false)
+	ra, err := RunOne(context.Background(), s, rep, 500, lsa, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunOne(s, rep, 500, ea, false)
+	rb, err := RunOne(context.Background(), s, rep, 500, ea, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSourceTraceShape(t *testing.T) {
 
 func TestRemainingEnergyCurves(t *testing.T) {
 	s := testSpec()
-	res, err := RemainingEnergy(s, []string{"lsa", "ea-dvfs"})
+	res, err := RemainingEnergy(context.Background(), s, []string{"lsa", "ea-dvfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestMinCapacitySearch(t *testing.T) {
 		t.Fatal("no zero-miss capacity found for a U=0.4 workload")
 	}
 	// Zero misses at cmin.
-	res, err := RunOne(s, rep, cmin, ea, false)
+	res, err := RunOne(context.Background(), s, rep, cmin, ea, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestMinCapacitySearch(t *testing.T) {
 	}
 	// Misses strictly below (half) unless cmin hit the lower bound.
 	if cmin > 4 {
-		res, err = RunOne(s, rep, cmin/2, ea, false)
+		res, err = RunOne(context.Background(), s, rep, cmin/2, ea, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,16 +32,11 @@ type RemainingEnergyResult struct {
 
 // RemainingEnergy regenerates Figure 6 (spec.Utilization = 0.4) or
 // Figure 7 (0.8) for the named policies. Simulations run in parallel
-// across Parallelism workers; the result is deterministic.
-func RemainingEnergy(s Spec, policyNames []string) (*RemainingEnergyResult, error) {
-	return RemainingEnergyCtx(context.Background(), s, policyNames)
-}
-
-// RemainingEnergyCtx is RemainingEnergy under a cancellation context:
-// cancellation stops queued replications at pickup, aborts running engines
-// mid-flight, and surfaces as a *CancelledError instead of a partial
-// (and therefore wrong) average.
-func RemainingEnergyCtx(ctx context.Context, s Spec, policyNames []string) (*RemainingEnergyResult, error) {
+// across Parallelism workers; the result is deterministic. Cancelling ctx
+// stops queued replications at pickup, aborts running engines mid-flight,
+// and surfaces as a *CancelledError instead of a partial (and therefore
+// wrong) average.
+func RemainingEnergy(ctx context.Context, s Spec, policyNames []string) (*RemainingEnergyResult, error) {
 	m, err := RunSweep(ctx, "remaining", s, policyNames)
 	if err != nil {
 		return nil, err

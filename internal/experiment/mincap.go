@@ -35,73 +35,24 @@ const (
 	MinCapTol   = 1.0
 )
 
-// MinCapacitySearch finds, by bisection, the smallest storage capacity in
-// [lo, hi] for which the given policy finishes every job of the
-// replication on time ("the threshold capacity to maintain zero deadline
-// miss rate", §5.4). The hi bound is grown geometrically until it achieves
-// zero misses; ok is false if even maxHi cannot.
+// MinCapacitySearcher finds, by bisection, the smallest storage capacity
+// for which a policy finishes every job of one replication on time ("the
+// threshold capacity to maintain zero deadline miss rate", §5.4).
 //
 // Deadline misses are not perfectly monotone in capacity (a larger initial
 // store shifts every lazy start time), but they are monotone in the large;
 // bisection returns the smallest zero-miss point of the monotone envelope,
-// which is the quantity the paper sweeps. tol is the absolute capacity
-// resolution.
-func MinCapacitySearch(s Spec, rep Replication, pf PolicyFactory, lo, maxHi, tol float64) (float64, bool, error) {
-	if lo <= 0 || maxHi <= lo || tol <= 0 {
-		return 0, false, fmt.Errorf("experiment: bad search bounds [%v, %v] tol %v", lo, maxHi, tol)
-	}
-	misses := func(c float64) (int, error) {
-		res, err := RunOne(s, rep, c, pf, false)
-		if err != nil {
-			return 0, err
-		}
-		return res.Miss.Missed, nil
-	}
-	hi := lo
-	for {
-		m, err := misses(hi)
-		if err != nil {
-			return 0, false, err
-		}
-		if m == 0 {
-			break
-		}
-		if hi >= maxHi {
-			return 0, false, nil
-		}
-		hi = math.Min(hi*2, maxHi)
-	}
-	if hi == lo {
-		return lo, true, nil
-	}
-	loBound := hi / 2 // last known miss (or lo)
-	if loBound < lo {
-		loBound = lo
-	}
-	for hi-loBound > tol {
-		mid := (loBound + hi) / 2
-		m, err := misses(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if m == 0 {
-			hi = mid
-		} else {
-			loBound = mid
-		}
-	}
-	return hi, true, nil
-}
-
-// MinCapacitySearcher is the warm-start form of MinCapacitySearch: one
-// amortized Runner (shared solar fork, processor, predictor resolution and
-// sim arena) serves every probe of every search over the same (spec,
-// replication) pair, each infeasible probe exits at its first deadline
-// miss instead of simulating to the horizon, and probe outcomes are
-// memoized per (policy, capacity) so repeated searches never re-simulate a
-// decided capacity.
+// which is the quantity the paper sweeps.
 //
-// Warm search returns exactly what the cold search returns. The argument
+// The search is warm: one amortized Runner (shared solar fork, processor,
+// predictor resolution and sim arena) serves every probe of every search
+// over the same (spec, replication) pair, each infeasible probe exits at
+// its first deadline miss instead of simulating to the horizon, and probe
+// outcomes are memoized per (policy, capacity) so repeated searches never
+// re-simulate a decided capacity.
+//
+// Warm search returns exactly what a cold search — one full RunOne per
+// probe, kept as the test oracle — returns. The argument
 // (DESIGN.md §14): the probe sequence — geometric growth doubling from lo,
 // then bisection on [hi/2, hi] — is fully determined by each probe's
 // zero-miss classification, and every mechanism above preserves that
@@ -133,9 +84,10 @@ func NewMinCapacitySearcher(s Spec, rep Replication, pfs []PolicyFactory) (*MinC
 	return &MinCapacitySearcher{runner: r, pfs: pfs, memo: make(map[probeKey]bool)}, nil
 }
 
-// Search runs the warm-start capacity search for policy index pi with the
-// same bounds semantics as MinCapacitySearch, returning the identical
-// capacity.
+// Search runs the capacity search for policy index pi over [lo, maxHi]:
+// the hi bound grows geometrically from lo until it achieves zero misses
+// (ok is false if even maxHi cannot), then bisection narrows it to the
+// absolute resolution tol.
 func (m *MinCapacitySearcher) Search(pi int, lo, maxHi, tol float64) (float64, bool, error) {
 	if lo <= 0 || maxHi <= lo || tol <= 0 {
 		return 0, false, fmt.Errorf("experiment: bad search bounds [%v, %v] tol %v", lo, maxHi, tol)
@@ -236,7 +188,7 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 		jobs := gridJobs(spec.Replications, 1, 1, func(_, r, _, _ int) error {
 			// Warm-start searcher: one arena, one solar fork and one probe
 			// memo per replication job, first-miss early exit on every
-			// infeasible probe. Returns exactly the cold MinCapacitySearch
+			// infeasible probe. Returns exactly the cold search's
 			// capacities (see MinCapacitySearcher).
 			search, err := NewMinCapacitySearcher(spec, reps[r], factories)
 			if err != nil {

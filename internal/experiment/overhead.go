@@ -50,7 +50,7 @@ func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
 	np := len(policyNames)
 	slots := make([]counters, s.Replications*np)
 	jobs := gridJobs(s.Replications, 1, np, func(slot, r, _, pi int) error {
-		res, err := RunOne(s, reps[r], capacity, factories[pi], false)
+		res, err := RunOne(context.TODO(), s, reps[r], capacity, factories[pi], false)
 		if err != nil {
 			return err
 		}
@@ -152,7 +152,7 @@ func Convergence(s Spec, policy string, counts []int) (*ConvergenceResult, error
 	rates := make([]float64, maxN)
 	tallies := make([]metrics.MissStats, maxN)
 	jobs := gridJobs(maxN, 1, 1, func(_, r, _, _ int) error {
-		res, err := RunOne(spec, reps[r], capacity, pf, false)
+		res, err := RunOne(context.TODO(), spec, reps[r], capacity, pf, false)
 		if err != nil {
 			return err
 		}

@@ -77,7 +77,7 @@ func TestSpecRecordsRunMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOne(spec, rep, spec.Capacities[0], pf, false)
+	res, err := RunOne(context.Background(), spec, rep, spec.Capacities[0], pf, false)
 	if err != nil {
 		t.Fatal(err)
 	}

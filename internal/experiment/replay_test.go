@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestDeterministicReplay(t *testing.T) {
 				if prepared {
 					rep.PrepareSource(s.Horizon)
 				}
-				res, err := RunOne(s, rep, 300, pf, true)
+				res, err := RunOne(context.Background(), s, rep, 300, pf, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -145,7 +145,7 @@ func PredictorSweep(s Spec, predictors []string, policyNames []string) (*Sensiti
 			sp := s
 			sp.Predictor = predictors[int(point)]
 			sp.PredictorAlpha = 0
-			return RunOne(sp, rep, defaultSweepCapacity, pf, false)
+			return RunOne(context.TODO(), sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
@@ -195,7 +195,7 @@ func SleepStateSweep(s Spec, presets []string, policyNames []string) (*Sensitivi
 		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			sp := s
 			sp.Sleep = presets[int(point)]
-			return RunOne(sp, rep, defaultSweepCapacity, pf, false)
+			return RunOne(context.TODO(), sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
@@ -224,5 +224,5 @@ func runShifted(s Spec, rep Replication, pf PolicyFactory) (*sim.Result, error) 
 		return nil, err
 	}
 	shifted.AdoptSource(rep)
-	return RunOne(s, shifted, defaultSweepCapacity, pf, false)
+	return RunOne(context.TODO(), s, shifted, defaultSweepCapacity, pf, false)
 }

@@ -213,7 +213,7 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 		tallies = make([]metrics.MissStats, nr*ncw*np)
 	}
 	jobs := gridJobs(nr, ncw, np, func(slot, i, c, pi int) error {
-		res, err := RunOneCtx(ctx, s, reps[i], s.Capacities[sh.CapLo+c], factories[pi], record)
+		res, err := RunOne(ctx, s, reps[i], s.Capacities[sh.CapLo+c], factories[pi], record)
 		if err != nil {
 			return err
 		}

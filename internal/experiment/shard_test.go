@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -155,7 +156,7 @@ func checkMergeByteIdentical(t *testing.T, s Spec, pinnedMiss, pinnedRem string)
 	if got := sha256Hex(wantMiss); got != pinnedMiss {
 		t.Fatalf("single-node missrate digest %s, pinned %s", got, pinnedMiss)
 	}
-	wholeRem, err := RemainingEnergy(s, policies)
+	wholeRem, err := RemainingEnergy(context.Background(), s, policies)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func singleNodeJSON(t *testing.T, kind string, s experiment.Spec, policies []str
 	case "missrate":
 		v, err = experiment.MissRateSweep(s, policies)
 	case "remaining":
-		v, err = experiment.RemainingEnergy(s, policies)
+		v, err = experiment.RemainingEnergy(context.Background(), s, policies)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ const (
 	KindCompletion EventKind = "completion"
 	// KindEarlyCompletion: a completing job left unspent WCET budget —
 	// its drawn actual work came in under the declared worst case
-	// (stochastic execution, task.ExecSpec / sim.Config.BCWCRatio).
+	// (stochastic execution, task.ExecSpec).
 	// Always emitted immediately after the job's KindCompletion.
 	KindEarlyCompletion EventKind = "early-completion"
 	// KindMiss: a job's deadline passed with work remaining.
@@ -208,8 +208,10 @@ func (m multi) TraceParent() SpanContext {
 	return SpanContext{}
 }
 
-// Recorder is a Probe that retains everything it sees, for tests and for
-// eatrace's -audit listing. Safe for concurrent use.
+// Recorder is a Probe that retains everything it sees, for tests, for the
+// differential harness (internal/verify) and for eatrace's -audit
+// listing. Safe for concurrent use. The schedule-shaped view — coalesced
+// segments for a Gantt chart or CSV — is internal/trace's Recorder.
 type Recorder struct {
 	mu        sync.Mutex
 	events    []Event

@@ -408,31 +408,23 @@ func (e *engine) setActivity(now float64, mode sim.Mode, j *task.Job, level int)
 }
 
 func (e *engine) closeSegment(now float64) {
-	if now > e.segStart {
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.OnSegment(e.segStart, now, e.mode, e.running, e.level)
+	if now > e.segStart && e.cfg.Probe != nil {
+		ev := obs.Event{
+			Time: now, Kind: obs.KindSegment,
+			TaskID: -1, Seq: -1,
+			Start: e.segStart, Mode: e.mode.String(), Level: e.level,
 		}
-		if e.cfg.Probe != nil {
-			ev := obs.Event{
-				Time: now, Kind: obs.KindSegment,
-				TaskID: -1, Seq: -1,
-				Start: e.segStart, Mode: e.mode.String(), Level: e.level,
-			}
-			if e.running != nil {
-				ev.TaskID, ev.Seq = e.running.TaskID, e.running.Seq
-			}
-			e.cfg.Probe.OnEvent(ev)
+		if e.running != nil {
+			ev.TaskID, ev.Seq = e.running.TaskID, e.running.Seq
 		}
+		e.cfg.Probe.OnEvent(ev)
 	}
 	e.segStart = now
 }
 
-func (e *engine) emit(t float64, kind string, j *task.Job) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.OnEvent(t, kind, j)
-	}
+func (e *engine) emit(t float64, kind obs.EventKind, j *task.Job) {
 	if e.cfg.Probe != nil {
-		ev := obs.Event{Time: t, Kind: obs.EventKind(kind), TaskID: -1, Seq: -1}
+		ev := obs.Event{Time: t, Kind: kind, TaskID: -1, Seq: -1}
 		if j != nil {
 			ev.TaskID, ev.Seq = j.TaskID, j.Seq
 		}
@@ -473,21 +465,11 @@ func (e *engine) taskTable() []*sim.TaskStats {
 func (e *engine) onArrival(now float64, j *task.Job) {
 	e.syncTo(now)
 	actual := j.WCET
-	drawn := false
-	if e.execRNG != nil {
-		if j.Exec != nil {
-			stream := uint64(j.TaskID)<<32 ^ uint64(j.Seq)
-			r := e.execRNG.Child(stream)
-			actual = j.WCET * j.Exec.Ratio(r, j.Seq)
-			drawn = true
-		} else if e.cfg.BCWCRatio > 0 && e.cfg.BCWCRatio < 1 {
-			stream := uint64(j.TaskID)<<32 ^ uint64(j.Seq)
-			r := e.execRNG.Child(stream)
-			actual = j.WCET * r.Uniform(e.cfg.BCWCRatio, 1)
-			drawn = true
-		}
-	}
+	drawn := e.execRNG != nil && j.Exec != nil
 	if drawn {
+		stream := uint64(j.TaskID)<<32 ^ uint64(j.Seq)
+		r := e.execRNG.Child(stream)
+		actual = j.WCET * j.Exec.Ratio(r, j.Seq)
 		e.res.Slack.DrawnJobs++
 	}
 	if of := e.faults.OverrunFactor(j.TaskID, j.Seq); of > 1 {
@@ -499,7 +481,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	}
 	e.res.Miss.Released++
 	e.task(j.TaskID).released++
-	e.emit(now, "arrival", j)
+	e.emit(now, obs.KindArrival, j)
 	if j.ActualRemaining() < workEps {
 		if rem := j.ActualRemaining(); rem > 0 {
 			j.Progress(rem)
@@ -508,7 +490,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 		}
 		e.res.Miss.Finished++
 		e.finishStats(j, now)
-		e.emit(now, "completion", j)
+		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		return
 	}
@@ -537,7 +519,7 @@ func (e *engine) onDeadline(now float64, j *task.Job) {
 	j.MarkMissed()
 	e.res.Miss.Missed++
 	e.task(j.TaskID).missed++
-	e.emit(now, "miss", j)
+	e.emit(now, obs.KindMiss, j)
 	if !e.cfg.ContinueAfterDeadline {
 		e.ready.remove(j)
 		if e.running == j {
@@ -579,7 +561,7 @@ func (e *engine) finishIfDone(now float64) {
 			e.res.Miss.Finished++
 			e.finishStats(j, now)
 		}
-		e.emit(now, "completion", j)
+		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		e.setActivity(now, sim.ModeIdle, nil, 0)
 	}
@@ -590,7 +572,7 @@ func (e *engine) noteReclaimed(now float64, j *task.Job) {
 	if rem := j.Remaining(); rem > workEps {
 		e.res.Slack.EarlyCompletions++
 		e.res.Slack.ReclaimedWork += rem
-		e.emit(now, "early-completion", j)
+		e.emit(now, obs.KindEarlyCompletion, j)
 	}
 }
 
@@ -693,7 +675,7 @@ func (e *engine) onDecide(now float64) {
 		wasStalled := e.mode == sim.ModeStall && e.running == d.Job
 		e.setActivity(now, sim.ModeStall, d.Job, level)
 		if !wasStalled {
-			e.emit(now, "stall", d.Job)
+			e.emit(now, obs.KindStall, d.Job)
 		}
 		return
 	}

@@ -32,7 +32,7 @@ import (
 // explicit Arena (or RunMany) only pins that reuse to one caller.
 //
 // The contract the reset relies on: nothing retains engine-owned state
-// past Run. Tracers and probes copy job fields rather than keep *Job (the
+// past Run. Probes receive copied job fields rather than a *Job (the
 // arena's jobs are overwritten by the next run), and Result.PerTask
 // entries are freshly allocated per run precisely because callers do
 // retain those.

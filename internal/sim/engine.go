@@ -74,16 +74,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Tracer observes the schedule as it unfolds. All callbacks are optional
-// no-ops in implementations that do not care.
-type Tracer interface {
-	// OnSegment reports a maximal interval of constant activity.
-	OnSegment(start, end float64, mode Mode, job *task.Job, level int)
-	// OnEvent reports a point event: "arrival", "completion", "miss",
-	// "stall".
-	OnEvent(t float64, kind string, job *task.Job)
-}
-
 // Config describes one simulation run. Store and Predictor are stateful
 // and consumed by the run; construct fresh ones per run.
 type Config struct {
@@ -110,33 +100,26 @@ type Config struct {
 	// full run — in particular Miss.Missed > 0 if and only if the full
 	// run would have missed at least one deadline, which is the only
 	// question a zero-miss feasibility probe (capacity bisection,
-	// experiment.MinCapacitySearch) asks. A run with no misses is
+	// experiment.MinCapacitySearcher) asks. A run with no misses is
 	// unaffected, bit for bit.
 	StopAtFirstMiss bool
 
-	// BCWCRatio is the best-case/worst-case execution-time ratio of the
-	// slack-reclamation extension: each job's actual work is drawn
-	// uniformly from [BCWCRatio·WCET, WCET], while schedulers keep
-	// budgeting the full WCET. 0 or 1 reproduces the paper's model
-	// (actual = WCET). A per-task distribution (task.ExecSpec on the
-	// task) takes precedence over this run-wide uniform draw.
-	BCWCRatio float64
-
-	// ExecSeed seeds the per-job actual-work draws (default 1). Draws
-	// are per-(task, seq), so they do not depend on event ordering.
+	// ExecSeed seeds the per-job actual-work draws of tasks and jobs that
+	// carry a task.ExecSpec (default 1). Draws are per-(task, seq), so
+	// they do not depend on event ordering.
 	ExecSeed uint64
 
 	// RecordEnergy samples the storage level once per time unit into
 	// Result.EnergySeries (the raw material of Figures 6–7).
 	RecordEnergy bool
 
-	// Tracer, when non-nil, receives schedule segments and events.
-	Tracer Tracer
-
 	// Probe, when non-nil, receives structured observability events
 	// (internal/obs): arrivals, dispatches, segments, completions, misses,
 	// stalls, fault activations and invariant violations — plus the
-	// policy's decision-audit records via sched.Context. Every emission is
+	// policy's decision-audit records via sched.Context. It is the run's
+	// only observation hook: the Gantt/CSV recorder (internal/trace), the
+	// JSONL and metrics sinks and the flight recorder all consume it, and
+	// obs.Multi attaches several at once. Every emission is
 	// nil-guarded at the call site, so a run without a probe pays nothing
 	// (enforced by the benchmark guard against BENCH_baseline.json).
 	Probe obs.Probe
@@ -185,8 +168,6 @@ func (c *Config) Validate() error {
 		return errors.New("sim: nil processor")
 	case c.Policy == nil:
 		return errors.New("sim: nil policy")
-	case c.BCWCRatio < 0 || c.BCWCRatio > 1 || math.IsNaN(c.BCWCRatio):
-		return fmt.Errorf("sim: BCWCRatio %v outside [0, 1]", c.BCWCRatio)
 	}
 	for i, t := range c.Tasks {
 		if err := t.Validate(); err != nil {
@@ -215,14 +196,11 @@ func (c *Config) Validate() error {
 }
 
 // Stochastic reports whether any job of this run draws an actual
-// execution time below its WCET — the run-wide BCWCRatio extension or a
-// per-task distribution. When false, the engines skip the exec RNG
-// entirely: the WCET-exact path stays allocation-free and bit-identical
-// to the paper's model.
+// execution time below its WCET — a task or job carrying a
+// task.ExecSpec. When false, the engines skip the exec RNG entirely: the
+// WCET-exact path stays allocation-free and bit-identical to the paper's
+// model.
 func (c *Config) Stochastic() bool {
-	if c.BCWCRatio > 0 && c.BCWCRatio < 1 {
-		return true
-	}
 	for i := range c.Tasks {
 		if c.Tasks[i].Exec != nil {
 			return true
@@ -267,9 +245,9 @@ type Result struct {
 	PerTask []*TaskStats
 
 	// Slack is the per-job actual-vs-WCET accounting of stochastic
-	// execution (task.ExecSpec / Config.BCWCRatio): how many jobs drew an
-	// actual work figure, how many completed with unspent budget, and the
-	// total budget they left on the table. All zero for WCET-exact runs.
+	// execution (task.ExecSpec): how many jobs drew an actual work
+	// figure, how many completed with unspent budget, and the total
+	// budget they left on the table. All zero for WCET-exact runs.
 	Slack SlackStats
 
 	// SleepTime is the time spent in a DPM sleep state, Wakeups the
@@ -354,7 +332,7 @@ type engine struct {
 
 	initialLevel float64
 	tasks        *taskTable
-	execRNG      *rng.RNG // per-job actual-work draws; nil when BCWCRatio is off
+	execRNG      *rng.RNG // per-job actual-work draws; nil when no job has an ExecSpec
 	faults       *fault.Set
 	inv          *invariantChecker
 	res          *Result
@@ -565,36 +543,26 @@ func (e *engine) setActivity(now float64, mode Mode, j *task.Job, level int) {
 	e.segStart = now
 }
 
-// closeSegment emits the trace segment ending at now, if any.
+// closeSegment emits the schedule segment ending at now, if any.
 func (e *engine) closeSegment(now float64) {
-	if now > e.segStart {
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.OnSegment(e.segStart, now, e.mode, e.running, e.level)
+	if now > e.segStart && e.cfg.Probe != nil {
+		ev := obs.Event{
+			Time: now, Kind: obs.KindSegment,
+			TaskID: -1, Seq: -1,
+			Start: e.segStart, Mode: e.mode.String(), Level: e.level,
 		}
-		if e.cfg.Probe != nil {
-			ev := obs.Event{
-				Time: now, Kind: obs.KindSegment,
-				TaskID: -1, Seq: -1,
-				Start: e.segStart, Mode: e.mode.String(), Level: e.level,
-			}
-			if e.running != nil {
-				ev.TaskID, ev.Seq = e.running.TaskID, e.running.Seq
-			}
-			e.cfg.Probe.OnEvent(ev)
+		if e.running != nil {
+			ev.TaskID, ev.Seq = e.running.TaskID, e.running.Seq
 		}
+		e.cfg.Probe.OnEvent(ev)
 	}
 	e.segStart = now
 }
 
-// emit reports a point event to the tracer and the probe. The tracer kind
-// strings coincide with the obs.EventKind values, so one call site serves
-// both sinks.
-func (e *engine) emit(t float64, kind string, j *task.Job) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.OnEvent(t, kind, j)
-	}
+// emit reports a point event to the probe.
+func (e *engine) emit(t float64, kind obs.EventKind, j *task.Job) {
 	if e.cfg.Probe != nil {
-		ev := obs.Event{Time: t, Kind: obs.EventKind(kind), TaskID: -1, Seq: -1}
+		ev := obs.Event{Time: t, Kind: kind, TaskID: -1, Seq: -1}
 		if j != nil {
 			ev.TaskID, ev.Seq = j.TaskID, j.Seq
 		}
@@ -605,24 +573,11 @@ func (e *engine) emit(t float64, kind string, j *task.Job) {
 func (e *engine) onArrival(now float64, j *task.Job) {
 	e.syncTo(now)
 	actual := j.WCET
-	drawn := false
-	if e.execRNG != nil {
-		// Deterministic per-(task, seq) draw, independent of event order.
-		// A per-task distribution (task.ExecSpec) takes precedence over
-		// the run-wide BCWCRatio uniform.
-		if j.Exec != nil {
-			stream := uint64(j.TaskID)<<32 ^ uint64(j.Seq)
-			r := e.execRNG.Child(stream)
-			actual = j.WCET * j.Exec.Ratio(r, j.Seq)
-			drawn = true
-		} else if e.cfg.BCWCRatio > 0 && e.cfg.BCWCRatio < 1 {
-			stream := uint64(j.TaskID)<<32 ^ uint64(j.Seq)
-			r := e.execRNG.Child(stream)
-			actual = j.WCET * r.Uniform(e.cfg.BCWCRatio, 1)
-			drawn = true
-		}
-	}
+	// Deterministic per-(task, seq) draw, independent of event order.
+	drawn := e.execRNG != nil && j.Exec != nil
 	if drawn {
+		r := e.execRNG.Child(uint64(j.TaskID)<<32 ^ uint64(j.Seq))
+		actual = j.WCET * j.Exec.Ratio(r, j.Seq)
 		e.res.Slack.DrawnJobs++
 	}
 	// Injected overrun: the true work exceeds what the task declared; the
@@ -636,7 +591,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	}
 	e.res.Miss.Released++
 	e.tasks.released(j)
-	e.emit(now, "arrival", j)
+	e.emit(now, obs.KindArrival, j)
 	if j.ActualRemaining() < workEps {
 		// Zero-work job (WCET 0, or a zero actual-work draw): completes
 		// at release without touching the processor.
@@ -647,7 +602,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 		}
 		e.res.Miss.Finished++
 		e.tasks.finished(j, now)
-		e.emit(now, "completion", j)
+		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		return
 	}
@@ -669,7 +624,7 @@ func (e *engine) onDeadline(now float64, j *task.Job) {
 	j.MarkMissed()
 	e.res.Miss.Missed++
 	e.tasks.missed(j)
-	e.emit(now, "miss", j)
+	e.emit(now, obs.KindMiss, j)
 	if e.cfg.StopAtFirstMiss {
 		// The zero-miss predicate is now decided; dispatch() drains after
 		// this handler returns and the run finalizes at simNow.
@@ -731,7 +686,7 @@ func (e *engine) finishIfDone(now float64) {
 			e.res.Miss.Finished++
 			e.tasks.finished(j, now)
 		}
-		e.emit(now, "completion", j)
+		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		e.setActivity(now, ModeIdle, nil, 0)
 	}
@@ -745,7 +700,7 @@ func (e *engine) noteReclaimed(now float64, j *task.Job) {
 	if rem := j.Remaining(); rem > workEps {
 		e.res.Slack.EarlyCompletions++
 		e.res.Slack.ReclaimedWork += rem
-		e.emit(now, "early-completion", j)
+		e.emit(now, obs.KindEarlyCompletion, j)
 	}
 }
 
@@ -866,7 +821,7 @@ func (e *engine) onDecide(now float64) {
 		wasStalled := e.mode == ModeStall && e.running == d.Job
 		e.setActivity(now, ModeStall, d.Job, level)
 		if !wasStalled {
-			e.emit(now, "stall", d.Job)
+			e.emit(now, obs.KindStall, d.Job)
 		}
 		return
 	}

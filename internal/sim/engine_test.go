@@ -7,6 +7,7 @@ import (
 	"github.com/eadvfs/eadvfs/internal/core"
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
+	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/rng"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/storage"
@@ -38,7 +39,7 @@ func fig1Config(policy sched.Policy) *Config {
 func TestFig1LSAMissesTau2(t *testing.T) {
 	rec := &recorder{}
 	cfg := fig1Config(sched.LSA{})
-	cfg.Tracer = rec
+	cfg.Probe = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestFig1LSAMissesTau2(t *testing.T) {
 func TestFig1EADVFSMeetsBoth(t *testing.T) {
 	rec := &recorder{}
 	cfg := fig1Config(core.NewEADVFS())
-	cfg.Tracer = rec
+	cfg.Probe = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestFig3GreedyStretchMissesTau2(t *testing.T) {
 func TestFig3EADVFSMeetsBoth(t *testing.T) {
 	rec := &recorder{}
 	cfg := fig3Config(core.NewEADVFS())
-	cfg.Tracer = rec
+	cfg.Probe = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestFig3EADVFSMeetsBoth(t *testing.T) {
 func TestFig3DynamicVariantDriftsPastPaperArithmetic(t *testing.T) {
 	rec := &recorder{}
 	cfg := fig3Config(core.NewDynamicEADVFS())
-	cfg.Tracer = rec
+	cfg.Probe = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestInfiniteStorageEADVFSEqualsEDF(t *testing.T) {
 				Store:     storage.New(math.Inf(1), math.Inf(1)),
 				CPU:       cpu.XScale(),
 				Policy:    policy,
-				Tracer:    rec,
+				Probe:     rec,
 			}
 			res, err := Run(cfg)
 			if err != nil {
@@ -364,7 +365,7 @@ func TestPreemption(t *testing.T) {
 		Store:     storage.New(1e6, 1e5),
 		CPU:       cpu.XScale(),
 		Policy:    sched.EDF{},
-		Tracer:    rec,
+		Probe:     rec,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -514,7 +515,7 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// recorder is a test Tracer capturing segments and events.
+// recorder is a test probe capturing segments and point events.
 type recorder struct {
 	segs []seg
 	evts []evt
@@ -522,37 +523,31 @@ type recorder struct {
 
 type seg struct {
 	start, end float64
-	mode       Mode
+	mode       string
 	taskID     int
 	level      int
 }
 
 type evt struct {
 	t      float64
-	kind   string
+	kind   obs.EventKind
 	taskID int
 }
 
-func (r *recorder) OnSegment(start, end float64, mode Mode, j *task.Job, level int) {
-	id := -1
-	if j != nil {
-		id = j.TaskID
+func (r *recorder) OnEvent(ev obs.Event) {
+	if ev.Kind == obs.KindSegment {
+		r.segs = append(r.segs, seg{ev.Start, ev.Time, ev.Mode, ev.TaskID, ev.Level})
+		return
 	}
-	r.segs = append(r.segs, seg{start, end, mode, id, level})
+	r.evts = append(r.evts, evt{ev.Time, ev.Kind, ev.TaskID})
 }
 
-func (r *recorder) OnEvent(t float64, kind string, j *task.Job) {
-	id := -1
-	if j != nil {
-		id = j.TaskID
-	}
-	r.evts = append(r.evts, evt{t, kind, id})
-}
+func (r *recorder) OnDecision(obs.DecisionRecord) {}
 
 // firstRun returns when the given task first executed.
 func (r *recorder) firstRun(taskID int) (float64, bool) {
 	for _, s := range r.segs {
-		if s.mode == ModeRun && s.taskID == taskID {
+		if s.mode == ModeRun.String() && s.taskID == taskID {
 			return s.start, true
 		}
 	}
@@ -562,7 +557,7 @@ func (r *recorder) firstRun(taskID int) (float64, bool) {
 // completion returns the completion instant of the given task.
 func (r *recorder) completion(taskID int) (float64, bool) {
 	for _, e := range r.evts {
-		if e.kind == "completion" && e.taskID == taskID {
+		if e.kind == obs.KindCompletion && e.taskID == taskID {
 			return e.t, true
 		}
 	}
@@ -572,7 +567,7 @@ func (r *recorder) completion(taskID int) (float64, bool) {
 // missOf returns the miss instant of the given task.
 func (r *recorder) missOf(taskID int) (float64, bool) {
 	for _, e := range r.evts {
-		if e.kind == "miss" && e.taskID == taskID {
+		if e.kind == obs.KindMiss && e.taskID == taskID {
 			return e.t, true
 		}
 	}
@@ -599,7 +594,7 @@ func (r *recorder) sameRunSegments(o *recorder) bool {
 func coalesce(segs []seg) []seg {
 	var out []seg
 	for _, s := range segs {
-		if s.mode != ModeRun {
+		if s.mode != ModeRun.String() {
 			continue
 		}
 		if n := len(out); n > 0 && out[n-1].taskID == s.taskID && out[n-1].level == s.level &&

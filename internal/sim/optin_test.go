@@ -8,10 +8,11 @@ import (
 )
 
 // TestStochasticOptIn pins the gate condition of the stochastic-execution
-// subsystem: only a fractional BCWCRatio or an attached task.ExecSpec
-// turns it on. ExecSeed alone, a degenerate ratio of exactly 1, or a
-// plain WCET-exact workload must all leave Stochastic() false — the
-// strictly-opt-in contract every pre-existing spec relies on.
+// subsystem: only an attached task.ExecSpec turns it on — a fractional
+// uniform ratio (task.UniformExec) or any other distribution. ExecSeed
+// alone, a degenerate ratio of exactly 1 or 0, or a plain WCET-exact
+// workload must all leave Stochastic() false — the strictly-opt-in
+// contract every pre-existing spec relies on.
 func TestStochasticOptIn(t *testing.T) {
 	base := func() *Config {
 		return &Config{Tasks: []task.Task{{ID: 0, Period: 20, Deadline: 20, WCET: 4}}}
@@ -23,9 +24,9 @@ func TestStochasticOptIn(t *testing.T) {
 	}{
 		{"wcet-exact", func(c *Config) {}, false},
 		{"exec seed alone", func(c *Config) { c.ExecSeed = 99 }, false},
-		{"ratio exactly 1", func(c *Config) { c.BCWCRatio = 1 }, false},
-		{"ratio 0", func(c *Config) { c.BCWCRatio = 0 }, false},
-		{"fractional ratio", func(c *Config) { c.BCWCRatio = 0.5 }, true},
+		{"ratio exactly 1", func(c *Config) { c.Tasks[0].Exec = task.UniformExec(1) }, false},
+		{"ratio 0", func(c *Config) { c.Tasks[0].Exec = task.UniformExec(0) }, false},
+		{"fractional ratio", func(c *Config) { c.Tasks[0].Exec = task.UniformExec(0.5) }, true},
 		{"task exec spec", func(c *Config) {
 			c.Tasks[0].Exec = &task.ExecSpec{Dist: task.DistUniform, BCRatio: 0.5}
 		}, true},

@@ -12,22 +12,31 @@ import (
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
+// withUniformExec attaches the uniform best-case ratio (task.UniformExec)
+// to every task; ratio 0 leaves the tasks WCET-exact.
+func withUniformExec(tasks []task.Task, ratio float64) []task.Task {
+	u := task.UniformExec(ratio)
+	for i := range tasks {
+		tasks[i].Exec = u
+	}
+	return tasks
+}
+
 func slackCfg(ratio float64, policy sched.Policy) *Config {
 	src := energy.NewSolarModel(21)
 	return &Config{
 		Horizon:   3000,
-		Tasks:     paperWorkload(21, 0.5, 5),
+		Tasks:     withUniformExec(paperWorkload(21, 0.5, 5), ratio),
 		Source:    src,
 		Predictor: energy.NewEWMA(0.2),
 		Store:     storage.NewIdeal(300),
 		CPU:       cpu.XScaleScaled(10),
 		Policy:    policy,
-		BCWCRatio: ratio,
 		ExecSeed:  3,
 	}
 }
 
-func TestBCWCRatioReducesBusyTime(t *testing.T) {
+func TestUniformExecReducesBusyTime(t *testing.T) {
 	full, err := Run(slackCfg(0, sched.EDF{}))
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +48,12 @@ func TestBCWCRatioReducesBusyTime(t *testing.T) {
 	// Expected actual work is 75% of WCET; dropped jobs blur the exact
 	// ratio, but busy time must fall distinctly.
 	if half.BusyTime >= full.BusyTime*0.95 {
-		t.Fatalf("busy time %v (bcwc=0.5) vs %v (worst case): early completions not happening",
+		t.Fatalf("busy time %v (bc ratio 0.5) vs %v (worst case): early completions not happening",
 			half.BusyTime, full.BusyTime)
 	}
 }
 
-func TestBCWCRatioNeverIncreasesMissesMuch(t *testing.T) {
+func TestUniformExecNeverIncreasesMissesMuch(t *testing.T) {
 	// Early completions free time and energy; across policies the miss
 	// count with slack must not exceed the worst-case run's.
 	for _, mk := range []func() sched.Policy{
@@ -66,7 +75,7 @@ func TestBCWCRatioNeverIncreasesMissesMuch(t *testing.T) {
 	}
 }
 
-func TestBCWCRatioDeterministicAcrossRuns(t *testing.T) {
+func TestUniformExecDeterministicAcrossRuns(t *testing.T) {
 	a, err := Run(slackCfg(0.6, core.NewEADVFS()))
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +89,18 @@ func TestBCWCRatioDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBCWCRatioValidation(t *testing.T) {
-	cfg := slackCfg(1.5, sched.EDF{})
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("BCWCRatio > 1 accepted")
-	}
-	cfg = slackCfg(-0.1, sched.EDF{})
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative BCWCRatio accepted")
+// TestExecSpecBCRatioValidation: a task's best-case ratio outside [0, 1]
+// is a configuration error, reported by Validate and by Run.
+func TestExecSpecBCRatioValidation(t *testing.T) {
+	for _, ratio := range []float64{1.5, -0.1} {
+		cfg := slackCfg(0, sched.EDF{})
+		cfg.Tasks[0].Exec = &task.ExecSpec{Dist: task.DistUniform, BCRatio: ratio}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted exec BCRatio %v", ratio)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted exec BCRatio %v", ratio)
+		}
 	}
 }
 
@@ -99,25 +112,24 @@ func TestSchedulerSeesBudgetNotActual(t *testing.T) {
 		src := energy.NewConstant(0.5)
 		return &Config{
 			Horizon:   25,
-			Tasks:     []task.Task{{ID: 1, Period: 1e9, Deadline: 16, WCET: 4}},
+			Tasks:     withUniformExec([]task.Task{{ID: 1, Period: 1e9, Deadline: 16, WCET: 4}}, ratio),
 			Source:    src,
 			Predictor: energy.NewOracle(src),
 			Store:     storage.New(1e6, 24),
 			CPU:       cpu.TwoSpeed(8),
 			Policy:    sched.LSA{},
-			BCWCRatio: ratio,
 			ExecSeed:  7,
 		}
 	}
 	recFull := &recorder{}
 	cfgFull := mk(0)
-	cfgFull.Tracer = recFull
+	cfgFull.Probe = recFull
 	if _, err := Run(cfgFull); err != nil {
 		t.Fatal(err)
 	}
 	recHalf := &recorder{}
 	cfgHalf := mk(0.5)
-	cfgHalf.Tracer = recHalf
+	cfgHalf.Probe = recHalf
 	if _, err := Run(cfgHalf); err != nil {
 		t.Fatal(err)
 	}

@@ -108,3 +108,15 @@ func (s *ExecSpec) Ratio(r *rng.RNG, seq int) float64 {
 		panic(fmt.Sprintf("task: unknown exec distribution %q", s.Dist))
 	}
 }
+
+// UniformExec is the single best-case/worst-case ratio of the classic
+// slack-reclamation model as a per-task spec: actual work uniform on
+// [bcRatio·WCET, WCET]. The degenerate ratios 0 and 1 — and anything
+// outside (0, 1) — mean the paper's WCET-exact model and return nil, so
+// attaching the result never turns on stochastic execution by accident.
+func UniformExec(bcRatio float64) *ExecSpec {
+	if !(bcRatio > 0 && bcRatio < 1) {
+		return nil
+	}
+	return &ExecSpec{Dist: DistUniform, BCRatio: bcRatio}
+}

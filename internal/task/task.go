@@ -63,10 +63,10 @@ func (t Task) Utilization() float64 { return t.WCET / t.Period }
 // A job carries two work counters. The *budget* is the declared WCET the
 // scheduler plans with (the paper's wm — eqs. 5–8 all budget worst case).
 // The *actual* work is what execution really takes; the paper's model has
-// actual = WCET, but the slack-reclamation extension (sim.Config.BCWCRatio)
-// draws actual < WCET, and the job then completes early — the scheduler
-// only learns of the windfall at the completion event, as a real system
-// would.
+// actual = WCET, but the slack-reclamation extension (an ExecSpec on the
+// task) draws actual < WCET, and the job then completes early — the
+// scheduler only learns of the windfall at the completion event, as a real
+// system would.
 type Job struct {
 	TaskID  int
 	Seq     int     // instance number within the task, from 0

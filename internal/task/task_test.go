@@ -167,3 +167,20 @@ func TestSlackArithmeticProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// UniformExec attaches a draw only for a ratio strictly inside (0, 1);
+// the degenerate and out-of-range ratios mean WCET-exact.
+func TestUniformExec(t *testing.T) {
+	for _, r := range []float64{0, 1, -0.1, 1.5, math.NaN()} {
+		if s := UniformExec(r); s != nil {
+			t.Errorf("UniformExec(%v) = %+v, want nil", r, s)
+		}
+	}
+	s := UniformExec(0.3)
+	if s == nil || s.Dist != DistUniform || s.BCRatio != 0.3 {
+		t.Fatalf("UniformExec(0.3) = %+v", s)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

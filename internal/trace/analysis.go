@@ -5,7 +5,7 @@ import (
 	"math"
 	"sort"
 
-	"github.com/eadvfs/eadvfs/internal/sim"
+	"github.com/eadvfs/eadvfs/internal/obs"
 )
 
 // TaskActivity summarizes a task's schedule as recorded: execution share,
@@ -49,7 +49,7 @@ func (r *Recorder) Activity() []TaskActivity {
 		return a
 	}
 	for _, s := range r.Segments {
-		if s.Mode != sim.ModeRun || s.TaskID < 0 {
+		if s.Mode != modeRun || s.TaskID < 0 {
 			continue
 		}
 		a := get(s.TaskID)
@@ -60,12 +60,12 @@ func (r *Recorder) Activity() []TaskActivity {
 	// Pair completions with arrivals per (task, seq).
 	arrivals := map[[2]int]float64{}
 	for _, e := range r.Events {
-		if e.Kind == "arrival" {
+		if e.Kind == obs.KindArrival {
 			arrivals[[2]int{e.TaskID, e.JobSeq}] = e.Time
 		}
 	}
 	for _, e := range r.Events {
-		if e.Kind != "completion" {
+		if e.Kind != obs.KindCompletion {
 			continue
 		}
 		if at, ok := arrivals[[2]int{e.TaskID, e.JobSeq}]; ok {

@@ -80,7 +80,7 @@ func TestActivityFragmentsUnderPreemption(t *testing.T) {
 		Store:     storage.New(1e6, 1e5),
 		CPU:       cpu.XScale(),
 		Policy:    nil,
-		Tracer:    rec,
+		Probe:     rec,
 	}
 	cfg.Policy = edfPolicy()
 	if _, err := sim.Run(cfg); err != nil {

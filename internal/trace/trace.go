@@ -1,6 +1,7 @@
-// Package trace records a simulation schedule — the run/idle/stall
+// Package trace records a simulation schedule — the run/idle/stall/sleep
 // segments and the point events — and renders it as an ASCII Gantt chart
-// or CSV. It implements sim.Tracer and exists to make small scenarios (the
+// or CSV. Its Recorder is an obs.Probe consumer, like the JSONL, metrics
+// and flight-recorder sinks, and exists to make small scenarios (the
 // paper's Figures 1 and 3) inspectable end to end.
 package trace
 
@@ -9,28 +10,30 @@ import (
 	"math"
 	"strings"
 
-	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/task"
+	"github.com/eadvfs/eadvfs/internal/obs"
 )
 
 // Segment is a maximal interval of constant processor activity.
 type Segment struct {
 	Start, End float64
-	Mode       sim.Mode
-	TaskID     int // -1 when no job is attached
+	Mode       string // "run", "idle", "stall" or "sleep" (sim.Mode names)
+	TaskID     int    // -1 when no job is attached
 	JobSeq     int
 	Level      int
 }
 
-// Event is a point occurrence: arrival, completion, miss, stall.
+// Event is a point occurrence: arrival, completion, early completion,
+// miss or stall.
 type Event struct {
 	Time   float64
-	Kind   string
+	Kind   obs.EventKind
 	TaskID int
 	JobSeq int
 }
 
-// Recorder accumulates segments and events during a run.
+// Recorder accumulates segments and events during a run. It is an
+// obs.Probe: attach it as sim.Config.Probe (or inside obs.Multi). One
+// recorder observes one run and is not safe for concurrent use.
 type Recorder struct {
 	Segments []Segment
 	Events   []Event
@@ -39,33 +42,41 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// OnSegment implements sim.Tracer.
-func (r *Recorder) OnSegment(start, end float64, mode sim.Mode, j *task.Job, level int) {
-	id, seq := -1, -1
-	if j != nil {
-		id, seq = j.TaskID, j.Seq
+// OnEvent implements obs.Probe. Segments are coalesced with their
+// predecessor when the activity is unchanged; arrivals, completions,
+// early completions, misses and stalls are kept as point events;
+// dispatch, fault and invariant events are dropped.
+func (r *Recorder) OnEvent(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindSegment:
+		r.addSegment(ev)
+	case obs.KindArrival, obs.KindCompletion, obs.KindEarlyCompletion, obs.KindMiss, obs.KindStall:
+		r.Events = append(r.Events, Event{Time: ev.Time, Kind: ev.Kind, TaskID: ev.TaskID, JobSeq: ev.Seq})
 	}
-	// Coalesce with the previous segment when activity is unchanged.
+}
+
+// OnDecision implements obs.Probe; decision audits are not part of the
+// schedule.
+func (r *Recorder) OnDecision(obs.DecisionRecord) {}
+
+func (r *Recorder) addSegment(ev obs.Event) {
 	if n := len(r.Segments); n > 0 {
 		last := &r.Segments[n-1]
-		if last.Mode == mode && last.TaskID == id && last.JobSeq == seq &&
-			(mode != sim.ModeRun || last.Level == level) &&
-			math.Abs(last.End-start) < 1e-9 {
-			last.End = end
+		if last.Mode == ev.Mode && last.TaskID == ev.TaskID && last.JobSeq == ev.Seq &&
+			(ev.Mode != modeRun || last.Level == ev.Level) &&
+			math.Abs(last.End-ev.Start) < 1e-9 {
+			last.End = ev.Time
 			return
 		}
 	}
-	r.Segments = append(r.Segments, Segment{Start: start, End: end, Mode: mode, TaskID: id, JobSeq: seq, Level: level})
+	r.Segments = append(r.Segments, Segment{
+		Start: ev.Start, End: ev.Time, Mode: ev.Mode,
+		TaskID: ev.TaskID, JobSeq: ev.Seq, Level: ev.Level,
+	})
 }
 
-// OnEvent implements sim.Tracer.
-func (r *Recorder) OnEvent(t float64, kind string, j *task.Job) {
-	id, seq := -1, -1
-	if j != nil {
-		id, seq = j.TaskID, j.Seq
-	}
-	r.Events = append(r.Events, Event{Time: t, Kind: kind, TaskID: id, JobSeq: seq})
-}
+// modeRun is the segment mode of execution (sim.ModeRun's name).
+const modeRun = "run"
 
 // Gantt renders the schedule as one row per task plus an activity row,
 // width columns spanning [0, horizon]. Run segments print the operating
@@ -110,7 +121,7 @@ func (r *Recorder) Gantt(horizon float64, width int) string {
 				continue
 			}
 			mark := byte('!')
-			if s.Mode == sim.ModeRun {
+			if s.Mode == modeRun {
 				mark = byte('0' + s.Level%10)
 			}
 			for c := col(s.Start); c <= col(s.End-1e-12) && c < width; c++ {
@@ -124,13 +135,13 @@ func (r *Recorder) Gantt(horizon float64, width int) string {
 			}
 			c := col(e.Time)
 			switch e.Kind {
-			case "arrival":
+			case obs.KindArrival:
 				if row[c] == '.' {
 					row[c] = '^'
 				}
-			case "completion":
+			case obs.KindCompletion:
 				row[c] = 'v'
-			case "miss":
+			case obs.KindMiss:
 				row[c] = 'X'
 			}
 		}
@@ -156,7 +167,7 @@ func (r *Recorder) CSV() string {
 func (r *Recorder) BusyTime() float64 {
 	total := 0.0
 	for _, s := range r.Segments {
-		if s.Mode == sim.ModeRun {
+		if s.Mode == modeRun {
 			total += s.End - s.Start
 		}
 	}
@@ -167,7 +178,7 @@ func (r *Recorder) BusyTime() float64 {
 func (r *Recorder) MissCount() int {
 	n := 0
 	for _, e := range r.Events {
-		if e.Kind == "miss" {
+		if e.Kind == obs.KindMiss {
 			n++
 		}
 	}

@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
+	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/sim"
 	"github.com/eadvfs/eadvfs/internal/storage"
@@ -28,7 +30,7 @@ func runTraced(t *testing.T, policy sched.Policy) (*Recorder, *sim.Result) {
 		Store:     storage.New(1e6, 24),
 		CPU:       cpu.TwoSpeed(8),
 		Policy:    policy,
-		Tracer:    rec,
+		Probe:     rec,
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {
@@ -43,7 +45,7 @@ func TestRecorderCoalesces(t *testing.T) {
 	// task must be contiguous single segments, not per-unit fragments.
 	runs := 0
 	for _, s := range rec.Segments {
-		if s.Mode == sim.ModeRun {
+		if s.Mode == sim.ModeRun.String() {
 			runs++
 			if s.End <= s.Start {
 				t.Fatalf("degenerate segment %+v", s)
@@ -77,6 +79,53 @@ func TestRecorderEvents(t *testing.T) {
 	}
 	if rec.MissCount() != res.Miss.Missed {
 		t.Fatalf("trace misses %d != result %d", rec.MissCount(), res.Miss.Missed)
+	}
+}
+
+// The recorder keeps exactly the schedule: segments (coalesced) and the
+// arrival, completion, early-completion, miss and stall points. Dispatch,
+// fault and invariant events and decision audits are dropped.
+func TestRecorderFiltersProbeStream(t *testing.T) {
+	rec := NewRecorder()
+	var p obs.Probe = rec
+	p.OnDecision(obs.DecisionRecord{Time: 0, TaskID: 1, Reason: obs.ReasonIdleRecharge})
+	for _, ev := range []obs.Event{
+		{Time: 0, Kind: obs.KindArrival, TaskID: 1, Seq: 0},
+		{Time: 0, Kind: obs.KindDispatch, TaskID: 1, Seq: 0, Level: 2},
+		{Time: 1, Kind: obs.KindSegment, TaskID: 1, Seq: 0, Start: 0, Mode: "run", Level: 2},
+		{Time: 2, Kind: obs.KindSegment, TaskID: 1, Seq: 0, Start: 1, Mode: "run", Level: 2},
+		{Time: 2, Kind: obs.KindFault, TaskID: -1, Seq: -1, Detail: "dvfs-clamp"},
+		{Time: 2, Kind: obs.KindStall, TaskID: 1, Seq: 0},
+		{Time: 3, Kind: obs.KindSegment, TaskID: 1, Seq: 0, Start: 2, Mode: "stall", Level: 2},
+		{Time: 3, Kind: obs.KindInvariant, TaskID: -1, Seq: -1, Detail: "store-bounds"},
+		{Time: 4, Kind: obs.KindCompletion, TaskID: 1, Seq: 0},
+		{Time: 4, Kind: obs.KindEarlyCompletion, TaskID: 1, Seq: 0},
+		{Time: 5, Kind: obs.KindMiss, TaskID: 2, Seq: 3},
+	} {
+		p.OnEvent(ev)
+	}
+	wantSegs := []Segment{
+		{Start: 0, End: 2, Mode: "run", TaskID: 1, JobSeq: 0, Level: 2},
+		{Start: 2, End: 3, Mode: "stall", TaskID: 1, JobSeq: 0, Level: 2},
+	}
+	if len(rec.Segments) != len(wantSegs) {
+		t.Fatalf("segments = %+v, want %+v", rec.Segments, wantSegs)
+	}
+	for i := range wantSegs {
+		if rec.Segments[i] != wantSegs[i] {
+			t.Fatalf("segment %d = %+v, want %+v", i, rec.Segments[i], wantSegs[i])
+		}
+	}
+	var kinds []obs.EventKind
+	for _, e := range rec.Events {
+		kinds = append(kinds, e.Kind)
+	}
+	want := []obs.EventKind{obs.KindArrival, obs.KindStall, obs.KindCompletion, obs.KindEarlyCompletion, obs.KindMiss}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("event kinds = %v, want %v", kinds, want)
+	}
+	if last := rec.Events[len(rec.Events)-1]; last.TaskID != 2 || last.JobSeq != 3 {
+		t.Fatalf("miss event = %+v, want task 2 job 3", last)
 	}
 }
 

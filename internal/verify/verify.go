@@ -110,6 +110,10 @@ type Spec struct {
 	Capacity    float64 `json:"capacity"`
 	InitialFrac float64 `json:"initial_frac"`
 
+	// BCWCRatio is the run-wide best-case/worst-case execution-time
+	// ratio: a value in (0, 1) gives every task without its own
+	// ExecSpec the uniform draw task.UniformExec(BCWCRatio); 0 and 1
+	// keep jobs WCET-exact. ExecSeed seeds all actual-work draws.
 	BCWCRatio float64 `json:"bcwc_ratio,omitempty"`
 	ExecSeed  uint64  `json:"exec_seed,omitempty"`
 
@@ -269,6 +273,10 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 	if s.InitialFrac < 0 || s.InitialFrac > 1 || math.IsNaN(s.InitialFrac) {
 		return nil, nil, fmt.Errorf("verify: initial_frac %v outside [0,1]", s.InitialFrac)
 	}
+	if s.BCWCRatio < 0 || s.BCWCRatio > 1 || math.IsNaN(s.BCWCRatio) {
+		return nil, nil, fmt.Errorf("verify: bcwc_ratio %v outside [0,1]", s.BCWCRatio)
+	}
+	uniform := task.UniformExec(s.BCWCRatio)
 	build := func(isRef bool) (*sim.Config, error) {
 		src, err := s.Source.Build()
 		if err != nil {
@@ -297,6 +305,11 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 		}
 		tasks := make([]task.Task, len(s.Tasks))
 		copy(tasks, s.Tasks)
+		for i := range tasks {
+			if tasks[i].Exec == nil {
+				tasks[i].Exec = uniform
+			}
+		}
 		return &sim.Config{
 			Horizon:               s.Horizon,
 			Tasks:                 tasks,
@@ -306,7 +319,6 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 			CPU:                   cpuFor(s),
 			Policy:                pol,
 			ContinueAfterDeadline: s.ContinueAfterDeadline,
-			BCWCRatio:             s.BCWCRatio,
 			ExecSeed:              s.ExecSeed,
 			RecordEnergy:          true,
 			Faults:                s.faults(),

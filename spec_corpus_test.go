@@ -216,8 +216,8 @@ func TestSpecCorpusServiceCacheWarm(t *testing.T) {
 // service must produce a response whose digest matches the committed
 // golden — the simulated results themselves, not just the cache keys,
 // are byte-stable across releases. The stochastic-execution subsystem
-// rides behind strictly opt-in members (BCWCRatio, task_model,
-// task_params, sleep), so no corpus document may ever move.
+// rides behind strictly opt-in members (task_model, task_params, sleep),
+// so no corpus document may ever move.
 // -update regenerates testdata/specs/results.golden.
 func TestSpecCorpusGoldenResults(t *testing.T) {
 	srv := httptest.NewServer(service.New(service.Options{Workers: 2}).Handler())
