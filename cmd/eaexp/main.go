@@ -59,6 +59,7 @@ import (
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/plot"
 	"github.com/eadvfs/eadvfs/internal/profiling"
+	"github.com/eadvfs/eadvfs/internal/registry"
 )
 
 func main() {
@@ -357,7 +358,7 @@ func main() {
 		// Every registered predictor, enumerated rather than hardcoded: a
 		// freshly registered predictor joins the sensitivity sweep for free.
 		res, err := experiment.PredictorSweep(spec,
-			experiment.PredictorNames(),
+			registry.PredictorNames(),
 			[]string{"lsa", "ea-dvfs"})
 		if err != nil {
 			return err

@@ -176,7 +176,7 @@ func main() {
 		}
 	}
 	if reg != nil {
-		recordRunMetrics(reg, res)
+		reg.RecordRun(runOutcome(res))
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			fatal(err)
@@ -228,23 +228,20 @@ func validateEvents(path string) {
 	fmt.Printf("%s: %d lines, schema v%d OK\n", path, n, obs.JSONLSchemaVersion)
 }
 
-// recordRunMetrics tallies the run's aggregate outcome into the registry,
-// using the same eadvfs_run_* series the experiment harness exports
-// (experiment.RecordRunMetrics), so dashboards work on either.
-func recordRunMetrics(reg *obs.Registry, res *eadvfs.Result) {
-	reg.Counter("eadvfs_runs_total", "completed simulation runs").Inc()
-	const jobsHelp = "jobs by outcome across runs"
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "released"), jobsHelp).Add(float64(res.Released))
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "finished"), jobsHelp).Add(float64(res.Finished))
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "missed"), jobsHelp).Add(float64(res.Missed))
-	const timeHelp = "simulated time by processor mode across runs"
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "busy"), timeHelp).Add(res.BusyTime)
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "idle"), timeHelp).Add(res.IdleTime)
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "stall"), timeHelp).Add(res.StallTime)
-	reg.Counter("eadvfs_run_cpu_energy_total", "energy delivered to the processor across runs").Add(res.CPUEnergy)
-	reg.Summary("eadvfs_run_miss_rate", "per-run deadline miss rate").Observe(res.MissRate)
-	if res.Degradation != (eadvfs.Degradation{}) {
-		reg.Counter("eadvfs_run_degraded_total", "runs with any fault-induced degradation").Inc()
+// runOutcome is the run's aggregate outcome in the form the eadvfs_run_*
+// recorder (obs.Registry.RecordRun) takes — the series the experiment
+// harness exports too, so dashboards work on either.
+func runOutcome(res *eadvfs.Result) obs.RunOutcome {
+	return obs.RunOutcome{
+		Released:  res.Released,
+		Finished:  res.Finished,
+		Missed:    res.Missed,
+		MissRate:  res.MissRate,
+		BusyTime:  res.BusyTime,
+		IdleTime:  res.IdleTime,
+		StallTime: res.StallTime,
+		CPUEnergy: res.CPUEnergy,
+		Degraded:  res.Degradation != (eadvfs.Degradation{}),
 	}
 }
 

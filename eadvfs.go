@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
@@ -261,15 +262,18 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 		return nil, fmt.Errorf("eadvfs: unsupported schema version %d (max %d)", cfg.Schema, spec.Current)
 	}
 
-	proc := cpu.XScaleScaled(cfg.PMax)
-	if cfg.Sleep != "" {
-		idle, states, err := cpu.SleepPreset(cfg.Sleep, proc.MaxPower())
-		if err != nil {
-			return nil, fmt.Errorf("eadvfs: %w", err)
-		}
-		if idle > 0 || len(states) > 0 {
-			proc = proc.WithDPM(idle, states)
-		}
+	switch {
+	case !(cfg.PMax > 0) || math.IsInf(cfg.PMax, 0):
+		return nil, fmt.Errorf("eadvfs: PMax %v must be positive and finite", cfg.PMax)
+	case !(cfg.Capacity > 0) || math.IsInf(cfg.Capacity, 0):
+		return nil, fmt.Errorf("eadvfs: Capacity %v must be positive and finite", cfg.Capacity)
+	case cfg.InitialEnergy != nil && math.IsNaN(*cfg.InitialEnergy):
+		return nil, errors.New("eadvfs: InitialEnergy is NaN")
+	}
+
+	proc, err := cpu.XScaleScaled(cfg.PMax).WithSleepPreset(cfg.Sleep)
+	if err != nil {
+		return nil, fmt.Errorf("eadvfs: %w", err)
 	}
 
 	// Resolve the energy source through the scenario registry: the

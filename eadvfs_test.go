@@ -2,6 +2,7 @@ package eadvfs
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -109,19 +110,36 @@ func TestRunHarvestTrace(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	neg := -1.0
 	h := 1.0
-	cases := []Config{
-		{Policy: "bogus"},
-		{Predictor: "bogus"},
-		{ConstantHarvest: &neg},
-		{HarvestTrace: []float64{-1}},
-		{ConstantHarvest: &h, HarvestTrace: []float64{1}},
-		{InitialEnergy: f64(5000), Capacity: 10},
-		{Tasks: []Task{{Period: -1, WCET: 1}}},
-		{Tasks: []Task{{Period: 10, Deadline: 2, WCET: 5}}},
+	nan := math.NaN()
+	cases := []struct {
+		cfg   Config
+		field string // the field the error must name, when set
+	}{
+		{Config{Policy: "bogus"}, ""},
+		{Config{Predictor: "bogus"}, ""},
+		{Config{ConstantHarvest: &neg}, ""},
+		{Config{HarvestTrace: []float64{-1}}, ""},
+		{Config{ConstantHarvest: &h, HarvestTrace: []float64{1}}, ""},
+		{Config{InitialEnergy: f64(5000), Capacity: 10}, ""},
+		{Config{Tasks: []Task{{Period: -1, WCET: 1}}}, ""},
+		{Config{Tasks: []Task{{Period: 10, Deadline: 2, WCET: 5}}}, ""},
+		// Platform and store parameters are rejected up front, naming
+		// the field, rather than panicking in a constructor.
+		{Config{PMax: -1}, "PMax"},
+		{Config{PMax: nan}, "PMax"},
+		{Config{PMax: math.Inf(1)}, "PMax"},
+		{Config{Capacity: -5}, "Capacity"},
+		{Config{Capacity: nan}, "Capacity"},
+		{Config{Capacity: math.Inf(1)}, "Capacity"},
+		{Config{InitialEnergy: &nan}, "InitialEnergy"},
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
+	for i, tc := range cases {
+		_, err := Run(tc.cfg)
+		if err == nil {
 			t.Fatalf("bad config %d accepted", i)
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad config %d: error %q does not name %s", i, err, tc.field)
 		}
 	}
 }

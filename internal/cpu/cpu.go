@@ -443,15 +443,24 @@ func SleepPreset(name string, pmax float64) (idle float64, states []SleepState, 
 // sleep ablations against a worker build without guessing names.
 func SleepPresetNames() []string { return []string{"none", "default"} }
 
-// WithDPM returns a copy of the processor with the given idle power and
-// sleep states attached, revalidated through New. The preset constructors
+// WithSleepPreset returns the processor with the named DPM configuration
+// (SleepPreset) attached: a copy carrying the preset's idle power and
+// sleep states, revalidated through New, or c itself when the preset
+// names no sleep machinery ("", "none"). The preset constructors
 // (XScale, TwoSpeed, …) build their operating-point tables without
-// options; this is how the wire layers (verify.Spec.Sleep,
-// eadvfs.Config.Sleep) bolt a SleepPreset configuration onto one of them
-// after the fact. Switch overheads carry over unchanged.
-func (c *Processor) WithDPM(idle float64, states []SleepState) *Processor {
+// options; this is how the wire layers (eadvfs.Config.Sleep,
+// experiment.Spec.Sleep, verify.Spec.Sleep) bolt a preset onto one of
+// them after the fact. Switch overheads carry over unchanged.
+func (c *Processor) WithSleepPreset(name string) (*Processor, error) {
+	idle, states, err := SleepPreset(name, c.MaxPower())
+	if err != nil {
+		return nil, err
+	}
+	if idle == 0 && len(states) == 0 {
+		return c, nil
+	}
 	return New(c.name, c.points,
 		WithIdlePower(idle),
 		WithSwitchOverhead(c.switchTime, c.switchEnergy),
-		WithSleepStates(states...))
+		WithSleepStates(states...)), nil
 }

@@ -47,29 +47,17 @@ func tallyDegraded(res *sim.Result) {
 func (s Spec) recordRun(res *sim.Result) {
 	tallyDegraded(res)
 	if s.Metrics != nil && res != nil {
-		RecordRunMetrics(s.Metrics, res)
-	}
-}
-
-// RecordRunMetrics tallies one run's outcome into the registry under the
-// eadvfs_run_* namespace: job outcomes, the busy/idle/stall time split,
-// delivered CPU energy, and a per-run miss-rate summary. Counters
-// accumulate across runs, so after a sweep the registry holds the sweep
-// totals.
-func RecordRunMetrics(reg *obs.Registry, res *sim.Result) {
-	reg.Counter("eadvfs_runs_total", "completed simulation runs").Inc()
-	const jobsHelp = "jobs by outcome across runs"
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "released"), jobsHelp).Add(float64(res.Miss.Released))
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "finished"), jobsHelp).Add(float64(res.Miss.Finished))
-	reg.Counter(obs.Labeled("eadvfs_run_jobs_total", "outcome", "missed"), jobsHelp).Add(float64(res.Miss.Missed))
-	const timeHelp = "simulated time by processor mode across runs"
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "busy"), timeHelp).Add(res.BusyTime)
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "idle"), timeHelp).Add(res.IdleTime)
-	reg.Counter(obs.Labeled("eadvfs_run_time_total", "mode", "stall"), timeHelp).Add(res.StallTime)
-	reg.Counter("eadvfs_run_cpu_energy_total", "energy delivered to the processor across runs").Add(res.CPUEnergy)
-	reg.Summary("eadvfs_run_miss_rate", "per-run deadline miss rate").Observe(res.Miss.Rate())
-	if res.Degradation.Any() {
-		reg.Counter("eadvfs_run_degraded_total", "runs with any fault-induced degradation").Inc()
+		s.Metrics.RecordRun(obs.RunOutcome{
+			Released:  res.Miss.Released,
+			Finished:  res.Miss.Finished,
+			Missed:    res.Miss.Missed,
+			MissRate:  res.Miss.Rate(),
+			BusyTime:  res.BusyTime,
+			IdleTime:  res.IdleTime,
+			StallTime: res.StallTime,
+			CPUEnergy: res.CPUEnergy,
+			Degraded:  res.Degradation.Any(),
+		})
 	}
 }
 
@@ -117,13 +105,6 @@ func PolicyParams(name string, params map[string]any, s Spec) (PolicyFactory, er
 	return PolicyFactory(f), nil
 }
 
-// PolicyNames lists the registered policy names in registration order.
-func PolicyNames() []string { return registry.PolicyNames() }
-
-// PredictorNames lists the registered predictor names in registration
-// order.
-func PredictorNames() []string { return registry.PredictorNames() }
-
 // Policies resolves a list of policy names via PolicyFor — the plural form
 // callers of RunBatch and NewMinCapacitySearcher need.
 func (s Spec) Policies(names []string) ([]PolicyFactory, error) {
@@ -152,21 +133,7 @@ func (s Spec) PolicyFor(name string) (PolicyFactory, error) {
 // default parameters ("" aliases "ewma"); see internal/registry for the
 // catalog.
 func Predictor(name string) (PredictorFactory, error) {
-	return PredictorParams(name, nil)
-}
-
-// PredictorParams resolves a registered predictor with explicit
-// parameters, validated against the registration's schema.
-func PredictorParams(name string, params map[string]any) (PredictorFactory, error) {
-	def, err := registry.Predictor(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := def.Factory(registry.Params(params))
-	if err != nil {
-		return nil, err
-	}
-	return PredictorFactory(f), nil
+	return Spec{}.PredictorFor(name)
 }
 
 // Spec holds the §5.1 simulation parameters.
@@ -214,7 +181,7 @@ type Spec struct {
 	Probe obs.Probe `json:"-"`
 
 	// Metrics, when non-nil, additionally receives per-run aggregate
-	// series (RecordRunMetrics) from every finished run. Registry handles
+	// series (obs.Registry.RecordRun) from every finished run. Registry handles
 	// are concurrency-safe, so one registry serves all workers. Excluded
 	// from serialization for the same reason as Probe.
 	Metrics *obs.Registry `json:"-"`
@@ -234,13 +201,9 @@ type Spec struct {
 // Validate rejects unknown preset names before any run, so resolution
 // here cannot fail.
 func (s Spec) Processor() *cpu.Processor {
-	p := cpu.XScaleScaled(s.PMax)
-	idle, states, err := cpu.SleepPreset(s.Sleep, p.MaxPower())
+	p, err := cpu.XScaleScaled(s.PMax).WithSleepPreset(s.Sleep)
 	if err != nil {
 		panic(err)
-	}
-	if idle > 0 || len(states) > 0 {
-		p = p.WithDPM(idle, states)
 	}
 	return p
 }
@@ -304,21 +267,22 @@ func (s Spec) Validate() error {
 }
 
 // PredictorFor resolves a predictor name with the spec's smoothing factor
-// applied. With PredictorAlpha zero it is exactly Predictor; otherwise
-// the override must name a predictor whose schema declares an "alpha"
-// parameter.
+// applied. With PredictorAlpha zero the registered defaults stand;
+// otherwise the override must name a predictor whose schema declares an
+// "alpha" parameter.
 func (s Spec) PredictorFor(name string) (PredictorFactory, error) {
-	if s.PredictorAlpha == 0 {
-		return Predictor(name)
-	}
 	def, err := registry.Predictor(name)
 	if err != nil {
 		return nil, err
 	}
-	if !def.HasParam("alpha") {
-		return nil, fmt.Errorf("experiment: predictor %q has no smoothing factor to override", def.Name)
+	var p registry.Params
+	if s.PredictorAlpha != 0 {
+		if !def.HasParam("alpha") {
+			return nil, fmt.Errorf("experiment: predictor %q has no smoothing factor to override", def.Name)
+		}
+		p = registry.Params{"alpha": s.PredictorAlpha}
 	}
-	f, err := def.Factory(registry.Params{"alpha": s.PredictorAlpha})
+	f, err := def.Factory(p)
 	if err != nil {
 		return nil, err
 	}

@@ -359,3 +359,36 @@ func (p *MetricsProbe) OnDecision(d DecisionRecord) {
 		p.speed.Observe(d.Speed)
 	}
 }
+
+// RunOutcome is one simulation run's aggregate outcome as the
+// eadvfs_run_* series record it. The experiment harness fills it from a
+// sim.Result, the facade's callers (easerve, easim) from an
+// eadvfs.Result, so dashboards work on either source.
+type RunOutcome struct {
+	Released, Finished, Missed    int
+	MissRate                      float64
+	BusyTime, IdleTime, StallTime float64
+	CPUEnergy                     float64
+	Degraded                      bool // any fault-induced degradation
+}
+
+// RecordRun tallies one run's outcome under the eadvfs_run_* namespace:
+// job outcomes, the busy/idle/stall time split, delivered CPU energy,
+// and a per-run miss-rate summary. Counters accumulate across runs, so
+// after a sweep the registry holds the sweep totals.
+func (r *Registry) RecordRun(o RunOutcome) {
+	r.Counter("eadvfs_runs_total", "completed simulation runs").Inc()
+	const jobsHelp = "jobs by outcome across runs"
+	r.Counter(Labeled("eadvfs_run_jobs_total", "outcome", "released"), jobsHelp).Add(float64(o.Released))
+	r.Counter(Labeled("eadvfs_run_jobs_total", "outcome", "finished"), jobsHelp).Add(float64(o.Finished))
+	r.Counter(Labeled("eadvfs_run_jobs_total", "outcome", "missed"), jobsHelp).Add(float64(o.Missed))
+	const timeHelp = "simulated time by processor mode across runs"
+	r.Counter(Labeled("eadvfs_run_time_total", "mode", "busy"), timeHelp).Add(o.BusyTime)
+	r.Counter(Labeled("eadvfs_run_time_total", "mode", "idle"), timeHelp).Add(o.IdleTime)
+	r.Counter(Labeled("eadvfs_run_time_total", "mode", "stall"), timeHelp).Add(o.StallTime)
+	r.Counter("eadvfs_run_cpu_energy_total", "energy delivered to the processor across runs").Add(o.CPUEnergy)
+	r.Summary("eadvfs_run_miss_rate", "per-run deadline miss rate").Observe(o.MissRate)
+	if o.Degraded {
+		r.Counter("eadvfs_run_degraded_total", "runs with any fault-induced degradation").Inc()
+	}
+}

@@ -30,33 +30,14 @@ type Capabilities struct {
 	SleepPresets []string `json:"sleep_presets"`
 }
 
-func capOf(name, help string, params []Param) Capability {
-	return Capability{Name: name, Help: help, Params: params}
-}
-
 // Snapshot captures the current registry as a Capabilities document.
 func Snapshot() Capabilities {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := Capabilities{
+	return Capabilities{
 		Schema:       spec.Current,
-		Policies:     make([]Capability, 0, len(reg.policies)),
-		Sources:      make([]Capability, 0, len(reg.sources)),
-		Predictors:   make([]Capability, 0, len(reg.predictors)),
-		TaskModels:   make([]Capability, 0, len(reg.taskModels)),
+		Policies:     policies.capabilities(),
+		Sources:      sources.capabilities(),
+		Predictors:   predictors.capabilities(),
+		TaskModels:   taskModels.capabilities(),
 		SleepPresets: cpu.SleepPresetNames(),
 	}
-	for _, d := range reg.policies {
-		out.Policies = append(out.Policies, capOf(d.Name, d.Help, d.Params))
-	}
-	for _, d := range reg.sources {
-		out.Sources = append(out.Sources, capOf(d.Name, d.Help, d.Params))
-	}
-	for _, d := range reg.predictors {
-		out.Predictors = append(out.Predictors, capOf(d.Name, d.Help, d.Params))
-	}
-	for _, d := range reg.taskModels {
-		out.TaskModels = append(out.TaskModels, capOf(d.Name, d.Help, d.Params))
-	}
-	return out
 }

@@ -363,25 +363,13 @@ func (d PolicyDef) Factory(p Params) (func() sched.Policy, error) {
 	}, nil
 }
 
-// RefFactory is Factory for the reference-engine side: Ref when present,
-// the optimized constructor otherwise.
+// RefFactory is Factory for the reference-engine side: Factory's path
+// run on Ref when present, on the optimized constructor otherwise.
 func (d PolicyDef) RefFactory(p Params) (func() sched.Policy, error) {
-	if d.Ref == nil {
-		return d.Factory(p)
+	if d.Ref != nil {
+		d.New = d.Ref
 	}
-	if err := ValidateParams(KindPolicy, d.Name, d.Params, p); err != nil {
-		return nil, err
-	}
-	if _, err := d.Ref(p); err != nil {
-		return nil, err
-	}
-	return func() sched.Policy {
-		pol, err := d.Ref(p)
-		if err != nil {
-			panic(fmt.Sprintf("registry: policy %q reference constructor failed after validation: %v", d.Name, err))
-		}
-		return pol
-	}, nil
+	return d.Factory(p)
 }
 
 // SourceDef registers an energy source kind. New builds a fresh instance
@@ -426,16 +414,13 @@ func (d PredictorDef) Factory(p Params) (PredictorFactory, error) {
 	return d.New(p)
 }
 
-// RefFactory is Factory for the reference-engine side: Ref when present,
-// the optimized constructor otherwise.
+// RefFactory is Factory for the reference-engine side: Factory's path
+// run on Ref when present, on the optimized constructor otherwise.
 func (d PredictorDef) RefFactory(p Params) (PredictorFactory, error) {
-	if d.Ref == nil {
-		return d.Factory(p)
+	if d.Ref != nil {
+		d.New = d.Ref
 	}
-	if err := ValidateParams(KindPredictor, d.Name, d.Params, p); err != nil {
-		return nil, err
-	}
-	return d.Ref(p)
+	return d.Factory(p)
 }
 
 // TaskGen is the contextual material a task model derives a workload
@@ -477,22 +462,96 @@ func hasParam(schema []Param, name string) bool {
 	return false
 }
 
-// The registry proper. Registrations happen at init time (builtin.go and
-// any future scenario packages); lookups happen on every resolution, so
-// reads take the shared lock. Enumeration order is registration order —
-// deterministic because init order is — and is the order capabilities
-// documents and CLI help lists present.
-var reg = struct {
-	mu         sync.RWMutex
-	policies   []PolicyDef
-	sources    []SourceDef
-	predictors []PredictorDef
-	taskModels []TaskModelDef
-}{}
+// entry exposes what the registry table needs of a def: its wire
+// description and its constructor (checked non-nil at registration).
+func (d PolicyDef) entry() (Capability, any)    { return Capability{d.Name, d.Help, d.Params}, d.New }
+func (d SourceDef) entry() (Capability, any)    { return Capability{d.Name, d.Help, d.Params}, d.New }
+func (d PredictorDef) entry() (Capability, any) { return Capability{d.Name, d.Help, d.Params}, d.New }
+func (d TaskModelDef) entry() (Capability, any) {
+	return Capability{d.Name, d.Help, d.Params}, d.Generate
+}
+
+// table is the registry proper for one kind. Registrations happen at
+// init time (builtin.go and any future scenario packages); lookups
+// happen on every resolution, so reads take the shared lock.
+// Enumeration order is registration order — deterministic because init
+// order is — and is the order capabilities documents and CLI help lists
+// present. alias, when set, is the name the empty name resolves to.
+type table[D interface{ entry() (Capability, any) }] struct {
+	kind  Kind
+	alias string
+	mu    sync.RWMutex
+	defs  []D
+}
+
+// The registry's four tables. A new kind is one more table value.
+var (
+	policies   = &table[PolicyDef]{kind: KindPolicy}
+	sources    = &table[SourceDef]{kind: KindSource}
+	predictors = &table[PredictorDef]{kind: KindPredictor, alias: "ewma"}
+	taskModels = &table[TaskModelDef]{kind: KindTaskModel, alias: "periodic"}
+)
+
+// register adds a def, panicking on a duplicate or malformed one.
+func (t *table[D]) register(d D) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ctor := d.entry()
+	_, taken := t.find(c.Name)
+	checkDef(t.kind, c.Name, ctor, c.Params, taken)
+	t.defs = append(t.defs, d)
+}
+
+// find scans for a name; the caller holds the lock.
+func (t *table[D]) find(name string) (D, bool) {
+	for _, d := range t.defs {
+		if c, _ := d.entry(); c.Name == name {
+			return d, true
+		}
+	}
+	var zero D
+	return zero, false
+}
+
+// get resolves a name (the empty name through the alias); a miss is a
+// typed *UnknownError listing the registered names.
+func (t *table[D]) get(name string) (D, error) {
+	if name == "" {
+		name = t.alias
+	}
+	t.mu.RLock()
+	d, ok := t.find(name)
+	t.mu.RUnlock()
+	if !ok {
+		return d, &UnknownError{Kind: t.kind, Name: name, Known: t.names()}
+	}
+	return d, nil
+}
+
+// capabilities returns the wire form of every def in registration order.
+func (t *table[D]) capabilities() []Capability {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]Capability, len(t.defs))
+	for i, d := range t.defs {
+		out[i], _ = d.entry()
+	}
+	return out
+}
+
+// names returns the registered names in registration order.
+func (t *table[D]) names() []string {
+	caps := t.capabilities()
+	out := make([]string, len(caps))
+	for i, c := range caps {
+		out[i] = c.Name
+	}
+	return out
+}
 
 // checkDef panics on malformed registrations: they are programming
 // errors, caught at init in any test run.
-func checkDef(kind Kind, name string, ctor any, schema []Param, taken func(string) bool) {
+func checkDef(kind Kind, name string, ctor any, schema []Param, taken bool) {
 	if name == "" {
 		panic(fmt.Sprintf("registry: Register%s with empty name", kindTitle(kind)))
 	}
@@ -501,7 +560,7 @@ func checkDef(kind Kind, name string, ctor any, schema []Param, taken func(strin
 	if ctor == nil || reflect.ValueOf(ctor).IsNil() {
 		panic(fmt.Sprintf("registry: %s %q registered with nil constructor", kind, name))
 	}
-	if taken(name) {
+	if taken {
 		panic(fmt.Sprintf("registry: duplicate %s registration %q", kind, name))
 	}
 	seen := make(map[string]bool, len(schema))
@@ -543,232 +602,46 @@ func kindTitle(k Kind) string {
 
 // RegisterPolicy adds a scheduling policy to the registry. It panics on a
 // duplicate or malformed registration.
-func RegisterPolicy(def PolicyDef) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	checkDef(KindPolicy, def.Name, def.New, def.Params, func(n string) bool {
-		_, ok := findPolicy(n)
-		return ok
-	})
-	reg.policies = append(reg.policies, def)
-}
+func RegisterPolicy(def PolicyDef) { policies.register(def) }
 
 // RegisterSource adds an energy-source kind to the registry. It panics on
 // a duplicate or malformed registration.
-func RegisterSource(def SourceDef) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	checkDef(KindSource, def.Name, def.New, def.Params, func(n string) bool {
-		_, ok := findSource(n)
-		return ok
-	})
-	reg.sources = append(reg.sources, def)
-}
+func RegisterSource(def SourceDef) { sources.register(def) }
 
 // RegisterPredictor adds a harvest predictor to the registry. It panics
 // on a duplicate or malformed registration.
-func RegisterPredictor(def PredictorDef) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	checkDef(KindPredictor, def.Name, def.New, def.Params, func(n string) bool {
-		_, ok := findPredictor(n)
-		return ok
-	})
-	reg.predictors = append(reg.predictors, def)
-}
+func RegisterPredictor(def PredictorDef) { predictors.register(def) }
 
 // RegisterTaskModel adds a workload generator to the registry. It panics
 // on a duplicate or malformed registration.
-func RegisterTaskModel(def TaskModelDef) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	checkDef(KindTaskModel, def.Name, def.Generate, def.Params, func(n string) bool {
-		_, ok := findTaskModel(n)
-		return ok
-	})
-	reg.taskModels = append(reg.taskModels, def)
-}
-
-func findPolicy(name string) (PolicyDef, bool) {
-	for _, d := range reg.policies {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return PolicyDef{}, false
-}
-
-func findSource(name string) (SourceDef, bool) {
-	for _, d := range reg.sources {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return SourceDef{}, false
-}
-
-func findPredictor(name string) (PredictorDef, bool) {
-	for _, d := range reg.predictors {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return PredictorDef{}, false
-}
-
-func findTaskModel(name string) (TaskModelDef, bool) {
-	for _, d := range reg.taskModels {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return TaskModelDef{}, false
-}
+func RegisterTaskModel(def TaskModelDef) { taskModels.register(def) }
 
 // Policy resolves a registered policy by name; the error is a typed
 // *UnknownError listing the registered names.
-func Policy(name string) (PolicyDef, error) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	if d, ok := findPolicy(name); ok {
-		return d, nil
-	}
-	return PolicyDef{}, &UnknownError{Kind: KindPolicy, Name: name, Known: policyNamesLocked()}
-}
+func Policy(name string) (PolicyDef, error) { return policies.get(name) }
 
 // Source resolves a registered energy-source kind by name.
-func Source(name string) (SourceDef, error) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	if d, ok := findSource(name); ok {
-		return d, nil
-	}
-	return SourceDef{}, &UnknownError{Kind: KindSource, Name: name, Known: sourceNamesLocked()}
-}
+func Source(name string) (SourceDef, error) { return sources.get(name) }
 
 // Predictor resolves a registered predictor by name. The empty name is an
 // alias for "ewma", the paper's default, preserving the leniency every
 // pre-registry resolution path had.
-func Predictor(name string) (PredictorDef, error) {
-	if name == "" {
-		name = "ewma"
-	}
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	if d, ok := findPredictor(name); ok {
-		return d, nil
-	}
-	return PredictorDef{}, &UnknownError{Kind: KindPredictor, Name: name, Known: predictorNamesLocked()}
-}
+func Predictor(name string) (PredictorDef, error) { return predictors.get(name) }
 
 // TaskModel resolves a registered workload generator by name. The empty
 // name is an alias for "periodic", the paper's workload.
-func TaskModel(name string) (TaskModelDef, error) {
-	if name == "" {
-		name = "periodic"
-	}
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	if d, ok := findTaskModel(name); ok {
-		return d, nil
-	}
-	return TaskModelDef{}, &UnknownError{Kind: KindTaskModel, Name: name, Known: taskModelNamesLocked()}
-}
-
-func policyNamesLocked() []string {
-	out := make([]string, len(reg.policies))
-	for i, d := range reg.policies {
-		out[i] = d.Name
-	}
-	return out
-}
-
-func sourceNamesLocked() []string {
-	out := make([]string, len(reg.sources))
-	for i, d := range reg.sources {
-		out[i] = d.Name
-	}
-	return out
-}
-
-func predictorNamesLocked() []string {
-	out := make([]string, len(reg.predictors))
-	for i, d := range reg.predictors {
-		out[i] = d.Name
-	}
-	return out
-}
-
-func taskModelNamesLocked() []string {
-	out := make([]string, len(reg.taskModels))
-	for i, d := range reg.taskModels {
-		out[i] = d.Name
-	}
-	return out
-}
-
-// Policies returns every registered policy in registration order.
-func Policies() []PolicyDef {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]PolicyDef, len(reg.policies))
-	copy(out, reg.policies)
-	return out
-}
-
-// Sources returns every registered source kind in registration order.
-func Sources() []SourceDef {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]SourceDef, len(reg.sources))
-	copy(out, reg.sources)
-	return out
-}
-
-// Predictors returns every registered predictor in registration order.
-func Predictors() []PredictorDef {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]PredictorDef, len(reg.predictors))
-	copy(out, reg.predictors)
-	return out
-}
-
-// TaskModels returns every registered task model in registration order.
-func TaskModels() []TaskModelDef {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]TaskModelDef, len(reg.taskModels))
-	copy(out, reg.taskModels)
-	return out
-}
+func TaskModel(name string) (TaskModelDef, error) { return taskModels.get(name) }
 
 // PolicyNames returns the registered policy names in registration order.
-func PolicyNames() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return policyNamesLocked()
-}
+func PolicyNames() []string { return policies.names() }
 
 // SourceNames returns the registered source kinds in registration order.
-func SourceNames() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return sourceNamesLocked()
-}
+func SourceNames() []string { return sources.names() }
 
 // PredictorNames returns the registered predictor names in registration
 // order.
-func PredictorNames() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return predictorNamesLocked()
-}
+func PredictorNames() []string { return predictors.names() }
 
 // TaskModelNames returns the registered task-model names in registration
 // order.
-func TaskModelNames() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return taskModelNamesLocked()
-}
+func TaskModelNames() []string { return taskModels.names() }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,108 +45,160 @@ func equalPrefix(got, want []string) bool {
 	return true
 }
 
+// lookups are the per-kind resolution surfaces the table-driven tests
+// below sweep: every kind must behave identically through the one
+// generic table.
+var lookups = []struct {
+	kind  Kind
+	get   func(string) error
+	names func() []string
+}{
+	{KindPolicy, func(n string) error { _, err := Policy(n); return err }, PolicyNames},
+	{KindSource, func(n string) error { _, err := Source(n); return err }, SourceNames},
+	{KindPredictor, func(n string) error { _, err := Predictor(n); return err }, PredictorNames},
+	{KindTaskModel, func(n string) error { _, err := TaskModel(n); return err }, TaskModelNames},
+}
+
+// registrars register a def of each kind with the given name and
+// schema, optionally with a nil constructor (New, or Generate for task
+// models). Constructors are borrowed from the built-ins.
+func registrars(t *testing.T) map[Kind]func(name string, nilCtor bool, params []Param) {
+	t.Helper()
+	src, err := Source("solar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := Predictor("ewma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := TaskModel("periodic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPolicy := func(Params) (sched.Policy, error) { return sched.EDF{}, nil }
+	return map[Kind]func(string, bool, []Param){
+		KindPolicy: func(name string, nilCtor bool, ps []Param) {
+			d := PolicyDef{Name: name, Params: ps, New: newPolicy}
+			if nilCtor {
+				d.New = nil
+			}
+			RegisterPolicy(d)
+		},
+		KindSource: func(name string, nilCtor bool, ps []Param) {
+			d := SourceDef{Name: name, Params: ps, New: src.New}
+			if nilCtor {
+				d.New = nil
+			}
+			RegisterSource(d)
+		},
+		KindPredictor: func(name string, nilCtor bool, ps []Param) {
+			d := PredictorDef{Name: name, Params: ps, New: pred.New}
+			if nilCtor {
+				d.New = nil
+			}
+			RegisterPredictor(d)
+		},
+		KindTaskModel: func(name string, nilCtor bool, ps []Param) {
+			d := TaskModelDef{Name: name, Params: ps, Generate: model.Generate}
+			if nilCtor {
+				d.Generate = nil
+			}
+			RegisterTaskModel(d)
+		},
+	}
+}
+
+// mustPanic runs register and fails unless it panics with a string
+// message containing want.
+func mustPanic(t *testing.T, want string, register func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("registration did not panic (want %q)", want)
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			t.Fatalf("panic message %v does not mention %q", r, want)
+		}
+	}()
+	register()
+}
+
 // TestDuplicateRegistrationPanics: a duplicate name is an init-time
 // programming error, every kind.
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	cases := []struct {
-		name     string
-		register func()
-	}{
-		{"policy", func() {
-			RegisterPolicy(PolicyDef{Name: "ea-dvfs",
-				New: func(Params) (sched.Policy, error) { return sched.EDF{}, nil }})
-		}},
-		{"source", func() {
-			RegisterSource(SourceDef{Name: "solar", New: Sources()[0].New})
-		}},
-		{"predictor", func() {
-			RegisterPredictor(PredictorDef{Name: "ewma", New: Predictors()[0].New})
-		}},
-		{"task model", func() {
-			RegisterTaskModel(TaskModelDef{Name: "periodic", Generate: TaskModels()[0].Generate})
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("duplicate %s registration did not panic", tc.name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "duplicate") {
-					t.Fatalf("panic message %v does not mention the duplicate", r)
-				}
-			}()
-			tc.register()
+	reg := registrars(t)
+	builtin := map[Kind]string{KindPolicy: "ea-dvfs", KindSource: "solar", KindPredictor: "ewma", KindTaskModel: "periodic"}
+	for _, l := range lookups {
+		t.Run(string(l.kind), func(t *testing.T) {
+			mustPanic(t, "duplicate", func() { reg[l.kind](builtin[l.kind], false, nil) })
 		})
 	}
 }
 
 // TestMalformedRegistrationPanics: empty names, nil constructors and
-// self-rejecting parameter schemas fail at registration, not at first use.
+// self-rejecting parameter schemas fail at registration, not at first
+// use — every kind.
 func TestMalformedRegistrationPanics(t *testing.T) {
-	newPolicy := func(Params) (sched.Policy, error) { return sched.EDF{}, nil }
+	reg := registrars(t)
+	min := 1.0
 	cases := []struct {
-		name     string
-		register func()
+		name, def, want string
+		nilCtor         bool
+		params          []Param
 	}{
-		{"empty name", func() { RegisterPolicy(PolicyDef{New: newPolicy}) }},
-		{"nil constructor", func() { RegisterPolicy(PolicyDef{Name: "t-nil-ctor"}) }},
-		{"unnamed param", func() {
-			RegisterPolicy(PolicyDef{Name: "t-unnamed-param", New: newPolicy,
-				Params: []Param{{Type: TypeFloat}}})
-		}},
-		{"duplicate param", func() {
-			RegisterPolicy(PolicyDef{Name: "t-dup-param", New: newPolicy,
-				Params: []Param{{Name: "x", Type: TypeFloat}, {Name: "x", Type: TypeFloat}}})
-		}},
-		{"unknown param type", func() {
-			RegisterPolicy(PolicyDef{Name: "t-bad-type", New: newPolicy,
-				Params: []Param{{Name: "x", Type: "complex128"}}})
-		}},
-		{"default violates own schema", func() {
-			min := 1.0
-			RegisterPolicy(PolicyDef{Name: "t-bad-default", New: newPolicy,
-				Params: []Param{{Name: "x", Type: TypeFloat, Default: 0.0, Min: &min}}})
-		}},
+		{"empty name", "", "empty name", false, nil},
+		{"nil constructor", "t-nil-ctor", "nil constructor", true, nil},
+		{"unnamed param", "t-unnamed-param", "no name", false, []Param{{Type: TypeFloat}}},
+		{"duplicate param", "t-dup-param", "twice", false,
+			[]Param{{Name: "x", Type: TypeFloat}, {Name: "x", Type: TypeFloat}}},
+		{"unknown param type", "t-bad-type", "unknown type", false, []Param{{Name: "x", Type: "complex128"}}},
+		{"default violates own schema", "t-bad-default", "default rejected", false,
+			[]Param{{Name: "x", Type: TypeFloat, Default: 0.0, Min: &min}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s registration did not panic", tc.name)
-				}
-			}()
-			tc.register()
+			for _, l := range lookups {
+				t.Run(string(l.kind), func(t *testing.T) {
+					mustPanic(t, tc.want, func() { reg[l.kind](tc.def, tc.nilCtor, tc.params) })
+					if tc.def != "" && l.get(tc.def) == nil {
+						t.Errorf("malformed %s %q was registered", l.kind, tc.def)
+					}
+				})
+			}
 		})
 	}
 }
 
 // TestUnknownLookupError: unknown names yield the typed *UnknownError
-// whose message lists every registered name — the text a client sees in
-// an HTTP 400 body.
+// carrying the kind, the name and the registration-ordered list of
+// registered names — the text a client sees in an HTTP 400 body. Kinds
+// without an alias reject the empty name the same way.
 func TestUnknownLookupError(t *testing.T) {
-	_, err := Policy("no-such-policy")
-	var ue *UnknownError
-	if !errors.As(err, &ue) {
-		t.Fatalf("Policy lookup error is %T, want *UnknownError", err)
-	}
-	if ue.Kind != KindPolicy || ue.Name != "no-such-policy" {
-		t.Errorf("UnknownError fields = %+v", ue)
-	}
-	for _, name := range PolicyNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list registered policy %q", err, name)
+	for _, l := range lookups {
+		names := []string{"no-such-" + strings.ReplaceAll(string(l.kind), " ", "-")}
+		if l.kind == KindPolicy || l.kind == KindSource {
+			names = append(names, "")
 		}
-	}
-	if _, err := Source("no-such-source"); !errors.As(err, &ue) {
-		t.Errorf("Source lookup error is %T, want *UnknownError", err)
-	}
-	if _, err := Predictor("no-such-predictor"); !errors.As(err, &ue) {
-		t.Errorf("Predictor lookup error is %T, want *UnknownError", err)
-	}
-	if _, err := TaskModel("no-such-model"); !errors.As(err, &ue) {
-		t.Errorf("TaskModel lookup error is %T, want *UnknownError", err)
+		for _, name := range names {
+			err := l.get(name)
+			var ue *UnknownError
+			if !errors.As(err, &ue) {
+				t.Fatalf("%s lookup of %q: error is %T, want *UnknownError", l.kind, name, err)
+			}
+			if ue.Kind != l.kind || ue.Name != name {
+				t.Errorf("%s lookup of %q: UnknownError fields = %+v", l.kind, name, ue)
+			}
+			if want := l.names(); !reflect.DeepEqual(ue.Known, want) {
+				t.Errorf("%s lookup of %q: Known = %v, want %v", l.kind, name, ue.Known, want)
+			}
+			for _, known := range ue.Known {
+				if !strings.Contains(err.Error(), known) {
+					t.Errorf("error %q does not list registered %s %q", err, l.kind, known)
+				}
+			}
+		}
 	}
 }
 

@@ -194,6 +194,16 @@ func TestSimRequestErrors(t *testing.T) {
 			`{"kind":"missrate","spec":{"Horizon":500,"Capacities":[300],"Replications":1},"policies":["edf","warp-speed"]}`,
 			[]string{"warp-speed"},
 		},
+		{
+			"negative PMax", "/v1/sim",
+			`{"PMax":-1,"Horizon":100}`,
+			[]string{"PMax", "-1"},
+		},
+		{
+			"negative Capacity", "/v1/sim",
+			`{"Capacity":-5,"Horizon":100}`,
+			[]string{"Capacity", "-5"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

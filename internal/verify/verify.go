@@ -166,30 +166,23 @@ func (b *biasPredictor) Name() string { return b.inner.Name() }
 // policyParams materializes the spec's policy parameters for validation.
 func (s *Spec) policyParams() registry.Params { return registry.Params(s.PolicyParams) }
 
-// optPolicy builds the optimized-engine policy through the registry.
-func (s *Spec) optPolicy() (sched.Policy, error) {
+// policy builds one side's policy through the registry: Factory for the
+// optimized engine; for the reference engine, RefFactory — the
+// registration's Ref (a hand-written naive counterpart in
+// internal/refimpl) when present, the optimized constructor otherwise.
+// The fallback still cross-checks the two engines on a shared policy
+// implementation, so every registered policy gets differential coverage
+// the moment it registers.
+func (s *Spec) policy(ref bool) (sched.Policy, error) {
 	def, err := registry.Policy(s.Policy)
 	if err != nil {
 		return nil, err
 	}
-	f, err := def.Factory(s.policyParams())
-	if err != nil {
-		return nil, err
+	factory := def.Factory
+	if ref {
+		factory = def.RefFactory
 	}
-	return f(), nil
-}
-
-// refPolicy builds the reference-engine policy: the registration's Ref
-// (a hand-written naive counterpart in internal/refimpl) when present,
-// the optimized constructor otherwise — the fallback still cross-checks
-// the two engines on a shared policy implementation, so every
-// registered policy gets differential coverage the moment it registers.
-func (s *Spec) refPolicy() (sched.Policy, error) {
-	def, err := registry.Policy(s.Policy)
-	if err != nil {
-		return nil, err
-	}
-	f, err := def.RefFactory(s.policyParams())
+	f, err := factory(s.policyParams())
 	if err != nil {
 		return nil, err
 	}
@@ -206,24 +199,18 @@ func (s *Spec) predictorParams() registry.Params {
 	return nil
 }
 
-func (s *Spec) optPredictor(src energy.Source) (energy.Predictor, error) {
+// predictor builds one side's predictor through the registry, the way
+// policy builds its policy.
+func (s *Spec) predictor(src energy.Source, ref bool) (energy.Predictor, error) {
 	def, err := registry.Predictor(s.Predictor)
 	if err != nil {
 		return nil, err
 	}
-	f, err := def.Factory(s.predictorParams())
-	if err != nil {
-		return nil, err
+	factory := def.Factory
+	if ref {
+		factory = def.RefFactory
 	}
-	return f(src), nil
-}
-
-func (s *Spec) refPredictor(src energy.Source) (energy.Predictor, error) {
-	def, err := registry.Predictor(s.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	f, err := def.RefFactory(s.predictorParams())
+	f, err := factory(s.predictorParams())
 	if err != nil {
 		return nil, err
 	}
@@ -247,12 +234,9 @@ func cpuFor(s *Spec) *cpu.Processor {
 	default:
 		panic(fmt.Sprintf("verify: unknown cpu preset %q", s.CPU))
 	}
-	idle, states, err := cpu.SleepPreset(s.Sleep, p.MaxPower())
+	p, err := p.WithSleepPreset(s.Sleep)
 	if err != nil {
 		panic(fmt.Sprintf("verify: %v", err))
-	}
-	if idle > 0 || len(states) > 0 {
-		p = p.WithDPM(idle, states)
 	}
 	return p
 }
@@ -282,24 +266,14 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 		if err != nil {
 			return nil, err
 		}
-		var pred energy.Predictor
-		if isRef {
-			pred, err = s.refPredictor(src)
-		} else {
-			pred, err = s.optPredictor(src)
-		}
+		pred, err := s.predictor(src, isRef)
 		if err != nil {
 			return nil, err
 		}
 		if !isRef && s.InjectBias != 0 {
 			pred = &biasPredictor{inner: pred, bias: s.InjectBias, after: s.InjectAfter}
 		}
-		var pol sched.Policy
-		if isRef {
-			pol, err = s.refPolicy()
-		} else {
-			pol, err = s.optPolicy()
-		}
+		pol, err := s.policy(isRef)
 		if err != nil {
 			return nil, err
 		}
