@@ -132,6 +132,9 @@ func TestRunErrors(t *testing.T) {
 		{Config{Capacity: nan}, "Capacity"},
 		{Config{Capacity: math.Inf(1)}, "Capacity"},
 		{Config{InitialEnergy: &nan}, "InitialEnergy"},
+		// A NaN utilization once sent the task generator into unbounded
+		// redraw recursion: a fatal stack overflow recover cannot catch.
+		{Config{Utilization: nan}, "utilization"},
 	}
 	for i, tc := range cases {
 		_, err := Run(tc.cfg)

@@ -234,9 +234,11 @@ func (s Spec) Validate() error {
 	switch {
 	case s.Horizon <= 0:
 		return fmt.Errorf("experiment: horizon %v <= 0", s.Horizon)
+	case math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0):
+		return fmt.Errorf("experiment: horizon %v not finite", s.Horizon)
 	case s.NumTasks <= 0:
 		return fmt.Errorf("experiment: %d tasks", s.NumTasks)
-	case s.Utilization <= 0 || s.Utilization > 1:
+	case !(s.Utilization > 0 && s.Utilization <= 1):
 		return fmt.Errorf("experiment: utilization %v outside (0,1]", s.Utilization)
 	case len(s.Capacities) == 0:
 		return fmt.Errorf("experiment: no capacities")
@@ -244,6 +246,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("experiment: %d replications", s.Replications)
 	case s.PMax <= 0:
 		return fmt.Errorf("experiment: PMax %v <= 0", s.PMax)
+	case math.IsNaN(s.PMax) || math.IsInf(s.PMax, 0):
+		return fmt.Errorf("experiment: PMax %v not finite", s.PMax)
 	}
 	for _, c := range s.Capacities {
 		if c <= 0 || math.IsInf(c, 0) || math.IsNaN(c) {

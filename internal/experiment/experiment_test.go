@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,31 @@ func TestSpecValidate(t *testing.T) {
 		mutate(&s)
 		if s.Validate() == nil {
 			t.Fatalf("bad spec %d accepted", i)
+		}
+	}
+}
+
+// Non-finite parameters fail validation, naming the field, instead of
+// panicking deep in the processor or trace construction.
+func TestSpecValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field  string
+		mutate func(*Spec)
+	}{
+		{"PMax", func(s *Spec) { s.PMax = nan }},
+		{"PMax", func(s *Spec) { s.PMax = inf }},
+		{"PMax", func(s *Spec) { s.PMax = -inf }},
+		{"horizon", func(s *Spec) { s.Horizon = nan }},
+		{"horizon", func(s *Spec) { s.Horizon = inf }},
+		{"utilization", func(s *Spec) { s.Utilization = nan }},
+	}
+	for _, tc := range cases {
+		s := testSpec()
+		tc.mutate(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("want an error naming %s, got %v", tc.field, err)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/eadvfs/eadvfs/internal/digest"
@@ -337,6 +338,7 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, parent obs.Span
 	// hedge's send never blocks after runShard returns.
 	resc := make(chan attemptResult, c.opts.MaxAttempts+1)
 	inflight := make(map[int]bool, 2)
+	var won atomic.Bool // set by the one attempt whose success counts
 	cursor := 0
 
 	finishSpan := func(outcome string) {
@@ -376,7 +378,7 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, parent obs.Span
 			asp.SetInt("try", int64(out.Attempts))
 			asp.SetInt("ring_pos", int64(pos))
 			asp.SetBool("hedge", hedge)
-			go c.attempt(sctx, w, p, asp, resc)
+			go c.attempt(sctx, w, p, asp, &won, resc)
 			return true
 		}
 		return false
@@ -488,12 +490,12 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, parent obs.Span
 
 // attempt posts the shard to one worker, classifies the outcome, feeds
 // the worker's breaker, and reports on resc. A loss to a racing sibling
-// (shard context cancelled) does not penalize the breaker. The attempt
-// span travels into the transport via the context (HTTPTransport turns
-// it into a traceparent header) and is ended here with the outcome; the
-// worker's own spans from the response envelope are forwarded to the
-// trace sink, completing the stitched tree.
-func (c *Coordinator) attempt(sctx context.Context, w int, p shardPlan, span *obs.ActiveSpan, resc chan<- attemptResult) {
+// (shard context cancelled, or won already set) does not penalize the
+// breaker. The attempt span travels into the transport via the context
+// (HTTPTransport turns it into a traceparent header) and is ended here
+// with the outcome; the worker's own spans from the response envelope
+// are forwarded to the trace sink, completing the stitched tree.
+func (c *Coordinator) attempt(sctx context.Context, w int, p shardPlan, span *obs.ActiveSpan, won *atomic.Bool, resc chan<- attemptResult) {
 	started := time.Now()
 	actx, cancel := context.WithTimeout(sctx, c.opts.RequestTimeout)
 	defer cancel()
@@ -508,6 +510,9 @@ func (c *Coordinator) attempt(sctx context.Context, w int, p shardPlan, span *ob
 	switch {
 	case err == nil:
 		c.breakers[w].success()
+		if !won.CompareAndSwap(false, true) {
+			err = context.Canceled
+		}
 	case sctx.Err() != nil:
 		// The shard is already decided (a sibling won or the sweep died);
 		// this attempt's failure says nothing about the worker.
@@ -521,7 +526,7 @@ func (c *Coordinator) attempt(sctx context.Context, w int, p shardPlan, span *ob
 	case err == nil:
 		span.SetAttr("outcome", "ok")
 	case errors.Is(err, context.Canceled):
-		// Typically a hedged loser cancelled mid-flight by the winner.
+		// A hedged loser, cancelled mid-flight or answering too late.
 		span.SetAttr("outcome", "cancelled")
 	default:
 		span.SetAttr("outcome", "error")

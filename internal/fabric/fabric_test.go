@@ -3,6 +3,8 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -176,9 +178,7 @@ func TestRunSweepHealthyPoolByteIdentical(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0", "http://w1"}
 	for _, kind := range experiment.SweepKinds() {
-		tr := NewFakeTransport(7, map[string]*FakeWorker{
-			workers[0]: {}, workers[1]: {},
-		})
+		_, tr := newFaultNet(7, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
 		c, err := New(fastOptions(workers, tr))
 		if err != nil {
 			t.Fatal(err)
@@ -208,13 +208,15 @@ func TestRunSweepHealthyPoolByteIdentical(t *testing.T) {
 func TestRunSweepFaultMixAndKillByteIdentical(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://alpha", "http://beta", "http://gamma"}
-	flaky := &FakeWorker{
+	flaky := &netWorker{
 		FailRate: 0.3,
-		Faults:   []Fault{FaultDrop, FaultDelay, Fault5xx},
+		Faults:   []fault{faultDrop, faultDelay, fault5xx},
 		Delay:    40 * time.Millisecond,
 	}
-	tr := NewFakeTransport(99, map[string]*FakeWorker{
-		workers[0]: flaky, workers[1]: {}, workers[2]: {},
+	victim := &netWorker{}
+	// Seed 2's first draw faults, so alpha's first request is dropped.
+	fnet, tr := newFaultNet(2, map[string]*netWorker{
+		workers[0]: flaky, workers[1]: {}, workers[2]: victim,
 	})
 	opts := fastOptions(workers, tr)
 	// Drops black-hole until the attempt deadline: keep it short so the
@@ -231,13 +233,12 @@ func TestRunSweepFaultMixAndKillByteIdentical(t *testing.T) {
 		defer close(killDone)
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if tr.Calls(workers[2]) >= 1 {
-				tr.Kill(workers[2], true)
-				return
+			if victim.sweeps.Load() >= 1 {
+				break
 			}
 			time.Sleep(time.Millisecond)
 		}
-		tr.Kill(workers[2], true) // kill regardless; the sweep may be done
+		victim.dead.Store(true) // kill regardless; the sweep may be done
 	}()
 
 	res, err := c.RunSweep(context.Background(), "missrate", spec, testPolicies)
@@ -251,15 +252,52 @@ func TestRunSweepFaultMixAndKillByteIdentical(t *testing.T) {
 	if got, want := mergedJSON(t, res), singleNodeJSON(t, "missrate", spec, testPolicies); got != want {
 		t.Fatal("distributed result under faults differs from single-node run")
 	}
+	fnet.mu.Lock()
+	defer fnet.mu.Unlock()
+	if flaky.cursor == 0 {
+		t.Fatal("the flaky worker injected no fault")
+	}
+}
+
+// A 200 whose body is cut short or breaks mid-stream is a retryable
+// failure: every shard still completes, byte-identical, on a clean worker.
+func TestRunSweepRetriesCorruptBodies(t *testing.T) {
+	spec := testSpec()
+	spec.Replications = 8 // eight shards, so several land on corrupt first
+	workers := []string{"http://corrupt", "http://clean"}
+	corrupt := &netWorker{FailRate: 1, Faults: []fault{faultTruncate, faultReset}}
+	fnet, tr := newFaultNet(1, map[string]*netWorker{workers[0]: corrupt, workers[1]: {}})
+	opts := fastOptions(workers, tr)
+	opts.ShardsPerWorker = 4
+	opts.HedgeAfter = -1
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunSweep(context.Background(), "missrate", spec, testPolicies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete != 0 || res.Merged.MissingCells != 0 {
+		t.Fatalf("sweep incomplete: %d shards, %d cells", res.Incomplete, res.Merged.MissingCells)
+	}
+	if got, want := mergedJSON(t, res), singleNodeJSON(t, "missrate", spec, testPolicies); got != want {
+		t.Fatal("result after corrupt bodies differs from single-node run")
+	}
+	fnet.mu.Lock()
+	defer fnet.mu.Unlock()
+	if corrupt.cursor < 2 {
+		t.Fatalf("%d corrupt bodies sent, want both modes", corrupt.cursor)
+	}
 }
 
 // Straggler shards hedge onto another worker and the fast response wins.
 func TestRunSweepHedgesStragglers(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://slow", "http://fast"}
-	tr := NewFakeTransport(3, map[string]*FakeWorker{
+	_, tr := newFaultNet(3, map[string]*netWorker{
 		// Nearly every attempt on slow stalls well past the hedge delay.
-		workers[0]: {FailRate: 0.999, Faults: []Fault{FaultDelay}, Delay: 400 * time.Millisecond},
+		workers[0]: {FailRate: 0.999, Faults: []fault{faultDelay}, Delay: 400 * time.Millisecond},
 		workers[1]: {},
 	})
 	opts := fastOptions(workers, tr)
@@ -298,27 +336,21 @@ func TestRunSweepHedgesStragglers(t *testing.T) {
 }
 
 // A permanent (4xx-class) error fails the shard — and the sweep —
-// immediately, without burning retries on a request that cannot succeed.
-type permanentTransport struct{ FakeTransport }
-
-func (p *permanentTransport) Do(ctx context.Context, worker string, body []byte) (*Envelope, error) {
-	return nil, &PermanentError{Worker: worker, Status: 400, Body: "unknown policy"}
-}
-
+// immediately, without burning retries on a request that cannot succeed:
+// the worker refuses an unknown policy with 400.
 func TestRunSweepPermanentErrorFailsFast(t *testing.T) {
 	workers := []string{"http://w0", "http://w1"}
-	tr := &permanentTransport{}
-	tr.workers = map[string]*FakeWorker{workers[0]: {}, workers[1]: {}}
-	opts := fastOptions(workers, &tr.FakeTransport)
-	opts.Transport = tr
+	_, tr := newFaultNet(1, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
+	opts := fastOptions(workers, tr)
 	opts.ProbeInterval = -1
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.RunSweep(context.Background(), "missrate", testSpec(), testPolicies)
-	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
-		t.Fatalf("want the worker's permanent error, got %v", err)
+	_, err = c.RunSweep(context.Background(), "missrate", testSpec(), []string{"lsa", "no-such-policy"})
+	var pe *PermanentError
+	if !errors.As(err, &pe) || pe.Status != http.StatusBadRequest || !strings.Contains(pe.Body, "no-such-policy") {
+		t.Fatalf("want the worker's 400 naming the policy, got %v", err)
 	}
 	if n := c.retries.Value(); n != 0 {
 		t.Fatalf("%v retries burned on a permanent error", n)
@@ -349,8 +381,8 @@ func (s *shardFilterTransport) Healthy(ctx context.Context, worker string) error
 func TestRunSweepPartialDegradation(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0", "http://w1"}
-	fake := NewFakeTransport(5, map[string]*FakeWorker{workers[0]: {}, workers[1]: {}})
-	opts := fastOptions(workers, &shardFilterTransport{inner: fake, reject: 1})
+	_, tr := newFaultNet(5, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
+	opts := fastOptions(workers, &shardFilterTransport{inner: tr, reject: 1})
 	opts.AllowPartial = true
 	c, err := New(opts)
 	if err != nil {
@@ -385,7 +417,7 @@ func TestRunSweepPartialDegradation(t *testing.T) {
 func TestConsistentHashingCacheAffinity(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0", "http://w1", "http://w2"}
-	tr := NewFakeTransport(11, map[string]*FakeWorker{
+	fnet, tr := newFaultNet(11, map[string]*netWorker{
 		workers[0]: {}, workers[1]: {}, workers[2]: {},
 	})
 	opts := fastOptions(workers, tr)
@@ -398,14 +430,14 @@ func TestConsistentHashingCacheAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := tr.CacheHits(); hits != 0 {
+	if hits := fnet.hits.Load(); hits != 0 {
 		t.Fatalf("first run saw %d cache hits", hits)
 	}
 	second, err := c.RunSweep(context.Background(), "missrate", spec, testPolicies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := tr.CacheHits(); hits != len(second.Shards) {
+	if hits := int(fnet.hits.Load()); hits != len(second.Shards) {
 		t.Fatalf("second run: %d cache hits, want %d (one per shard)", hits, len(second.Shards))
 	}
 	for i := range first.Shards {
@@ -421,8 +453,8 @@ func TestConsistentHashingCacheAffinity(t *testing.T) {
 func TestRunSweepHonorsShedding(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://shedding", "http://calm"}
-	tr := NewFakeTransport(17, map[string]*FakeWorker{
-		workers[0]: {FailRate: 0.9, Faults: []Fault{FaultShed}},
+	_, tr := newFaultNet(17, map[string]*netWorker{
+		workers[0]: {FailRate: 0.9, Faults: []fault{faultShed}},
 		workers[1]: {},
 	})
 	c, err := New(fastOptions(workers, tr))
@@ -445,8 +477,8 @@ func TestRunSweepHonorsShedding(t *testing.T) {
 func TestRunSweepCancellation(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0"}
-	tr := NewFakeTransport(1, map[string]*FakeWorker{
-		workers[0]: {FailRate: 1, Faults: []Fault{FaultDrop}},
+	_, tr := newFaultNet(1, map[string]*netWorker{
+		workers[0]: {FailRate: 1, Faults: []fault{faultDrop}},
 	})
 	opts := fastOptions(workers, tr)
 	opts.RequestTimeout = 30 * time.Second // the drop outlives the test unless cancelled
@@ -479,7 +511,7 @@ func TestRunSweepCancellation(t *testing.T) {
 // Fabric metrics are exported through the registry.
 func TestFabricMetricsExported(t *testing.T) {
 	workers := []string{"http://w0"}
-	tr := NewFakeTransport(2, map[string]*FakeWorker{workers[0]: {}})
+	_, tr := newFaultNet(2, map[string]*netWorker{workers[0]: {}})
 	reg := obs.NewRegistry()
 	opts := fastOptions(workers, tr)
 	opts.Registry = reg

@@ -7,16 +7,14 @@ import (
 	"github.com/eadvfs/eadvfs/internal/obs"
 )
 
-// A traced sweep over a healthy fake pool must produce one coherent
-// trace: a single eactl root, a shard span per planned shard, each
-// holding exactly one winning attempt whose worker-side request/cache/
-// engine spans share the propagated trace ID.
+// A traced sweep over a healthy pool must produce one coherent trace: a
+// single eactl root, a shard span per planned shard, each holding exactly
+// one winning attempt whose worker-side request spans share the
+// propagated trace ID, down to the engine's experiment phases.
 func TestRunSweepEmitsStitchableTrace(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0", "http://w1"}
-	tr := NewFakeTransport(7, map[string]*FakeWorker{
-		workers[0]: {}, workers[1]: {},
-	})
+	_, tr := newFaultNet(7, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
 	rec := obs.NewRecorder()
 	opts := fastOptions(workers, tr)
 	opts.Trace = rec
@@ -59,7 +57,8 @@ func TestRunSweepEmitsStitchableTrace(t *testing.T) {
 			if a.Span.Attrs["outcome"] == "ok" {
 				wins++
 				// The winning attempt carries the worker's spans:
-				// request:sweep with cache and engine children.
+				// request:sweep with cache, admission and engine
+				// children, and the shard's phases under engine.
 				var reqNode *obs.SpanNode
 				for _, w := range a.Children {
 					if w.Span.Name == "request:sweep" && w.Span.Service == "easerve" {
@@ -69,12 +68,19 @@ func TestRunSweepEmitsStitchableTrace(t *testing.T) {
 				if reqNode == nil {
 					t.Fatalf("winning attempt of shard %s has no worker request span", sh.Span.Attrs["shard"])
 				}
-				got := map[string]bool{}
+				got := map[string]*obs.SpanNode{}
 				for _, cch := range reqNode.Children {
-					got[cch.Span.Name] = true
+					got[cch.Span.Name] = cch
 				}
-				if !got["cache"] || !got["engine"] {
-					t.Fatalf("worker request span missing cache/engine children: %v", got)
+				if got["cache"] == nil || got["admission"] == nil || got["engine"] == nil {
+					t.Fatalf("worker request span missing cache/admission/engine children: %v", got)
+				}
+				phases := map[string]bool{}
+				for _, ph := range got["engine"].Children {
+					phases[ph.Span.Name] = true
+				}
+				if !phases["plan"] || !phases["simulate"] || !phases["aggregate"] {
+					t.Fatalf("worker engine span missing plan/simulate/aggregate children: %v", phases)
 				}
 			}
 		}
@@ -87,13 +93,12 @@ func TestRunSweepEmitsStitchableTrace(t *testing.T) {
 	}
 }
 
-// With tracing disabled (Options.Trace nil) a sweep emits nothing and
-// the transport sees no span context — the fake worker synthesizes spans
-// only when a traceparent was propagated.
+// With tracing disabled (Options.Trace nil) attempts carry no
+// traceparent, so the worker serves untraced and returns no spans.
 func TestRunSweepUntracedEmitsNoSpans(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0"}
-	tr := NewFakeTransport(3, map[string]*FakeWorker{workers[0]: {}})
+	fnet, tr := newFaultNet(3, map[string]*netWorker{workers[0]: {}})
 	c, err := New(fastOptions(workers, tr))
 	if err != nil {
 		t.Fatal(err)
@@ -104,5 +109,8 @@ func TestRunSweepUntracedEmitsNoSpans(t *testing.T) {
 	}
 	if res.Incomplete != 0 {
 		t.Fatalf("untraced sweep incomplete: %d", res.Incomplete)
+	}
+	if n := fnet.spanned.Load(); n != 0 {
+		t.Fatalf("%d worker responses carried %s on an untraced sweep", n, obs.SpanHeader)
 	}
 }

@@ -30,9 +30,8 @@ type Envelope struct {
 
 // Transport delivers one sharded sweep request to a worker. body is the
 // canonical service.SweepRequest JSON; its digest.Compact is both the
-// shard's routing key and the worker's cache key. Implementations:
-// HTTPTransport (production) and FakeTransport (hermetic fault
-// injection).
+// shard's routing key and the worker's cache key. HTTPTransport speaks
+// it over the easerve protocol.
 type Transport interface {
 	Do(ctx context.Context, worker string, body []byte) (*Envelope, error)
 	// Healthy probes the worker's /healthz; nil means routable.

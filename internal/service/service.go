@@ -263,8 +263,8 @@ func New(opts Options) *Server {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/sim", s.handleSim)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
+	s.mux.HandleFunc("/v1/sim", compute(s, "sim", "POST a simulation config", "sim config", nil, s.handleSim))
+	s.mux.HandleFunc("/v1/sweep", compute(s, "sweep", "POST a sweep request", "sweep request", []string{"spec"}, s.handleSweep))
 	s.mux.HandleFunc("/v1/capabilities", s.handleCapabilities)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -321,6 +321,48 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 		return release, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// compute wraps a compute endpoint's handler in the request prologue they
+// share: the endpoint's service-time metrics, the POST-only check (hint
+// is the 405 message), the draining check, the bounded body read, the
+// wire-schema gate and the strict decode into the handler's request
+// type. Decode failures are prefixed with prefix.
+func compute[T any](s *Server, endpoint, hint, prefix string, nested []string, handle func(http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer func(start time.Time) {
+			sec := time.Since(start).Seconds()
+			s.latency[endpoint].Observe(sec)
+			s.durations[endpoint].Observe(sec)
+		}(time.Now())
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			s.writeError(w, http.StatusMethodNotAllowed, errors.New(hint))
+			return
+		}
+		if s.draining.Load() {
+			s.rejected["draining"].Inc()
+			s.writeError(w, http.StatusServiceUnavailable, errDraining)
+			return
+		}
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+		if err == nil {
+			// Wire-schema gate: an unversioned (v1) document using v2-only
+			// members, at top level or inside the nested objects, is
+			// rejected, never silently reinterpreted, and a version newer
+			// than this build fails loudly (internal/spec).
+			_, err = spec.CheckWire(raw, nested...)
+		}
+		var req T
+		if err == nil {
+			err = decodeStrict(bytes.NewReader(raw), &req)
+		}
+		if err != nil {
+			s.writeError(w, decodeStatus(err), fmt.Errorf("%s: %w", prefix, err))
+			return
+		}
+		handle(w, r, req)
 	}
 }
 
@@ -494,40 +536,7 @@ func (s *Server) updateHitRatio() {
 // handleSim serves POST /v1/sim: body = an eadvfs.Config (the same JSON a
 // run manifest embeds). With ?events=1 the run streams its JSONL
 // schema-v1 event log instead of returning a (cached) result.
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		sec := time.Since(start).Seconds()
-		s.latency["sim"].Observe(sec)
-		s.durations["sim"].Observe(sec)
-	}()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("POST a simulation config"))
-		return
-	}
-	if s.draining.Load() {
-		s.rejected["draining"].Inc()
-		s.writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, decodeStatus(err), fmt.Errorf("sim config: %w", err))
-		return
-	}
-	// Wire-schema gate: an unversioned (v1) document using v2-only
-	// members is rejected, never silently reinterpreted, and a version
-	// newer than this build fails loudly (internal/spec).
-	if _, err := spec.CheckWire(raw); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sim config: %w", err))
-		return
-	}
-	var cfg eadvfs.Config
-	if err := decodeStrict(bytes.NewReader(raw), &cfg); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sim config: %w", err))
-		return
-	}
+func (s *Server) handleSim(w http.ResponseWriter, r *http.Request, cfg eadvfs.Config) {
 	// The schema declaration is wire metadata, not simulation identity:
 	// zero it before the canonical marshal so a migrated (v2) spec keys
 	// the same cache entry — and the same fleet affinity route — as its
@@ -617,39 +626,7 @@ func (s *Server) streamSimEvents(w http.ResponseWriter, r *http.Request, cfg ead
 // internally across experiment.Parallelism while occupying a single
 // worker slot here, so one heavy sweep cannot monopolize the admission
 // queue's accounting.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		sec := time.Since(start).Seconds()
-		s.latency["sweep"].Observe(sec)
-		s.durations["sweep"].Observe(sec)
-	}()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("POST a sweep request"))
-		return
-	}
-	if s.draining.Load() {
-		s.rejected["draining"].Inc()
-		s.writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, decodeStatus(err), fmt.Errorf("sweep request: %w", err))
-		return
-	}
-	// Wire-schema gate, covering v2-only members nested in the "spec"
-	// object (see handleSim for the contract).
-	if _, err := spec.CheckWire(raw, "spec"); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sweep request: %w", err))
-		return
-	}
-	var req SweepRequest
-	if err := decodeStrict(bytes.NewReader(raw), &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sweep request: %w", err))
-		return
-	}
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRequest) {
 	if err := experiment.ValidateSweepKind(req.Kind); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

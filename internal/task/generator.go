@@ -37,11 +37,11 @@ func (c GeneratorConfig) Validate() error {
 		return fmt.Errorf("task: NumTasks %d <= 0", c.NumTasks)
 	case len(c.Periods) == 0:
 		return fmt.Errorf("task: empty period menu")
-	case c.MeanHarvestPower <= 0:
-		return fmt.Errorf("task: MeanHarvestPower %v <= 0", c.MeanHarvestPower)
-	case c.PMax <= 0:
-		return fmt.Errorf("task: PMax %v <= 0", c.PMax)
-	case c.TargetU <= 0 || c.TargetU > 1:
+	case !(c.MeanHarvestPower > 0) || math.IsInf(c.MeanHarvestPower, 0):
+		return fmt.Errorf("task: MeanHarvestPower %v not positive and finite", c.MeanHarvestPower)
+	case !(c.PMax > 0) || math.IsInf(c.PMax, 0):
+		return fmt.Errorf("task: PMax %v not positive and finite", c.PMax)
+	case !(c.TargetU > 0 && c.TargetU <= 1):
 		return fmt.Errorf("task: TargetU %v outside (0, 1] — \"The utilization U cannot be larger than 1\" (§5.1)", c.TargetU)
 	}
 	for _, p := range c.Periods {
@@ -52,44 +52,55 @@ func (c GeneratorConfig) Validate() error {
 	return nil
 }
 
+// maxDraws bounds Generate's redraws. A sane configuration needs a
+// handful; one whose utilization underflows or overflows the float range
+// never yields a valid set and fails instead of spinning.
+const maxDraws = 10000
+
 // Generate draws one task set per the paper's recipe. The same
 // (config, rng state) always yields the same set.
 func Generate(cfg GeneratorConfig, r *rng.RNG) ([]Task, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tasks := make([]Task, cfg.NumTasks)
-	rawU := 0.0
-	for i := range tasks {
-		period := rng.Choice(r, cfg.Periods)
-		// "The energy consumption e for the task under the worst case is
-		// generated in terms of the uniform distribution [0, P̄s·p]. Then
-		// its worst case execution time is equal to e/Pmax." (§5.1)
-		e := r.Uniform(0, cfg.MeanHarvestPower*period)
-		wcet := e / cfg.PMax
-		tasks[i] = Task{ID: i, Period: period, Deadline: period, WCET: wcet}
-		rawU += wcet / period
-	}
-	// "In order to get the specific utilization, we scale the worst case
-	// execution time of each task in a task set in the same ratio." (§5.1)
-	if rawU == 0 {
-		// All energies drew ~0; retry deterministically from the stream.
-		return Generate(cfg, r)
-	}
-	scale := cfg.TargetU / rawU
-	for i := range tasks {
-		tasks[i].WCET *= scale
-	}
-	for _, t := range tasks {
-		if err := t.Validate(); err != nil {
-			// WCET > period can happen when the scale pushes a single
-			// task's utilization above 1; redraw the whole set, as the
-			// authors' generator implicitly discards such sets (they are
-			// unschedulable regardless of energy).
-			return Generate(cfg, r)
+redraw:
+	for range maxDraws {
+		tasks := make([]Task, cfg.NumTasks)
+		rawU := 0.0
+		for i := range tasks {
+			period := rng.Choice(r, cfg.Periods)
+			// "The energy consumption e for the task under the worst case
+			// is generated in terms of the uniform distribution [0, P̄s·p].
+			// Then its worst case execution time is equal to e/Pmax." (§5.1)
+			e := r.Uniform(0, cfg.MeanHarvestPower*period)
+			wcet := e / cfg.PMax
+			tasks[i] = Task{ID: i, Period: period, Deadline: period, WCET: wcet}
+			rawU += wcet / period
 		}
+		// "In order to get the specific utilization, we scale the worst
+		// case execution time of each task in a task set in the same
+		// ratio." (§5.1)
+		if rawU == 0 {
+			// All energies drew ~0; redraw deterministically from the
+			// stream.
+			continue
+		}
+		scale := cfg.TargetU / rawU
+		for i := range tasks {
+			tasks[i].WCET *= scale
+		}
+		for _, t := range tasks {
+			if t.Validate() != nil {
+				// WCET > period can happen when the scale pushes a single
+				// task's utilization above 1; redraw the whole set, as the
+				// authors' generator implicitly discards such sets (they
+				// are unschedulable regardless of energy).
+				continue redraw
+			}
+		}
+		return tasks, nil
 	}
-	return tasks, nil
+	return nil, fmt.Errorf("task: no valid task set in %d draws (MeanHarvestPower %v, PMax %v)", maxDraws, cfg.MeanHarvestPower, cfg.PMax)
 }
 
 // SetUtilization returns Σ wcet/period for the set (eq. 14).

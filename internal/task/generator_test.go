@@ -109,6 +109,17 @@ func TestGenerateValidation(t *testing.T) {
 		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: 1, TargetU: 0},
 		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: 1, TargetU: 1.2},
 		{NumTasks: 3, Periods: []float64{10, -1}, MeanHarvestPower: 1, PMax: 1, TargetU: 0.5},
+		// Non-finite values fail validation instead of redrawing forever.
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: math.NaN(), PMax: 1, TargetU: 0.5},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: math.Inf(1), PMax: 1, TargetU: 0.5},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: math.NaN(), TargetU: 0.5},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: math.Inf(1), TargetU: 0.5},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: 1, TargetU: math.NaN()},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 1, PMax: 1, TargetU: math.Inf(1)},
+		// Finite but degenerate scales: the draws underflow or overflow,
+		// no set is ever valid, and the redraw bound ends the search.
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: 5e-324, PMax: 1, TargetU: 0.5},
+		{NumTasks: 3, Periods: PaperPeriods(), MeanHarvestPower: math.MaxFloat64, PMax: 1, TargetU: 0.5},
 	}
 	for i, cfg := range bads {
 		if _, err := Generate(cfg, rng.New(1)); err == nil {
