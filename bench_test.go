@@ -1,12 +1,14 @@
-// Benchmarks that regenerate the paper's evaluation artifacts — one per
-// figure/table (see DESIGN.md §3 for the index) — plus ablation benches
-// for the design choices DESIGN.md calls out. Replication counts are
-// bench-sized; cmd/eaexp runs the same experiments at any fidelity.
+// Ablation benchmarks for the design choices DESIGN.md calls out, plus
+// micro-benchmarks of the decision path and the public facade. The
+// per-figure/table workloads (see DESIGN.md §3 for the index) live in
+// internal/bench: `go test ./internal/bench -bench .` times them, and its
+// TestBaseline pins their shape metrics against BENCH_baseline.json.
+// Replication counts are bench-sized; cmd/eaexp runs the same experiments
+// at any fidelity.
 //
 // Reported custom metrics carry the experiment outcome so that a bench
-// run doubles as a regression check on the *shape* of each result:
-// miss rates (missrate/*), normalized remaining energy (energy/*),
-// capacity ratios (ratio/*).
+// run doubles as a check on the *shape* of each result: miss rates
+// (missrate/*).
 package eadvfs_test
 
 import (
@@ -14,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/eadvfs/eadvfs"
-	"github.com/eadvfs/eadvfs/internal/bench"
 	"github.com/eadvfs/eadvfs/internal/core"
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
@@ -31,49 +32,6 @@ func benchSpec() experiment.Spec {
 	s.Replications = 2
 	return s
 }
-
-// runCase runs a shared internal/bench workload b.N times and reports
-// its shape metrics. The figure benches delegate there so that `go test
-// -bench` and cmd/eabench (which writes BENCH_baseline.json) measure the
-// same code with the same sizing.
-func runCase(b *testing.B, name string) {
-	b.Helper()
-	c, err := bench.Find(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	metrics, err := c.Run(b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for unit, v := range metrics {
-		b.ReportMetric(v, unit)
-	}
-}
-
-// BenchmarkFig5EnergySource regenerates Figure 5: a 10 000-unit sample
-// path of the eq. (13) solar source.
-func BenchmarkFig5EnergySource(b *testing.B) { runCase(b, "Fig5EnergySource") }
-
-// BenchmarkFig6RemainingEnergyLowU regenerates Figure 6 (U = 0.4):
-// EA-DVFS stores clearly more energy than LSA.
-func BenchmarkFig6RemainingEnergyLowU(b *testing.B) { runCase(b, "Fig6RemainingEnergyLowU") }
-
-// BenchmarkFig7RemainingEnergyHighU regenerates Figure 7 (U = 0.8): the
-// curves nearly coincide.
-func BenchmarkFig7RemainingEnergyHighU(b *testing.B) { runCase(b, "Fig7RemainingEnergyHighU") }
-
-// BenchmarkFig8MissRateLowU regenerates Figure 8 (U = 0.4): EA-DVFS cuts
-// the deadline miss rate by >50% across the capacity sweep.
-func BenchmarkFig8MissRateLowU(b *testing.B) { runCase(b, "Fig8MissRateLowU") }
-
-// BenchmarkFig9MissRateHighU regenerates Figure 9 (U = 0.8): the policies
-// converge.
-func BenchmarkFig9MissRateHighU(b *testing.B) { runCase(b, "Fig9MissRateHighU") }
-
-// BenchmarkTable1MinCapacityRatio regenerates Table 1: the
-// Cmin-LSA / Cmin-EA-DVFS ratio per utilization, shrinking toward 1.
-func BenchmarkTable1MinCapacityRatio(b *testing.B) { runCase(b, "Table1MinCapacityRatio") }
 
 // BenchmarkAblationS2Lock compares the paper's locked-s2 EA-DVFS with the
 // stateless-recompute variant (DESIGN.md §2.1): the lock is what preserves
@@ -136,11 +94,6 @@ func BenchmarkAblationPredictors(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEngine measures raw simulation throughput: one 10 000-unit
-// EA-DVFS run of the paper's default workload (memoized solar trace, so
-// the bench isolates the engine rather than trace regeneration).
-func BenchmarkEngine(b *testing.B) { runCase(b, "Engine") }
 
 // BenchmarkComputePlan measures the per-decision cost of the EA-DVFS
 // arithmetic (eqs. 5–9), the hot path of the scheduler.

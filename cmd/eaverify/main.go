@@ -154,14 +154,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// readSpec decodes a spec file strictly: an unknown field (a typo such
+// as "capcity") or trailing data is an error, not a silently different
+// replay.
 func readSpec(path string) (*verify.Spec, error) {
-	blob, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var s verify.Spec
-	if err := json.Unmarshal(blob, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("parsing %s: trailing data after the spec", path)
 	}
 	return &s, nil
 }

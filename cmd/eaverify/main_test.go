@@ -96,3 +96,51 @@ func TestInjectedDivergenceWorkflow(t *testing.T) {
 		t.Fatalf("replayed repro did not diverge: exit %d\n%s", code, out.String())
 	}
 }
+
+// TestBadSpecFile: a spec file naming an unknown preset, a negative
+// capacity, an unknown field or trailing data exits 2 with an error that
+// names the offending field — never a panic.
+func TestBadSpecFile(t *testing.T) {
+	base, err := json.Marshal(verify.RandomSpecForPolicy(1, "ea-dvfs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, field string
+		edit        func(m map[string]any)
+		trailing    string
+	}{
+		{name: "cpu", field: "cpu", edit: func(m map[string]any) { m["cpu"] = "nope" }},
+		{name: "sleep", field: "sleep", edit: func(m map[string]any) { m["sleep"] = "bogus" }},
+		{name: "capacity", field: "capacity", edit: func(m map[string]any) { m["capacity"] = -5 }},
+		{name: "unknown field", field: "capcity", edit: func(m map[string]any) { m["capcity"] = 5 }},
+		{name: "trailing data", field: "trailing", edit: func(map[string]any) {}, trailing: "}"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m map[string]any
+			if err := json.Unmarshal(base, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(m)
+			blob, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "spec.json")
+			if err := os.WriteFile(path, append(blob, tc.trailing...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			code := run([]string{"-spec", path}, &out, &errb)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+			}
+			if !strings.Contains(errb.String(), tc.field) {
+				t.Fatalf("stderr does not name %q: %s", tc.field, errb.String())
+			}
+			if strings.Contains(errb.String(), "goroutine") {
+				t.Fatalf("stderr carries a stack trace: %s", errb.String())
+			}
+		})
+	}
+}

@@ -1,14 +1,15 @@
 // Package bench defines the repository's canonical experiment-level
-// benchmark workloads in one place, so that `go test -bench` (bench_test.go
-// delegates here) and the standalone cmd/eabench harness measure exactly
-// the same code paths and report exactly the same shape metrics.
+// workloads: each figure/table regeneration (or a raw engine or service
+// run) at bench sizing, with the shape metrics it reports.
 //
-// Each Case runs a figure/table regeneration (or a raw engine run) n times
-// and returns the shape metrics of the last execution — miss rates,
-// normalized remaining energy, capacity ratios. A perf change that also
-// moves a shape metric is a correctness regression, not an optimization;
-// BENCH_baseline.json (repo root) records the reference values and
-// DESIGN.md §9 documents how to regenerate it.
+// Each Case runs its workload n times and returns the shape metrics of
+// the last execution — miss rates, normalized remaining energy, capacity
+// ratios. A perf change that also moves a shape metric is a correctness
+// regression, not an optimization. BENCH_baseline.json (repo root)
+// records the reference metrics and steady-state allocations; TestBaseline
+// checks them in every `go test ./...` and `-update` regenerates them
+// (DESIGN.md §9). BenchmarkCases times the same cases; timing claims
+// belong to perfbench.
 package bench
 
 import (
@@ -55,16 +56,6 @@ func Cases() []Case {
 		{Name: "ServiceRequestMiss", Run: runServiceMiss},
 		{Name: "ServiceRequestHit", Run: runServiceHit},
 	}
-}
-
-// Find returns the named case.
-func Find(name string) (Case, error) {
-	for _, c := range Cases() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Case{}, fmt.Errorf("bench: unknown case %q", name)
 }
 
 func runFig5(n int) (map[string]float64, error) {
@@ -138,7 +129,7 @@ func runTable1(n int) (map[string]float64, error) {
 
 // runTable1Warm isolates one warm-start capacity search (one replication,
 // U=0.6, both Table 1 policies on a shared MinCapacitySearcher) from the
-// full Table 1 sweep, so eabench can watch the amortized bisection path —
+// full Table 1 sweep, so the baseline can watch the amortized bisection path —
 // runner reuse, probe memo, first-miss early exit — without the sweep's
 // parallel-runner noise. The cmin metrics pin the searched capacities; the
 // warm-vs-cold equality itself is pinned by the experiment tests.

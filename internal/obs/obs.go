@@ -7,8 +7,9 @@
 //
 //   - The disabled path is free. Every emission site nil-checks the probe,
 //     records are plain value structs built from already-computed state, and
-//     no strings are formatted unless a probe is attached — the eabench
-//     figure workloads must not move against BENCH_baseline.json.
+//     no strings are formatted unless a probe is attached — the
+//     internal/bench figure workloads must not move against
+//     BENCH_baseline.json.
 //   - Probes may be shared across the experiment harness's parallel
 //     workers; the implementations in this package are safe for concurrent
 //     use. The nil-check contract means a probe must be attached before a

@@ -1,5 +1,5 @@
 // Package profiling wires the conventional -cpuprofile / -memprofile
-// flags into the repo's binaries (eaexp, easim, eabench) so any
+// flags into the repo's binaries (eaexp, easim) so any
 // experiment invocation can be profiled with `go tool pprof` without a
 // bespoke harness.
 package profiling

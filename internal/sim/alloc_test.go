@@ -31,12 +31,13 @@ func allocConfig() *Config {
 // With tracing disabled (no probe at all), the arena's steady-state run
 // must stay allocation-lean: the span plumbing added to Arena.Run is two
 // type assertions and nil *ActiveSpan method calls, none of which may
-// allocate. The authoritative regression gate is eabench -check against
-// the checked-in baseline (allocs/op within 15%); this test is the
-// in-tree tripwire with a deliberately generous fixed bound so it fails
-// on a structural regression (tracing allocating when disabled), not on
-// noise. Race builds skip the numeric assertion — the detector changes
-// allocation behaviour — but still execute the path for race coverage.
+// allocate. The authoritative regression gate is internal/bench's
+// TestBaseline against the checked-in baseline (allocs/op within
+// base×1.15+2); this test is the engine-level tripwire with a
+// deliberately generous fixed bound so it fails on a structural
+// regression (tracing allocating when disabled), not on noise. Race
+// builds skip the numeric assertion — the detector changes allocation
+// behaviour — but still execute the path for race coverage.
 func TestArenaRunDisabledTracingAllocs(t *testing.T) {
 	a := NewArena()
 	for i := 0; i < 3; i++ { // warm the arena pools

@@ -121,7 +121,8 @@ type Config struct {
 	// JSONL and metrics sinks and the flight recorder all consume it, and
 	// obs.Multi attaches several at once. Every emission is
 	// nil-guarded at the call site, so a run without a probe pays nothing
-	// (enforced by the benchmark guard against BENCH_baseline.json).
+	// (enforced by internal/bench TestBaseline's allocation bound against
+	// BENCH_baseline.json).
 	Probe obs.Probe
 
 	// Faults, when non-nil and enabled, injects the declared substrate

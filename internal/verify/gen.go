@@ -37,7 +37,7 @@ func RandomSpec(seed uint64) *Spec {
 	meanPower := sourceMean(s.Source)
 
 	s.CPU = pick(r, "xscale", "xscale", "two-speed", "pxa270", "sensor-mcu")
-	s.Tasks = randomTasks(r, meanPower, cpuFor(s).MaxPower())
+	s.Tasks = randomTasks(r, meanPower, cpuPresets[s.CPU]().MaxPower())
 
 	switch r.Intn(5) {
 	case 0:

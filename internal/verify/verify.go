@@ -217,28 +217,29 @@ func (s *Spec) predictor(src energy.Source, ref bool) (energy.Predictor, error) 
 	return f(src), nil
 }
 
-// cpuFor resolves the spec's processor preset. The processor is immutable
-// after construction, so — unlike sources and predictors — one instance
-// could be shared; fresh instances per side keep the isolation rule simple.
-func cpuFor(s *Spec) *cpu.Processor {
-	var p *cpu.Processor
-	switch s.CPU {
-	case "", "xscale":
-		p = cpu.XScale()
-	case "two-speed":
-		p = cpu.TwoSpeed(4)
-	case "pxa270":
-		p = cpu.PXA270()
-	case "sensor-mcu":
-		p = cpu.SensorNodeMCU()
-	default:
-		panic(fmt.Sprintf("verify: unknown cpu preset %q", s.CPU))
+// cpuPresets maps Spec.CPU to its processor constructor.
+var cpuPresets = map[string]func() *cpu.Processor{
+	"":           cpu.XScale,
+	"xscale":     cpu.XScale,
+	"two-speed":  func() *cpu.Processor { return cpu.TwoSpeed(4) },
+	"pxa270":     cpu.PXA270,
+	"sensor-mcu": cpu.SensorNodeMCU,
+}
+
+// cpuFor resolves the spec's processor preset with its sleep preset
+// attached. The processor is immutable after construction, so — unlike
+// sources and predictors — one instance could be shared; fresh instances
+// per side keep the isolation rule simple.
+func cpuFor(s *Spec) (*cpu.Processor, error) {
+	preset, ok := cpuPresets[s.CPU]
+	if !ok {
+		return nil, fmt.Errorf("verify: cpu: unknown preset %q", s.CPU)
 	}
-	p, err := p.WithSleepPreset(s.Sleep)
+	p, err := preset().WithSleepPreset(s.Sleep)
 	if err != nil {
-		panic(fmt.Sprintf("verify: %v", err))
+		return nil, fmt.Errorf("verify: sleep: %w", err)
 	}
-	return p
+	return p, nil
 }
 
 func (s *Spec) faults() *fault.Spec {
@@ -260,6 +261,9 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 	if s.BCWCRatio < 0 || s.BCWCRatio > 1 || math.IsNaN(s.BCWCRatio) {
 		return nil, nil, fmt.Errorf("verify: bcwc_ratio %v outside [0,1]", s.BCWCRatio)
 	}
+	if !(s.Capacity >= 0) || math.IsInf(s.Capacity, 1) {
+		return nil, nil, fmt.Errorf("verify: capacity %v is not a finite non-negative number", s.Capacity)
+	}
 	uniform := task.UniformExec(s.BCWCRatio)
 	build := func(isRef bool) (*sim.Config, error) {
 		src, err := s.Source.Build()
@@ -277,6 +281,10 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 		if err != nil {
 			return nil, err
 		}
+		proc, err := cpuFor(s)
+		if err != nil {
+			return nil, err
+		}
 		tasks := make([]task.Task, len(s.Tasks))
 		copy(tasks, s.Tasks)
 		for i := range tasks {
@@ -290,7 +298,7 @@ func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
 			Source:                src,
 			Predictor:             pred,
 			Store:                 storage.New(s.Capacity, s.InitialFrac*s.Capacity),
-			CPU:                   cpuFor(s),
+			CPU:                   proc,
 			Policy:                pol,
 			ContinueAfterDeadline: s.ContinueAfterDeadline,
 			ExecSeed:              s.ExecSeed,
