@@ -2,6 +2,7 @@ package eadvfs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 
 	eadvfs "github.com/eadvfs/eadvfs"
 	"github.com/eadvfs/eadvfs/internal/digest"
+	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/service"
 	"github.com/eadvfs/eadvfs/internal/spec"
 )
@@ -264,6 +266,101 @@ func TestSpecCorpusGoldenResults(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("corpus results drifted from %s — a v1 document no longer simulates to the same bytes.\ngot:\n%swant:\n%s",
+			goldenPath, got, want)
+	}
+}
+
+// eventStreamFiles returns the /v1/sim documents whose event streams
+// events.golden pins: the v1 corpus's sim_*.json plus the schema-2
+// documents under v2/, which reach the stochastic, reclaiming and sleep
+// paths a v1 document cannot name.
+func eventStreamFiles(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, pattern := range []string{"sim_*.json", "v2/sim_*.json"} {
+		m, err := filepath.Glob(filepath.Join(specDir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(m)
+		names = append(names, m...)
+	}
+	return names
+}
+
+// TestSpecCorpusGoldenEvents pins the bytes of the JSONL event stream
+// (POST /v1/sim?events=1) of every sim document against
+// testdata/specs/events.golden, so an encoder change that moves a single
+// byte of any line fails here. The corpus must between them emit every
+// reason code and every event kind a valid config can reach (invariant
+// events need a corrupted substrate, which no wire config can build).
+// -update regenerates the golden.
+func TestSpecCorpusGoldenEvents(t *testing.T) {
+	srv := httptest.NewServer(service.New(service.Options{Workers: 2}).Handler())
+	defer srv.Close()
+
+	seen := map[string]bool{}
+	var lines []string
+	for _, name := range eventStreamFiles(t) {
+		rel, err := filepath.Rel(specDir, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/sim?events=1", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", rel, resp.StatusCode, buf.String())
+		}
+		if _, err := obs.CheckJSONL(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n")) {
+			var head struct{ Kind, Reason string }
+			if err := json.Unmarshal(line, &head); err != nil {
+				t.Fatalf("%s: %v", rel, err)
+			}
+			seen["kind "+head.Kind] = true
+			seen["reason "+head.Reason] = true
+		}
+		lines = append(lines, fmt.Sprintf("%s %x", filepath.ToSlash(rel), sha256.Sum256(buf.Bytes())))
+	}
+	for _, k := range obs.KnownEventKinds() {
+		if !seen["kind "+string(k)] && k != obs.KindInvariant {
+			t.Errorf("no corpus stream emits event kind %q", k)
+		}
+	}
+	for _, r := range obs.KnownReasons() {
+		if !seen["reason "+string(r)] {
+			t.Errorf("no corpus stream emits reason code %q", r)
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+
+	goldenPath := filepath.Join(specDir, "events.golden")
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test -run TestSpecCorpusGoldenEvents -update .`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("event streams drifted from %s — a JSONL line changed bytes.\ngot:\n%swant:\n%s",
 			goldenPath, got, want)
 	}
 }
