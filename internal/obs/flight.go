@@ -6,10 +6,7 @@ package obs
 // the process without having had tracing storage configured in advance —
 // the same idea as an aircraft flight recorder (DESIGN.md §15).
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
 // DefaultFlightSpans and DefaultFlightDecisions bound the recorder when
 // the caller passes non-positive capacities.
@@ -103,10 +100,10 @@ type FlightDecision struct {
 	DecisionRecord
 }
 
-// MarshalJSON implements json.Marshaler via the schema-v1 wire form.
+// MarshalJSON implements json.Marshaler with the JSONL stream's decision
+// line appender, so the dump and the stream share one encoder.
 func (d FlightDecision) MarshalJSON() ([]byte, error) {
-	line := decisionWire(d.DecisionRecord)
-	return json.Marshal(&line)
+	return appendDecisionLine(nil, d.DecisionRecord)
 }
 
 // FlightDump is a point-in-time snapshot of the recorder, shaped for

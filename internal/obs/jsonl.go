@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 )
 
@@ -92,182 +90,248 @@ type spanLine struct {
 	Span Span    `json:"span"`
 }
 
+// jsonlBlock is the write granularity of a JSONLWriter: lines collect in
+// its buffer and reach the underlying writer in blocks of at least this
+// many bytes (and on Flush), always ending on a line boundary.
+const jsonlBlock = 64 << 10
+
 // JSONLWriter is a Probe that streams schema-v1 lines to an io.Writer.
-// Lines are written atomically under a mutex, so one writer may be shared
+// Lines are appended atomically under a mutex, so one writer may be shared
 // by the experiment harness's parallel runs (lines from concurrent runs
 // interleave, each line stays intact). Call Flush before reading the
 // output.
+//
+// Event and decision lines are built by hand (appendEventLine,
+// appendDecisionLine) in exactly the bytes encoding/json gives their wire
+// structs; span lines go through json.Marshal.
 type JSONLWriter struct {
 	mu  sync.Mutex
-	w   *bufio.Writer
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
 	err error
 }
 
 // NewJSONLWriter wraps w in a buffered schema-v1 stream.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	bw := bufio.NewWriter(w)
-	return &JSONLWriter{w: bw, enc: json.NewEncoder(bw)}
+	// The slack past one block holds the line that crosses the threshold.
+	return &JSONLWriter{w: w, buf: make([]byte, 0, jsonlBlock+4<<10)}
 }
 
 // OnEvent implements Probe.
 func (jw *JSONLWriter) OnEvent(ev Event) {
-	line := eventLine{
-		V: JSONLSchemaVersion, Type: "event",
-		T: ev.Time, Kind: ev.Kind, Task: ev.TaskID, Seq: ev.Seq,
-		Mode: ev.Mode, Detail: ev.Detail,
+	jw.mu.Lock()
+	if jw.err == nil {
+		jw.endLine(appendEventLine(jw.buf, ev))
 	}
-	switch ev.Kind {
-	case KindDispatch, KindSegment, KindFault:
-		lv := ev.Level
-		line.Level = &lv
-	}
-	if ev.Kind == KindSegment {
-		st := ev.Start
-		line.Start = &st
-	}
-	jw.encode(&line)
-}
-
-// decisionWire builds the schema-v1 wire form of d. The infinite Until
-// ("run until the next event") is omitted rather than encoded — JSON has
-// no Inf — which is why the flight recorder dump reuses this form too.
-func decisionWire(d DecisionRecord) decisionLine {
-	line := decisionLine{
-		V: JSONLSchemaVersion, Type: "decision",
-		T: d.Time, Policy: d.Policy, Task: d.TaskID, Seq: d.Seq,
-		Deadline: d.Deadline, Slack: d.Slack,
-		Stored: d.Stored, Predicted: d.Predicted, Available: d.Available,
-		S1: d.S1, S2: d.S2, Level: d.Level, Speed: d.Speed,
-		Reason: d.Reason,
-	}
-	if !math.IsInf(d.Until, 0) {
-		u := d.Until
-		line.Until = &u
-	}
-	return line
+	jw.mu.Unlock()
 }
 
 // OnDecision implements Probe.
 func (jw *JSONLWriter) OnDecision(d DecisionRecord) {
-	line := decisionWire(d)
-	jw.encode(&line)
+	jw.mu.Lock()
+	if jw.err == nil {
+		jw.endLine(appendDecisionLine(jw.buf, d))
+	}
+	jw.mu.Unlock()
 }
 
 // OnSpan implements SpanSink: spans interleave with events and decisions
 // in the same stream as v1.1 lines.
 func (jw *JSONLWriter) OnSpan(sp Span) {
-	jw.encode(&spanLine{V: JSONLSpanVersion, Type: "span", Span: sp})
-}
-
-func (jw *JSONLWriter) encode(line any) {
+	line, err := json.Marshal(&spanLine{V: JSONLSpanVersion, Type: "span", Span: sp})
 	jw.mu.Lock()
 	if jw.err == nil {
-		jw.err = jw.enc.Encode(line)
+		jw.endLine(append(jw.buf, line...), err)
 	}
 	jw.mu.Unlock()
 }
 
-// Flush drains the buffer and returns the first error encountered by any
-// write.
+// endLine takes the buffer with one more line appended (or, when err is
+// set, nothing appended), terminates the line and ships the buffer once
+// it holds a block. Callers hold mu and have checked jw.err.
+func (jw *JSONLWriter) endLine(buf []byte, err error) {
+	jw.buf, jw.err = buf, err
+	if err != nil {
+		return
+	}
+	jw.buf = append(jw.buf, '\n')
+	if len(jw.buf) >= jsonlBlock {
+		jw.write()
+	}
+}
+
+// write hands the buffered lines to the underlying writer. A failed write
+// sticks and drops the buffer: the stream is broken from there on.
+func (jw *JSONLWriter) write() {
+	n, err := jw.w.Write(jw.buf)
+	if err == nil && n < len(jw.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil && jw.err == nil {
+		jw.err = err
+	}
+	jw.buf = jw.buf[:0]
+}
+
+// Flush writes the buffered lines and returns the first error
+// encountered by any line or write. Lines buffered before a line that
+// failed to encode are still written.
 func (jw *JSONLWriter) Flush() error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if err := jw.w.Flush(); err != nil && jw.err == nil {
-		jw.err = err
+	if len(jw.buf) > 0 {
+		jw.write()
 	}
 	return jw.err
 }
 
-// CheckJSONL validates a schema-v1/v1.1 stream line by line and returns
-// the number of valid lines: event and decision lines must carry "v":1,
-// span lines "v":1.1. The first malformed line fails the whole stream
-// with its line number. Empty streams are valid (a run can emit nothing).
-func CheckJSONL(r io.Reader) (int, error) {
-	knownKinds := make(map[EventKind]bool)
-	for _, k := range KnownEventKinds() {
-		knownKinds[k] = true
+// appendEventLine appends the schema-v1 line of ev, without its newline:
+// the bytes of json.Marshal of its eventLine. On error (a non-finite
+// float) it returns b unchanged and the error json.Marshal reports.
+func appendEventLine(b []byte, ev Event) ([]byte, error) {
+	e := wireAppender{b: b}
+	e.raw(`{"v":`)
+	e.int(JSONLSchemaVersion)
+	e.raw(`,"type":"event","t":`)
+	e.float(ev.Time)
+	e.raw(`,"kind":`)
+	e.str(string(ev.Kind))
+	e.raw(`,"task":`)
+	e.int(ev.TaskID)
+	e.raw(`,"seq":`)
+	e.int(ev.Seq)
+	switch ev.Kind {
+	case KindDispatch, KindSegment, KindFault:
+		e.raw(`,"level":`)
+		e.int(ev.Level)
 	}
-	knownReasons := make(map[Reason]bool)
-	for _, rs := range KnownReasons() {
-		knownReasons[rs] = true
+	if ev.Kind == KindSegment {
+		e.raw(`,"start":`)
+		e.float(ev.Start)
 	}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	n := 0
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var head struct {
-			V    float64 `json:"v"`
-			Type string  `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil {
-			return n, fmt.Errorf("obs: line %d: not a JSON object: %w", lineNo, err)
-		}
-		wantV := float64(JSONLSchemaVersion)
-		if head.Type == "span" {
-			wantV = JSONLSpanVersion
-		}
-		if head.V != wantV {
-			return n, fmt.Errorf("obs: line %d: schema version %v, want %v for %q lines", lineNo, head.V, wantV, head.Type)
-		}
-		switch head.Type {
-		case "event":
-			var ev eventLine
-			if err := strictUnmarshal(raw, &ev); err != nil {
-				return n, fmt.Errorf("obs: line %d: bad event: %w", lineNo, err)
-			}
-			if !knownKinds[ev.Kind] {
-				return n, fmt.Errorf("obs: line %d: unknown event kind %q", lineNo, ev.Kind)
-			}
-			if math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
-				return n, fmt.Errorf("obs: line %d: non-finite time", lineNo)
-			}
-		case "decision":
-			var d decisionLine
-			if err := strictUnmarshal(raw, &d); err != nil {
-				return n, fmt.Errorf("obs: line %d: bad decision: %w", lineNo, err)
-			}
-			if !knownReasons[d.Reason] {
-				return n, fmt.Errorf("obs: line %d: unknown reason code %q", lineNo, d.Reason)
-			}
-			if d.Policy == "" {
-				return n, fmt.Errorf("obs: line %d: decision without policy", lineNo)
-			}
-			for _, f := range []float64{d.T, d.Slack, d.Stored, d.Available} {
-				if math.IsNaN(f) || math.IsInf(f, 0) {
-					return n, fmt.Errorf("obs: line %d: non-finite numeric field", lineNo)
-				}
-			}
-		case "span":
-			var sl spanLine
-			if err := strictUnmarshal(raw, &sl); err != nil {
-				return n, fmt.Errorf("obs: line %d: bad span: %w", lineNo, err)
-			}
-			if err := sl.Span.Validate(); err != nil {
-				return n, fmt.Errorf("obs: line %d: %w", lineNo, err)
-			}
-		default:
-			return n, fmt.Errorf("obs: line %d: unknown line type %q", lineNo, head.Type)
-		}
-		n++
+	if ev.Mode != "" {
+		e.raw(`,"mode":`)
+		e.str(ev.Mode)
 	}
-	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("obs: reading stream: %w", err)
+	if ev.Detail != "" {
+		e.raw(`,"detail":`)
+		e.str(ev.Detail)
 	}
-	return n, nil
+	e.raw("}")
+	return e.done(len(b))
 }
 
-// strictUnmarshal rejects fields outside the schema struct, so a typo'd
-// producer fails validation instead of silently passing.
-func strictUnmarshal(raw []byte, into any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(into)
+// appendDecisionLine appends the schema-v1 line of d, without its
+// newline: the bytes of json.Marshal of its decisionLine. The infinite
+// Until ("run until the next event") is omitted rather than encoded —
+// JSON has no Inf — which is why the flight recorder dump uses this form
+// too. On error it returns b unchanged, as appendEventLine does.
+func appendDecisionLine(b []byte, d DecisionRecord) ([]byte, error) {
+	e := wireAppender{b: b}
+	e.raw(`{"v":`)
+	e.int(JSONLSchemaVersion)
+	e.raw(`,"type":"decision","t":`)
+	e.float(d.Time)
+	e.raw(`,"policy":`)
+	e.str(d.Policy)
+	e.raw(`,"task":`)
+	e.int(d.TaskID)
+	e.raw(`,"seq":`)
+	e.int(d.Seq)
+	e.raw(`,"deadline":`)
+	e.float(d.Deadline)
+	e.raw(`,"slack":`)
+	e.float(d.Slack)
+	e.raw(`,"stored":`)
+	e.float(d.Stored)
+	e.raw(`,"predicted":`)
+	e.float(d.Predicted)
+	e.raw(`,"available":`)
+	e.float(d.Available)
+	e.raw(`,"s1":`)
+	e.float(d.S1)
+	e.raw(`,"s2":`)
+	e.float(d.S2)
+	e.raw(`,"level":`)
+	e.int(d.Level)
+	e.raw(`,"speed":`)
+	e.float(d.Speed)
+	if !math.IsInf(d.Until, 0) {
+		e.raw(`,"until":`)
+		e.float(d.Until)
+	}
+	e.raw(`,"reason":`)
+	e.str(string(d.Reason))
+	e.raw("}")
+	return e.done(len(b))
+}
+
+// wireAppender appends JSON values in encoding/json's exact bytes. The
+// first value JSON cannot represent (a NaN or ±Inf float) sets err.
+type wireAppender struct {
+	b   []byte
+	err error
+}
+
+// done returns the appended line, or the buffer cut back to start and
+// the first error.
+func (e *wireAppender) done(start int) ([]byte, error) {
+	if e.err != nil {
+		return e.b[:start], e.err
+	}
+	return e.b, nil
+}
+
+func (e *wireAppender) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *wireAppender) int(i int) { e.b = strconv.AppendInt(e.b, int64(i), 10) }
+
+// float formats f as encoding/json does: the shortest representation
+// that round-trips, in 'e' notation below 1e-6 and from 1e21 in
+// magnitude, with a one-digit negative exponent written without its
+// leading zero.
+func (e *wireAppender) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			_, e.err = json.Marshal(f)
+		}
+		return
+	}
+	abs := math.Abs(f)
+	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		// Below 2^53 the shortest form of an integral value is its integer
+		// digits, which AppendInt writes without the shortest-digit search
+		// (most times, deadlines and slacks in a stream are integral).
+		e.b = strconv.AppendInt(e.b, int64(f), 10)
+		return
+	}
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+			e.b[n-2] = e.b[n-1]
+			e.b = e.b[:n-1]
+		}
+	}
+}
+
+// str writes s verbatim when every byte is printable ASCII that
+// encoding/json leaves alone; anything else (quotes, backslashes, the
+// HTML-escaped <, > and &, control bytes, non-ASCII) goes through
+// json.Marshal, which escapes it and replaces invalid UTF-8.
+func (e *wireAppender) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			e.b = append(e.b, q...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
 }

@@ -589,7 +589,10 @@ func streamRequested(r *http.Request) bool {
 // the response: the client watches arrivals, dispatches, decisions and
 // faults as they happen. Event streams identify a client's observation,
 // not a result, so they bypass the cache; they still occupy a worker slot
-// and count against the queue bound. An engine error after streaming
+// and count against the queue bound. The status and Content-Type commit
+// with the first bytes that reach the client, so a run that fails before
+// then (every config validation error does) answers with the status and
+// error body of the non-stream path. An engine error after streaming
 // began truncates the stream (the status line is long gone).
 func (s *Server) streamSimEvents(w http.ResponseWriter, r *http.Request, cfg eadvfs.Config) {
 	release, err := s.acquire(r.Context())
@@ -604,21 +607,45 @@ func (s *Server) streamSimEvents(w http.ResponseWriter, r *http.Request, cfg ead
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	jw := obs.NewJSONLWriter(w)
+	sw := &streamWriter{w: w}
+	jw := obs.NewJSONLWriter(sw)
 	cfg.Probe = jw
 	runErr := experiment.RunHardened(func() error {
 		_, err := s.runSim(ctx, cfg)
 		return err
 	})
+	if runErr != nil && !sw.started {
+		s.writeError(w, statusOf(runErr), runErr)
+		return
+	}
 	if runErr == nil {
 		s.engineRuns.Inc()
 	}
 	jw.Flush()
+	sw.start() // an empty stream is still a 200 application/x-ndjson
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// streamWriter sets the event stream's headers on the first Write, which
+// commits the 200.
+type streamWriter struct {
+	w       http.ResponseWriter
+	started bool
+}
+
+func (sw *streamWriter) start() {
+	if !sw.started {
+		sw.started = true
+		sw.w.Header().Set("Content-Type", "application/x-ndjson")
+		sw.w.Header().Set("X-Accel-Buffering", "no")
+	}
+}
+
+func (sw *streamWriter) Write(p []byte) (int, error) {
+	sw.start()
+	return sw.w.Write(p)
 }
 
 // handleSweep serves POST /v1/sweep: a whole evaluation sweep (the

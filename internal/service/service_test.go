@@ -459,6 +459,43 @@ func TestEventStreamIsValidJSONL(t *testing.T) {
 	}
 }
 
+// A bad config answers ?events=1 exactly as it answers the plain
+// request — same status, same JSON error body — instead of a 200 with an
+// empty stream: the stream commits its status only with its first bytes.
+func TestEventStreamBadConfigMatchesPlainError(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"PMax":-1}`,
+		`{"Policy":"nope"}`,
+		`{"Capacity":-5}`,
+		`{"ConstantHarvest":2,"HarvestTrace":[1,2]}`,
+		`{"schema":2,"sleep":"bogus"}`,
+		`{"Capcity":300}`,
+	} {
+		t.Run(body, func(t *testing.T) {
+			post := func(path string) (int, string, []byte) {
+				t.Helper()
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, resp.Header.Get("Content-Type"), readBody(t, resp)
+			}
+			code, ct, plain := post("/v1/sim")
+			if code != http.StatusBadRequest || ct != "application/json" {
+				t.Fatalf("plain: %d %s, want 400 application/json: %s", code, ct, plain)
+			}
+			scode, sct, stream := post("/v1/sim?events=1")
+			if scode != code || sct != ct || !bytes.Equal(stream, plain) {
+				t.Fatalf("?events=1 answered %d %s %q, plain %d %s %q", scode, sct, stream, code, ct, plain)
+			}
+		})
+	}
+}
+
 // The cache evicts FIFO beyond its bound but never loses correctness:
 // an evicted digest simply recomputes.
 func TestCacheEviction(t *testing.T) {
