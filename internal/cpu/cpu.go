@@ -251,7 +251,8 @@ func Cubic(name string, n int, fmaxMHz, pmax, static float64) *Processor {
 	pts := make([]OperatingPoint, n)
 	for i := 0; i < n; i++ {
 		f := fmaxMHz * float64(i+1) / float64(n)
-		pts[i] = OperatingPoint{FreqMHz: f, Power: static + k*math.Pow(f, 3)}
+		// float64(...) rounds the product: no fused multiply-add on any GOARCH.
+		pts[i] = OperatingPoint{FreqMHz: f, Power: static + float64(k*math.Pow(f, 3))}
 	}
 	return New(name, pts)
 }

@@ -21,7 +21,9 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	// float64(...) rounds the product before the add, so no GOARCH fuses
+	// it into one multiply-add and every platform gets the same bits.
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Merge folds another accumulator into w as if every observation behind o
@@ -89,8 +91,9 @@ func NewSeries(start, step float64, n int) *Series {
 // Len returns the sample count.
 func (s *Series) Len() int { return len(s.Values) }
 
-// TimeAt returns the timestamp of sample i.
-func (s *Series) TimeAt(i int) float64 { return s.Start + float64(i)*s.Step }
+// TimeAt returns the timestamp of sample i. The product is rounded
+// before the add, as in Welford.Add.
+func (s *Series) TimeAt(i int) float64 { return s.Start + float64(float64(i)*s.Step) }
 
 // Mean returns the average of all samples (0 when empty).
 func (s *Series) Mean() float64 {
@@ -262,8 +265,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.Buckets {
 		cum += float64(c)
 		if cum >= target {
-			return h.Lo + (float64(i)+0.5)*width
+			return h.Lo + float64((float64(i)+0.5)*width) // rounded as in Welford.Add
 		}
 	}
-	return h.Hi - width/2
+	return h.Hi - float64(width/2)
 }

@@ -130,9 +130,16 @@ func Run(j *task.Job, level int, until float64) Decision {
 	return Decision{Job: j, Level: level, Until: until}
 }
 
-// Policy decides what the processor does. Decide is called at every
-// scheduling event (arrival, completion, deadline, unit boundary, storage
-// crossing, Until expiry).
+// Policy decides what the processor does. The engine re-decides after
+// scheduling events (arrival, completion, deadline, unit boundary, storage
+// crossing, Until expiry), but need not ask the policy at each of them.
+//
+// Contract: on an empty ready queue Decide returns Idle(+Inf), and
+// repeating the call with no queue change in between changes no policy
+// state. The engine relies on it to answer a quiet unit boundary — empty
+// queue, idle processor with a zero idle draw and no sleep states —
+// without calling Decide. Runs with a probe or with invariant checking
+// still call it there, and the checker reports any other answer.
 type Policy interface {
 	Name() string
 	Decide(ctx *Context) Decision

@@ -235,8 +235,9 @@ type Result struct {
 	Switches  int       // operating-point changes between run segments
 
 	// Preemptions counts a running, unfinished job being displaced by a
-	// different job; Decisions counts policy invocations. Together they
-	// measure a policy's runtime overhead.
+	// different job; Decisions counts decision points, including quiet
+	// unit boundaries where the engine answers without calling the policy
+	// (see engine). Together they measure a policy's runtime overhead.
 	Preemptions int
 	Decisions   int
 
@@ -293,6 +294,16 @@ type SlackStats struct {
 // the (time, priority, insertion) order of a single event queue holding
 // every event (refimpl's linear-scan list), and dispatched counts every
 // fired event once.
+//
+// Quiet boundaries: a unit boundary whose decision is the only event left
+// at its instant (no segment end, arrival or deadline check at or before
+// it) runs that decision inline, still counted as one dispatched event
+// under the budget and the context poll. The point is quiet when the
+// ready queue is empty, the processor is idle, its idle draw is zero and
+// it declares no sleep states. Every policy answers Idle(+Inf) there (the
+// sched.Policy contract), which changes nothing, so a run with no probe
+// and no invariant checker counts the decision and skips Decide.
+// refimpl asks every time; the differential sweep checks the shortcut.
 type engine struct {
 	cfg      *Config
 	queue    *task.ReadyQueue
@@ -368,24 +379,9 @@ func (e *engine) dispatch() error {
 		if !ok || t > e.cfg.Horizon {
 			return nil
 		}
-		if e.cfg.MaxEvents > 0 && e.dispatched >= e.cfg.MaxEvents {
-			return &EventBudgetError{
-				Events:  e.dispatched,
-				Time:    e.simNow,
-				Horizon: e.cfg.Horizon,
-				Pending: e.pendingEvents(),
-			}
+		if err := e.admit(); err != nil {
+			return err
 		}
-		// Cooperative cancellation: poll the context every 256 events —
-		// frequent enough to abort within microseconds of real time, rare
-		// enough that the nil-context hot path stays unmeasurable.
-		if e.cfg.Context != nil && e.dispatched&0xFF == 0 {
-			if err := e.cfg.Context.Err(); err != nil {
-				return fmt.Errorf("sim: run cancelled at t=%g after %d events: %w",
-					e.simNow, e.dispatched, err)
-			}
-		}
-		e.dispatched++
 		e.simNow = t
 		switch prio {
 		case prioBoundary:
@@ -394,6 +390,15 @@ func (e *engine) dispatch() error {
 				e.nextBoundary = math.Inf(1)
 			}
 			e.onBoundary(t)
+			if e.aloneAt(t) {
+				// The re-decision onBoundary requested is the only event
+				// left at t: run it here rather than round the loop. It is
+				// still one dispatched event under the same budget and poll.
+				if err := e.admit(); err != nil {
+					return err
+				}
+				e.onBoundaryDecide(t)
+			}
 		case prioSegment:
 			e.segTime = math.Inf(1)
 			e.onSegmentEnd(t)
@@ -404,10 +409,42 @@ func (e *engine) dispatch() error {
 		case prioDeadline:
 			e.onDeadline(t, e.checks.pop())
 		case prioDecide:
-			e.onDecide(t)
+			e.onDecide(t, false)
 		}
 	}
 	return nil
+}
+
+// admit counts one more dispatched event, enforcing the optional event
+// budget (Config.MaxEvents) and polling the context first.
+func (e *engine) admit() error {
+	if e.cfg.MaxEvents > 0 && e.dispatched >= e.cfg.MaxEvents {
+		return &EventBudgetError{
+			Events:  e.dispatched,
+			Time:    e.simNow,
+			Horizon: e.cfg.Horizon,
+			Pending: e.pendingEvents(),
+		}
+	}
+	// Cooperative cancellation: poll the context every 256 events —
+	// frequent enough to abort within microseconds of real time, rare
+	// enough that the nil-context hot path stays unmeasurable.
+	if e.cfg.Context != nil && e.dispatched&0xFF == 0 {
+		if err := e.cfg.Context.Err(); err != nil {
+			return fmt.Errorf("sim: run cancelled at t=%g after %d events: %w",
+				e.simNow, e.dispatched, err)
+		}
+	}
+	e.dispatched++
+	return nil
+}
+
+// aloneAt reports whether no segment end, arrival or deadline check is
+// pending at or before t, so the decision requested at t fires next.
+func (e *engine) aloneAt(t float64) bool {
+	return e.segTime > t &&
+		(e.nextArrival == len(e.release) || e.release[e.nextArrival].Arrival > t) &&
+		(len(e.checks) == 0 || e.checks[0].t > t)
 }
 
 // peekNext returns the earliest pending (time, priority) across the event
@@ -473,6 +510,9 @@ func (e *engine) cpuPower() float64 {
 // constant across the whole span — behavioural changes are events, and
 // events call syncTo before mutating anything.
 func (e *engine) syncTo(now float64) {
+	if now == e.lastT {
+		return
+	}
 	if now < e.lastT-1e-9 {
 		if e.inv != nil {
 			// Structured violation instead of a crash: record the causal
@@ -584,7 +624,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	// Injected overrun: the true work exceeds what the task declared; the
 	// scheduler keeps budgeting the WCET and only the engine knows.
 	if of := e.faults.OverrunFactor(j.TaskID, j.Seq); of > 1 {
-		actual *= of
+		actual = float64(actual * of) // rounded here: no fused multiply-add
 		j.SetOverrunWork(actual)
 		e.faults.AddOverrunWork(max(0, actual-j.WCET))
 	} else if drawn {
@@ -659,6 +699,22 @@ func (e *engine) onBoundary(now float64) {
 	e.requestDecide(now)
 }
 
+// onBoundaryDecide runs the decision of a unit boundary alone at its
+// instant. At a quiet point (see engine; with no sleep states the
+// processor is never asleep or waking) onDecide would change nothing but
+// the decision count, so an untraced, unchecked run only counts it.
+func (e *engine) onBoundaryDecide(now float64) {
+	quiet := e.queue.Len() == 0 && e.mode == ModeIdle &&
+		e.cfg.CPU.IdlePower() == 0 && e.cfg.CPU.SleepLevels() == 0
+	if quiet && e.cfg.Probe == nil && e.inv == nil {
+		e.decidePending = false
+		e.segTime = math.Inf(1)
+		e.res.Decisions++
+		return
+	}
+	e.onDecide(now, quiet)
+}
+
 // onSegmentEnd fires when the current activity's natural end is reached:
 // job completion, storage depletion, or the policy's requested
 // re-evaluation instant. All three reduce to "update state, re-decide".
@@ -713,7 +769,10 @@ func (e *engine) requestDecide(now float64) {
 	e.decideAt = now
 }
 
-func (e *engine) onDecide(now float64) {
+// onDecide asks the policy and applies its decision. quiet marks a quiet
+// unit boundary (onBoundaryDecide), where the checker holds the policy to
+// its Idle(+Inf) answer.
+func (e *engine) onDecide(now float64, quiet bool) {
 	e.decidePending = false
 	e.syncTo(now)
 	e.finishIfDone(now)
@@ -747,6 +806,11 @@ func (e *engine) onDecide(now float64) {
 	ctx.Probe = e.cfg.Probe
 	d := e.cfg.Policy.Decide(ctx)
 	e.res.Decisions++
+	if quiet && e.inv != nil && d != sched.Idle(math.Inf(1)) {
+		e.inv.record("policy-contract", now,
+			"policy %s answered (idle %t, level %d, until %g) at a quiet unit boundary (empty ready queue), want Idle(+Inf)",
+			e.cfg.Policy.Name(), d.Job == nil, d.Level, d.Until)
+	}
 	if e.mode == ModeRun && e.running != nil && !e.running.Done() &&
 		d.Job != nil && d.Job != e.running {
 		e.res.Preemptions++

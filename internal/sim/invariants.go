@@ -15,7 +15,7 @@ const maxViolations = 32
 // InvariantViolation is one detected breach of the engine's physical or
 // causal invariants.
 type InvariantViolation struct {
-	Kind   string  // "store-bounds", "conservation", "clock", "miss-stats"
+	Kind   string  // "store-bounds", "conservation", "clock", "miss-stats", "policy-contract"
 	Time   float64 // simulation time of detection
 	Detail string
 }

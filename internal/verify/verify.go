@@ -15,6 +15,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -255,65 +256,69 @@ func (s *Spec) faults() *fault.Spec {
 // policy) is constructed fresh per side so neither run can contaminate
 // the other; determinism in the spec guarantees the pairs start bit-equal.
 func (s *Spec) Pair() (opt, ref *sim.Config, err error) {
-	if s.InitialFrac < 0 || s.InitialFrac > 1 || math.IsNaN(s.InitialFrac) {
-		return nil, nil, fmt.Errorf("verify: initial_frac %v outside [0,1]", s.InitialFrac)
-	}
-	if s.BCWCRatio < 0 || s.BCWCRatio > 1 || math.IsNaN(s.BCWCRatio) {
-		return nil, nil, fmt.Errorf("verify: bcwc_ratio %v outside [0,1]", s.BCWCRatio)
-	}
-	if !(s.Capacity >= 0) || math.IsInf(s.Capacity, 1) {
-		return nil, nil, fmt.Errorf("verify: capacity %v is not a finite non-negative number", s.Capacity)
-	}
-	uniform := task.UniformExec(s.BCWCRatio)
-	build := func(isRef bool) (*sim.Config, error) {
-		src, err := s.Source.Build()
-		if err != nil {
-			return nil, err
-		}
-		pred, err := s.predictor(src, isRef)
-		if err != nil {
-			return nil, err
-		}
-		if !isRef && s.InjectBias != 0 {
-			pred = &biasPredictor{inner: pred, bias: s.InjectBias, after: s.InjectAfter}
-		}
-		pol, err := s.policy(isRef)
-		if err != nil {
-			return nil, err
-		}
-		proc, err := cpuFor(s)
-		if err != nil {
-			return nil, err
-		}
-		tasks := make([]task.Task, len(s.Tasks))
-		copy(tasks, s.Tasks)
-		for i := range tasks {
-			if tasks[i].Exec == nil {
-				tasks[i].Exec = uniform
-			}
-		}
-		return &sim.Config{
-			Horizon:               s.Horizon,
-			Tasks:                 tasks,
-			Source:                src,
-			Predictor:             pred,
-			Store:                 storage.New(s.Capacity, s.InitialFrac*s.Capacity),
-			CPU:                   proc,
-			Policy:                pol,
-			ContinueAfterDeadline: s.ContinueAfterDeadline,
-			ExecSeed:              s.ExecSeed,
-			RecordEnergy:          true,
-			Faults:                s.faults(),
-			MaxEvents:             s.MaxEvents,
-		}, nil
-	}
-	if opt, err = build(false); err != nil {
+	if opt, err = s.config(false); err != nil {
 		return nil, nil, err
 	}
-	if ref, err = build(true); err != nil {
+	if ref, err = s.config(true); err != nil {
 		return nil, nil, err
 	}
 	return opt, ref, nil
+}
+
+// config materializes one side's configuration with fresh stateful
+// components: the reference engine's when isRef, the optimized one's
+// otherwise.
+func (s *Spec) config(isRef bool) (*sim.Config, error) {
+	if s.InitialFrac < 0 || s.InitialFrac > 1 || math.IsNaN(s.InitialFrac) {
+		return nil, fmt.Errorf("verify: initial_frac %v outside [0,1]", s.InitialFrac)
+	}
+	if s.BCWCRatio < 0 || s.BCWCRatio > 1 || math.IsNaN(s.BCWCRatio) {
+		return nil, fmt.Errorf("verify: bcwc_ratio %v outside [0,1]", s.BCWCRatio)
+	}
+	if !(s.Capacity >= 0) || math.IsInf(s.Capacity, 1) {
+		return nil, fmt.Errorf("verify: capacity %v is not a finite non-negative number", s.Capacity)
+	}
+	src, err := s.Source.Build()
+	if err != nil {
+		return nil, err
+	}
+	pred, err := s.predictor(src, isRef)
+	if err != nil {
+		return nil, err
+	}
+	if !isRef && s.InjectBias != 0 {
+		pred = &biasPredictor{inner: pred, bias: s.InjectBias, after: s.InjectAfter}
+	}
+	pol, err := s.policy(isRef)
+	if err != nil {
+		return nil, err
+	}
+	proc, err := cpuFor(s)
+	if err != nil {
+		return nil, err
+	}
+	uniform := task.UniformExec(s.BCWCRatio)
+	tasks := make([]task.Task, len(s.Tasks))
+	copy(tasks, s.Tasks)
+	for i := range tasks {
+		if tasks[i].Exec == nil {
+			tasks[i].Exec = uniform
+		}
+	}
+	return &sim.Config{
+		Horizon:               s.Horizon,
+		Tasks:                 tasks,
+		Source:                src,
+		Predictor:             pred,
+		Store:                 storage.New(s.Capacity, s.InitialFrac*s.Capacity),
+		CPU:                   proc,
+		Policy:                pol,
+		ContinueAfterDeadline: s.ContinueAfterDeadline,
+		ExecSeed:              s.ExecSeed,
+		RecordEnergy:          true,
+		Faults:                s.faults(),
+		MaxEvents:             s.MaxEvents,
+	}, nil
 }
 
 // Divergence describes a differential failure: the first (up to maxDiffs)
@@ -336,12 +341,21 @@ func (d *Divergence) Diverged() bool {
 const maxDiffs = 24
 
 // Check runs both engines on the spec and bit-compares everything:
-// run errors (by message), decision audits, engine event streams, and the
-// exported Result fields. It returns nil when the runs are bit-identical,
-// and a populated Divergence otherwise. A setup error (invalid spec)
-// is returned as err.
+// run errors (by message, and an *EventBudgetError field by field),
+// decision audits, engine event streams, and the exported Result fields.
+// The optimized engine runs twice — traced, and untraced with no probe —
+// because it takes shortcuts only when no probe watches (quiet unit
+// boundaries), and each run must match the reference. It returns nil when
+// the runs are bit-identical, and a populated Divergence otherwise. A
+// setup error (invalid spec) is returned as err.
 func Check(s *Spec) (*Divergence, error) {
 	opt, ref, err := s.Pair()
+	if err != nil {
+		return nil, err
+	}
+	// The untraced run (no probe, no checker) is the configuration every
+	// benchmark, cache key and digest uses.
+	untraced, err := s.config(false)
 	if err != nil {
 		return nil, err
 	}
@@ -350,6 +364,7 @@ func Check(s *Spec) (*Divergence, error) {
 
 	optRes, optErr := sim.Run(opt)
 	refRes, refErr := refimpl.Run(ref)
+	untracedRes, untracedErr := sim.Run(untraced)
 
 	d := &Divergence{
 		Spec:   s,
@@ -357,27 +372,47 @@ func Check(s *Spec) (*Divergence, error) {
 		Opt: optRes, Ref: refRes,
 		OptRec: optRec, RefRec: refRec,
 	}
-	if (optErr == nil) != (refErr == nil) {
-		d.Diffs = append(d.Diffs, fmt.Sprintf("error: %v != %v", optErr, refErr))
-		return d, nil
+	if diffOutcome("", optRes, optErr, refRes, refErr, &d.Diffs) {
+		bitDiff("Decisions", reflect.ValueOf(optRec.Decisions()), reflect.ValueOf(refRec.Decisions()), &d.Diffs)
+		bitDiff("Events", reflect.ValueOf(optRec.Events()), reflect.ValueOf(refRec.Events()), &d.Diffs)
 	}
-	if optErr != nil && optErr.Error() != refErr.Error() {
-		d.Diffs = append(d.Diffs, fmt.Sprintf("error: %q != %q", optErr, refErr))
-		return d, nil
-	}
-	if (optRes == nil) != (refRes == nil) {
-		d.Diffs = append(d.Diffs, fmt.Sprintf("result presence: %v != %v", optRes != nil, refRes != nil))
-		return d, nil
-	}
-	if optRes != nil {
-		bitDiff("Result", reflect.ValueOf(*optRes), reflect.ValueOf(*refRes), &d.Diffs)
-	}
-	bitDiff("Decisions", reflect.ValueOf(optRec.Decisions()), reflect.ValueOf(refRec.Decisions()), &d.Diffs)
-	bitDiff("Events", reflect.ValueOf(optRec.Events()), reflect.ValueOf(refRec.Events()), &d.Diffs)
+	diffOutcome("Untraced.", untracedRes, untracedErr, refRes, refErr, &d.Diffs)
 	if !d.Diverged() {
 		return nil, nil
 	}
 	return d, nil
+}
+
+// diffOutcome bit-compares one optimized run's outcome with the
+// reference's: the error's presence and message, an *EventBudgetError's
+// every field, then the Result. It reports false when the outcomes differ
+// in kind (error against none, different message, result presence), so
+// nothing further is worth comparing.
+func diffOutcome(path string, a *sim.Result, aErr error, b *sim.Result, bErr error, out *[]string) bool {
+	if (aErr == nil) != (bErr == nil) {
+		*out = append(*out, fmt.Sprintf("%serror: %v != %v", path, aErr, bErr))
+		return false
+	}
+	if aErr != nil && aErr.Error() != bErr.Error() {
+		*out = append(*out, fmt.Sprintf("%serror: %q != %q", path, aErr, bErr))
+		return false
+	}
+	var ab, bb *sim.EventBudgetError
+	if errors.As(aErr, &ab) != errors.As(bErr, &bb) {
+		*out = append(*out, fmt.Sprintf("%serror type: %T != %T", path, aErr, bErr))
+		return false
+	}
+	if ab != nil {
+		bitDiff(path+"EventBudgetError", reflect.ValueOf(*ab), reflect.ValueOf(*bb), out)
+	}
+	if (a == nil) != (b == nil) {
+		*out = append(*out, fmt.Sprintf("%sresult presence: %v != %v", path, a != nil, b != nil))
+		return false
+	}
+	if a != nil {
+		bitDiff(path+"Result", reflect.ValueOf(*a), reflect.ValueOf(*b), out)
+	}
+	return true
 }
 
 // bitDiff walks two values of identical type and records every path where
