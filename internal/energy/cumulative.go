@@ -40,8 +40,10 @@ func AsCumulative(src Source) Cumulative {
 // unit's perturbation from seeds, not from call order).
 //
 // The tables extend lazily to the furthest queried instant and are never
-// evicted (same retention policy as SolarModel: ~16 bytes per simulated
-// unit, capped at maxSolarSamples units).
+// evicted, capped at maxSolarSamples units like SolarModel's. Unlike
+// SolarModel, which builds its prefix sums only on the first prefix query,
+// Cached fills both tables together (16 bytes per simulated unit): a
+// source is wrapped only to answer prefix queries.
 type Cached struct {
 	Src   Source
 	power []float64 // power[k] = Src.PowerAt(k)
@@ -102,7 +104,7 @@ func (c *Cached) CumulativeEnergy(t float64) float64 {
 	c.ensure(k)
 	e := c.cum[k]
 	if frac := t - float64(k); frac > 0 {
-		e += c.power[k] * frac
+		e += float64(c.power[k] * frac)
 	}
 	return e
 }

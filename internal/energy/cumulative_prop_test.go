@@ -5,6 +5,7 @@ package energy_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +151,76 @@ func TestSolarForkBitEqual(t *testing.T) {
 		if a, b := master.Fork().CumulativeEnergy(700), fresh.CumulativeEnergy(700); a != b {
 			t.Fatalf("warm %v: second fork cum(700) = %v, fresh = %v", warm, a, b)
 		}
+	}
+}
+
+// TestSolarLazyPrefixInterleaving drives one solar model family through a
+// seeded random interleaving of PowerAt, CumulativeEnergy and Fork. Forks
+// are taken both before and after the parent's first prefix query (so
+// some share no prefix table and some share a partial one), and parents
+// and forks alike extend past the length they share. Every power must
+// equal a fresh model's, and every prefix a fresh model's and the naive
+// unit walk's, bit for bit: how far a model or its parent had realized or
+// summed must never show in an answer.
+func TestSolarLazyPrefixInterleaving(t *testing.T) {
+	const seed, maxT = 77, 900
+	ref := energy.NewSolarModel(seed)
+
+	type member struct {
+		m      *energy.SolarModel
+		parent *member
+		reach  int  // furthest unit this member has realized or inherited
+		shared int  // reach of its parent at the fork
+		summed bool // it has answered a prefix query
+	}
+	var forkedBefore, forkedAfter, parentPast, forkPast bool
+	for trial := 0; trial < 20; trial++ {
+		rnd := rand.New(rand.NewSource(int64(trial)))
+		fam := []*member{{m: energy.NewSolarModel(seed), reach: -1}}
+		for op := 0; op < 300; op++ {
+			x := fam[rnd.Intn(len(fam))]
+			// Queries creep past the member's reach more often than
+			// they jump, so chains of forks overlap and diverge.
+			tt := float64(rnd.Intn(maxT)) + float64(rnd.Intn(4))/4
+			if rnd.Intn(2) == 0 {
+				tt = math.Min(float64(max(x.reach, 0)+rnd.Intn(40))+0.5, maxT)
+			}
+			switch r := rnd.Intn(10); {
+			case r < 2 && len(fam) < 12:
+				if x.summed {
+					forkedAfter = true
+				} else {
+					forkedBefore = true
+				}
+				fam = append(fam, &member{m: x.m.Fork(), parent: x, reach: x.reach, shared: x.reach, summed: x.summed})
+				continue
+			case r < 6:
+				if got, want := x.m.PowerAt(tt), ref.PowerAt(tt); got != want {
+					t.Fatalf("trial %d op %d: PowerAt(%v) = %v, fresh model = %v", trial, op, tt, got, want)
+				}
+			default:
+				got := x.m.CumulativeEnergy(tt)
+				if want := energy.NewSolarModel(seed).CumulativeEnergy(tt); got != want {
+					t.Fatalf("trial %d op %d: CumulativeEnergy(%v) = %v, fresh model = %v", trial, op, tt, got, want)
+				}
+				if want := naive(ref, 0, tt); got != want {
+					t.Fatalf("trial %d op %d: CumulativeEnergy(%v) = %v, naive walk = %v", trial, op, tt, got, want)
+				}
+				x.summed = true
+			}
+			x.reach = max(x.reach, int(tt))
+			if x.parent != nil && x.reach > x.shared {
+				forkPast = true
+			}
+			for _, c := range fam {
+				if c.parent == x && x.reach > c.shared {
+					parentPast = true
+				}
+			}
+		}
+	}
+	if !forkedBefore || !forkedAfter || !parentPast || !forkPast {
+		t.Fatalf("interleaving missed a case: fork before first prefix %v, after %v, parent past shared %v, fork past shared %v",
+			forkedBefore, forkedAfter, parentPast, forkPast)
 	}
 }

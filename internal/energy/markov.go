@@ -76,7 +76,7 @@ func (m *MarkovWeather) PowerAt(t float64) float64 {
 func (m *MarkovWeather) MeanPower() float64 {
 	// Stationary probability of overcast for the two-state chain.
 	pOver := m.MeanOvercast / (m.MeanClear + m.MeanOvercast)
-	return m.Base.MeanPower() * (1 - pOver + pOver*m.OvercastFactor)
+	return m.Base.MeanPower() * (1 - pOver + float64(pOver*m.OvercastFactor))
 }
 
 // Name implements Source.

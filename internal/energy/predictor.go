@@ -86,7 +86,7 @@ func (e *EWMA) Observe(t, p float64) {
 		e.seen = true
 		return
 	}
-	e.avg = e.Alpha*p + (1-e.Alpha)*e.avg
+	e.avg = float64(e.Alpha*p) + float64((1-e.Alpha)*e.avg)
 }
 
 func (e *EWMA) PredictEnergy(t1, t2 float64) float64 {
@@ -160,7 +160,7 @@ func (s *SlotEWMA) Observe(t, p float64) {
 	if math.IsNaN(s.avg[i]) {
 		s.avg[i] = p
 	} else {
-		s.avg[i] = s.Alpha*p + (1-s.Alpha)*s.avg[i]
+		s.avg[i] = float64(s.Alpha*p) + float64((1-s.Alpha)*s.avg[i])
 	}
 	s.seenAny = true
 	s.dirty = true
@@ -196,7 +196,7 @@ func (s *SlotEWMA) rebuild() {
 	}
 	for i := range s.est {
 		s.est[i] = s.slotEstimate(i)
-		s.prefix[i+1] = s.prefix[i] + s.est[i]*slotLen
+		s.prefix[i+1] = s.prefix[i] + float64(s.est[i]*slotLen)
 	}
 	s.periodTotal = s.prefix[s.Slots]
 	s.dirty = false
@@ -205,13 +205,13 @@ func (s *SlotEWMA) rebuild() {
 // cumulative returns the predicted energy over [0, t] from the tables.
 func (s *SlotEWMA) cumulative(t float64) float64 {
 	full := math.Floor(t / s.Period)
-	phase := t - full*s.Period
+	phase := t - float64(full*s.Period)
 	slotLen := s.Period / float64(s.Slots)
 	i := int(phase / slotLen)
 	if i >= s.Slots {
 		i = s.Slots - 1
 	}
-	return full*s.periodTotal + s.prefix[i] + s.est[i]*(phase-float64(i)*slotLen)
+	return float64(full*s.periodTotal) + s.prefix[i] + float64(s.est[i]*(phase-float64(float64(i)*slotLen)))
 }
 
 func (s *SlotEWMA) PredictEnergy(t1, t2 float64) float64 {

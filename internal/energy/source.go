@@ -62,7 +62,7 @@ func naiveEnergy(src Source, t1, t2 float64) float64 {
 	for t < t2 {
 		boundary := math.Floor(t) + 1
 		end := min(boundary, t2)
-		total += src.PowerAt(t) * (end - t)
+		total += float64(src.PowerAt(t) * (end - t))
 		t = end
 	}
 	return total
@@ -77,25 +77,27 @@ func naiveEnergy(src Source, t1, t2 float64) float64 {
 // (DESIGN.md §5.2). The cos² envelope gives the "periodic and deterministic
 // aspect" with period 70π² ≈ 691 time units.
 //
-// Samples are generated lazily and memoized so that PowerAt is a pure
+// Powers are generated lazily and memoized so that PowerAt is a pure
 // function of t for a given seed — predictors and the engine may query any
 // interval in any order and always observe the same trace.
 //
-// Retention policy: the memoized tables (sample, per-unit power, energy
-// prefix sum — 24 bytes per simulated time unit) live as long as the model
-// and grow to the furthest instant ever queried; they are never evicted,
-// because the realized trace *is* the identity of a seeded source and
-// dropping a prefix would break deterministic replay. A 10⁴-unit horizon
-// costs ~240 KB; multi-day sweeps should share one model per replication
-// via Fork instead of instantiating one per policy. Growth beyond
-// maxSolarSamples panics — that many units (~1.5 GiB of tables) always
-// indicates a runaway horizon, not a real experiment.
+// Retention policy: the per-unit power table (8 bytes per simulated time
+// unit) lives as long as the model and grows to the furthest instant ever
+// queried; it is never evicted, because the realized trace *is* the
+// identity of a seeded source and dropping a prefix would break
+// deterministic replay. A 10⁴-unit horizon costs ~80 KB; multi-day sweeps
+// should share one model per replication via Fork instead of instantiating
+// one per policy. The energy prefix-sum table (another 8 bytes per unit)
+// exists only once the model answers its first CumulativeEnergy query, and
+// covers only the units prefix queries have reached — the engine reads
+// PowerAt alone, so on the default path it is never built. Growth beyond
+// maxSolarSamples panics — that many units (~512 MiB of power table)
+// always indicates a runaway horizon, not a real experiment.
 type SolarModel struct {
 	Amplitude float64 // peak envelope scale; the paper uses 10
 	r         *rng.RNG
-	samples   []float64 // memoized |N(k)| deviates
-	power     []float64 // power[k] = Amplitude·samples[k]·Envelope(k)
-	cum       []float64 // cum[k] = ∫₀ᵏ P; len(cum) == len(power)+1
+	power     []float64 // power[k] = Amplitude·|N(k)|·Envelope(k)
+	cum       []float64 // cum[k] = ∫₀ᵏ P, filled lazily; len(cum) <= len(power)+1
 }
 
 // maxSolarSamples caps lazy table growth (see the retention policy above).
@@ -128,21 +130,20 @@ func NewSolarModelAmpChecked(seed uint64, amplitude float64) (*SolarModel, error
 	if amplitude < 0 || math.IsNaN(amplitude) || math.IsInf(amplitude, 0) {
 		return nil, fmt.Errorf("energy: invalid solar amplitude %v", amplitude)
 	}
-	return &SolarModel{Amplitude: amplitude, r: rng.New(seed), cum: []float64{0}}, nil
+	return &SolarModel{Amplitude: amplitude, r: rng.New(seed)}, nil
 }
 
-// Fork returns a model that shares this one's memoized trace so far and
-// extends it identically on demand: the fork clones the RNG state and
-// cap-clamps the shared slices, so later growth in either model reallocates
-// instead of clobbering the other, and both realize bit-identical samples
-// for every index. The experiment runner forks one master source per
-// replication across the paired policies instead of regenerating the trace
-// per policy.
+// Fork returns a model that shares this one's memoized trace so far, and
+// whatever prefix-sum table it has built, and extends both identically on
+// demand: the fork clones the RNG state and cap-clamps the shared slices,
+// so later growth in either model reallocates instead of clobbering the
+// other, and both realize bit-identical powers and prefix sums for every
+// index. The experiment runner forks one master source per replication
+// across the paired policies instead of regenerating the trace per policy.
 func (s *SolarModel) Fork() *SolarModel {
 	return &SolarModel{
 		Amplitude: s.Amplitude,
 		r:         s.r.Clone(),
-		samples:   s.samples[:len(s.samples):len(s.samples)],
 		power:     s.power[:len(s.power):len(s.power)],
 		cum:       s.cum[:len(s.cum):len(s.cum)],
 	}
@@ -166,7 +167,7 @@ var solarRealized atomic.Uint64
 // realized so far (see solarRealized).
 func SolarRealizations() uint64 { return solarRealized.Load() }
 
-// ensure makes the memoized tables cover unit interval k. It is the check
+// ensure makes the power table cover unit interval k. It is the check
 // every query pays, small enough to inline; growth is out of line.
 func (s *SolarModel) ensure(k int) {
 	if k >= len(s.power) {
@@ -174,29 +175,32 @@ func (s *SolarModel) ensure(k int) {
 	}
 }
 
-// extend grows the memoized tables through unit interval k. All three
-// slices are pre-grown with one reservation each (the former one-append-
-// per-element growth was quadratic from a cold start at large t).
+// extend grows the power table through unit interval k with one
+// reservation (the former one-append-per-element growth was quadratic from
+// a cold start at large t). Each unit draws its half-normal deviate and
+// stores only the resulting power.
 func (s *SolarModel) extend(k int) {
-	solarRealized.Add(uint64(k + 1 - len(s.power)))
 	if k >= maxSolarSamples {
 		panic(fmt.Sprintf("energy: solar trace would exceed %d units at t=%d — runaway horizon? (see SolarModel retention policy)", maxSolarSamples, k))
 	}
-	need := k + 1 - len(s.power)
-	s.samples = grow(s.samples, need)
-	s.power = grow(s.power, need)
-	s.cum = grow(s.cum, need)
+	solarRealized.Add(uint64(k + 1 - len(s.power)))
+	s.power = grow(s.power, k+1-len(s.power))
+	for i := len(s.power); i <= k; i++ {
+		s.power = append(s.power, s.Amplitude*s.r.HalfNormal()*Envelope(float64(i)))
+	}
+}
+
+// extendCum grows the prefix-sum table through cum[k], summing the power
+// table left to right from where it stopped — the naive walk's order, so
+// every prefix is bit-identical to it whenever it was built. The power
+// table must already cover unit k-1.
+func (s *SolarModel) extendCum(k int) {
+	s.cum = grow(s.cum, k+1-len(s.cum))
 	if len(s.cum) == 0 {
 		s.cum = append(s.cum, 0)
 	}
-	for len(s.power) <= k {
-		i := len(s.power)
-		for len(s.samples) <= i {
-			s.samples = append(s.samples, s.r.HalfNormal())
-		}
-		p := s.Amplitude * s.samples[i] * Envelope(float64(i))
-		s.power = append(s.power, p)
-		s.cum = append(s.cum, s.cum[i]+p)
+	for i := len(s.cum); i <= k; i++ {
+		s.cum = append(s.cum, s.cum[i-1]+s.power[i-1])
 	}
 }
 
@@ -228,16 +232,19 @@ func (s *SolarModel) PowerAt(t float64) float64 {
 }
 
 // CumulativeEnergy implements Cumulative: ∫₀ᵗ P in O(1) amortized from the
-// lazily extended prefix-sum table.
+// prefix-sum table, which the first call builds and later calls extend.
 func (s *SolarModel) CumulativeEnergy(t float64) float64 {
 	if t < 0 {
 		panic("energy: CumulativeEnergy before t=0")
 	}
 	k := int(math.Floor(t))
 	s.ensure(k)
+	if k >= len(s.cum) {
+		s.extendCum(k)
+	}
 	e := s.cum[k]
 	if frac := t - float64(k); frac > 0 {
-		e += s.power[k] * frac
+		e += float64(s.power[k] * frac)
 	}
 	return e
 }
@@ -320,7 +327,7 @@ func (m TwoMode) PowerAt(t float64) float64 {
 }
 
 func (m TwoMode) MeanPower() float64 {
-	return (m.DayPower*m.DayLen + m.NightPower*(m.Period-m.DayLen)) / m.Period
+	return (float64(m.DayPower*m.DayLen) + float64(m.NightPower*(m.Period-m.DayLen))) / m.Period
 }
 
 func (m TwoMode) Name() string { return "two-mode" }

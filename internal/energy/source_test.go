@@ -207,3 +207,26 @@ func TestSolarAmplitudeScaling(t *testing.T) {
 		}
 	}
 }
+
+// TestSolarRunawayPanicCountsNothing: a query past maxSolarSamples panics
+// before realizing anything, so the realization counter must not move —
+// it counts units a model generated, not units a runaway query asked for.
+func TestSolarRunawayPanicCountsNothing(t *testing.T) {
+	s := NewSolarModel(3)
+	s.PowerAt(100)
+	before := SolarRealizations()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("query past maxSolarSamples did not panic")
+			}
+		}()
+		s.PowerAt(maxSolarSamples)
+	}()
+	if got := SolarRealizations(); got != before {
+		t.Fatalf("runaway query counted %d unrealized units", got-before)
+	}
+	if got, want := s.PowerAt(100), NewSolarModel(3).PowerAt(100); got != want {
+		t.Fatalf("model changed by the panicking query: PowerAt(100) = %v, want %v", got, want)
+	}
+}

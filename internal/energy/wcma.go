@@ -155,7 +155,7 @@ func (w *WCMA) gap() float64 {
 	num, den := 0.0, 0.0
 	for i, r := range w.recent {
 		wt := float64(i + 1)
-		num += wt * r
+		num += float64(wt * r)
 		den += wt
 	}
 	g := num / den
@@ -184,7 +184,7 @@ func (w *WCMA) rebuild() {
 			m *= g
 		}
 		w.val[s] = m
-		w.prefix[s+1] = w.prefix[s] + m*w.slotLen
+		w.prefix[s+1] = w.prefix[s] + float64(m*w.slotLen)
 	}
 	w.periodTotal = w.prefix[w.Slots]
 	w.dirty = false
@@ -193,12 +193,12 @@ func (w *WCMA) rebuild() {
 // cumulative returns the forecast energy over [0, t] from the tables.
 func (w *WCMA) cumulative(t float64) float64 {
 	full := math.Floor(t / w.Period)
-	phase := t - full*w.Period
+	phase := t - float64(full*w.Period)
 	s := int(phase / w.slotLen)
 	if s >= w.Slots {
 		s = w.Slots - 1
 	}
-	return full*w.periodTotal + w.prefix[s] + w.val[s]*(phase-float64(s)*w.slotLen)
+	return float64(full*w.periodTotal) + w.prefix[s] + float64(w.val[s]*(phase-float64(float64(s)*w.slotLen)))
 }
 
 // PredictEnergy implements Predictor.

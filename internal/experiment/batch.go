@@ -20,10 +20,12 @@ import (
 // of the non-engine cost.
 //
 // Each run is bit-identical to the corresponding RunOne: a prepared
-// SolarModel fork is a pure function of time (queries within the realized
-// prefix never mutate it, and sequential extension realizes the same
-// samples a fresh fork would), and the arena path is pinned bit-identical
-// by the internal/verify differential.
+// SolarModel fork is a pure function of time (power queries within the
+// realized prefix never mutate it, prefix queries only extend the fork's
+// own prefix-sum memo, and sequential extension realizes the same samples
+// a fresh fork would), and the arena path is pinned bit-identical by the
+// internal/verify differential. With the oracle predictor the reused fork
+// builds its prefix table once per replication, not once per run.
 //
 // A Runner is single-goroutine: runs execute sequentially on its arena.
 // Fan replication-level parallelism out with one Runner per worker.

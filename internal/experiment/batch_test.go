@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"context"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/eadvfs/eadvfs/internal/energy"
+	"github.com/eadvfs/eadvfs/internal/sim"
 )
 
 // TestWarmBisectionMatchesCold pins the MinCapacitySearcher contract: over
@@ -84,5 +89,88 @@ func TestSweepRealizesSolarOncePerReplication(t *testing.T) {
 	if delta > limit {
 		t.Fatalf("sweep realized %d solar units over %d cells — per-cell re-realization regressed (limit %d)",
 			delta, cells, limit)
+	}
+}
+
+// TestPreparedSourceFootprint pins the memory a prepared replication
+// retains: its solar master realizes the trace through the horizon but
+// keeps only the per-unit power table, 8 bytes per unit. The prefix-sum
+// table is built only by prefix queries, which no default-path run makes,
+// so a prepared point's heap must stay well under 12 bytes per unit.
+func TestPreparedSourceFootprint(t *testing.T) {
+	s := DefaultSpec()
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reps, err := replicate(s, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(reps)
+
+	units := float64(n * (int(s.Horizon) + 1))
+	perUnit := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / units
+	t.Logf("%d replications to horizon %v retain %.2f B per realized unit", n, s.Horizon, perUnit)
+	if perUnit >= 12 {
+		t.Fatalf("prepared replications retain %.2f B per realized unit, want < 12", perUnit)
+	}
+}
+
+// TestOracleForksRaceFree runs oracle-predictor cells concurrently on
+// forks of one prepared master. The oracle is the one predictor that asks
+// the source for prefix sums, so every fork extends its own prefix table
+// while the others read the shared tables; under -race this pins that the
+// extensions never write shared memory. Each result must equal the
+// same cell run sequentially on a fresh, unprepared model.
+func TestOracleForksRaceFree(t *testing.T) {
+	s := DefaultSpec()
+	s.Horizon = 1500
+	s.Predictor = "oracle"
+	factories, err := s.Policies([]string{"lsa", "ea-dvfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Replicate(s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := fresh
+	prepared.PrepareSource(s.Horizon)
+	// Two prefix queries leave the master a partial prefix table with
+	// spare capacity, which every fork inherits and then extends.
+	prepared.master.CumulativeEnergy(700)
+	prepared.master.CumulativeEnergy(701.5)
+
+	const workers = 8
+	capOf := func(g int) float64 { return []float64{200, 500, 1000, 3000}[g/2] }
+	want := make([]*sim.Result, workers)
+	for g := range want {
+		res, err := RunOne(context.Background(), s, fresh, capOf(g), factories[g%2], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = res
+	}
+	got := make([]*sim.Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = RunOne(context.Background(), s, prepared, capOf(g), factories[g%2], false)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Fatalf("worker %d (capacity %v): result on a shared master's fork differs from a fresh model's", g, capOf(g))
+		}
 	}
 }

@@ -321,7 +321,9 @@ type Replication struct {
 // PrepareSource memoizes the replication's solar model and warms it
 // through time upTo. Call it once before fanning a replication out to
 // parallel runs: the forks then share the realized trace and never mutate
-// the master, so concurrent runs stay race-free.
+// the master, so concurrent runs stay race-free. The master retains only
+// its per-unit power table, 8 bytes per unit; each fork that answers
+// prefix queries (the oracle predictor's) builds its own prefix table.
 func (r *Replication) PrepareSource(upTo float64) {
 	if r.master == nil {
 		r.master = energy.NewSolarModel(r.SourceSeed)

@@ -39,7 +39,9 @@ import (
 // The left-to-right accumulation order is exactly the order in which the
 // optimized prefix-sum tables (energy.SolarModel, energy.Cached) are
 // built, so for any t the walk returns the same bits as the cached
-// CumulativeEnergy(t).
+// CumulativeEnergy(t). SolarModel builds its table on the first prefix
+// query and extends it from where it stopped, so how far a model (or the
+// master it was forked from) had summed before never changes those bits.
 func PrefixEnergy(src energy.Source, t float64) float64 {
 	if t < 0 {
 		panic("refimpl: PrefixEnergy before t=0")
