@@ -153,14 +153,14 @@ func AtIntensity(seed uint64, x float64) Spec {
 	}
 	return Spec{
 		Seed:          seed,
-		Dropout:       WindowSpec{MeanGap: 200 / x, MeanLen: 2 + 18*x},
+		Dropout:       WindowSpec{MeanGap: 200 / x, MeanLen: 2 + float64(18*x)},
 		DropFactor:    0.2 * (1 - x),
 		FadeRate:      5e-5 * x,
 		FadeLimit:     0.5 * x,
-		LeakSpike:     WindowSpec{MeanGap: 150 / x, MeanLen: 4 + 12*x},
+		LeakSpike:     WindowSpec{MeanGap: 150 / x, MeanLen: 4 + float64(12*x)},
 		LeakSpikeRate: 2 * x,
-		DVFSStuck:     WindowSpec{MeanGap: 250 / x, MeanLen: 5 + 20*x},
-		Blackout:      WindowSpec{MeanGap: 100 / x, MeanLen: 3 + 12*x},
+		DVFSStuck:     WindowSpec{MeanGap: 250 / x, MeanLen: 5 + float64(20*x)},
+		Blackout:      WindowSpec{MeanGap: 100 / x, MeanLen: 3 + float64(12*x)},
 		OverrunProb:   0.3 * x,
 		OverrunMax:    0.5 * x,
 	}
@@ -239,7 +239,7 @@ func (s *Set) OverrunFactor(taskID, seq int) float64 {
 	}
 	s.counters.Overruns++
 	// 1 - Float64() is in (0, 1], so the overrun is strictly positive.
-	return 1 + s.spec.OverrunMax*(1-r.Float64())
+	return 1 + float64(s.spec.OverrunMax*(1-r.Float64()))
 }
 
 // AddOverrunWork accumulates work executed beyond declared WCETs (the

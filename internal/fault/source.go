@@ -37,7 +37,7 @@ func (f *flakySource) PowerAt(t float64) float64 {
 // expected fault duty cycle.
 func (f *flakySource) MeanPower() float64 {
 	duty := f.set.spec.Dropout.DutyCycle()
-	return f.src.MeanPower() * (1 - duty*(1-f.set.spec.DropFactor))
+	return f.src.MeanPower() * (1 - float64(duty*(1-f.set.spec.DropFactor)))
 }
 
 // Name implements energy.Source.

@@ -67,7 +67,7 @@ func (d *degradedStore) Level() float64 { return d.inner.Level() }
 func (d *degradedStore) TimeToEmpty(ps, pc float64) float64 {
 	extra := d.spikeRateAt(d.now)
 	if d.set.spec.FadeRate > 0 && !math.IsInf(d.baseCap, 1) && d.inner.Level() >= d.fadedCapacity(d.now) {
-		extra += d.set.spec.FadeRate * d.baseCap
+		extra += float64(d.set.spec.FadeRate * d.baseCap)
 	}
 	return d.inner.TimeToEmpty(ps, pc+extra)
 }

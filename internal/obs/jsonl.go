@@ -286,10 +286,8 @@ func (e *wireAppender) raw(s string) { e.b = append(e.b, s...) }
 
 func (e *wireAppender) int(i int) { e.b = strconv.AppendInt(e.b, int64(i), 10) }
 
-// float formats f as encoding/json does: the shortest representation
-// that round-trips, in 'e' notation below 1e-6 and from 1e21 in
-// magnitude, with a one-digit negative exponent written without its
-// leading zero.
+// float formats f as encoding/json does (appendFloat); a NaN or ±Inf
+// sets the error json.Marshal reports and writes nothing.
 func (e *wireAppender) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
@@ -297,26 +295,14 @@ func (e *wireAppender) float(f float64) {
 		}
 		return
 	}
-	abs := math.Abs(f)
-	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+	if math.Abs(f) < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
 		// Below 2^53 the shortest form of an integral value is its integer
 		// digits, which AppendInt writes without the shortest-digit search
 		// (most times, deadlines and slacks in a stream are integral).
 		e.b = strconv.AppendInt(e.b, int64(f), 10)
 		return
 	}
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
-	}
+	e.b = appendFloat(e.b, f)
 }
 
 // str writes s verbatim when every byte is printable ASCII that

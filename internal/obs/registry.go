@@ -281,7 +281,7 @@ func (s *series) write(w io.Writer) error {
 		width := (s.h.Hi - s.h.Lo) / float64(n)
 		for i, c := range s.h.Buckets {
 			cum += c
-			le := fmt.Sprintf(`le="%g"`, s.h.Lo+float64(i+1)*width)
+			le := fmt.Sprintf(`le="%g"`, s.h.Lo+float64(float64(i+1)*width))
 			if _, err := fmt.Fprintf(w, "%s %d\n",
 				seriesName(s.base+"_bucket", withLabel(s.labels, le)), cum); err != nil {
 				return err

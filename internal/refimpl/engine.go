@@ -475,7 +475,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	if of := e.faults.OverrunFactor(j.TaskID, j.Seq); of > 1 {
 		actual *= of
 		j.SetOverrunWork(actual)
-		e.faults.AddOverrunWork(math.Max(0, actual-j.WCET))
+		e.faults.AddOverrunWork(math.Max(0, float64(actual)-j.WCET))
 	} else if drawn {
 		j.SetActualWork(actual)
 	}

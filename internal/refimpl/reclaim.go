@@ -58,7 +58,7 @@ func (p *Reclaimer) Decide(ctx *sched.Context) sched.Decision {
 		if !ok {
 			e = 1
 		}
-		p.est[j.TaskID] = (1-p.alpha)*e + p.alpha*observed
+		p.est[j.TaskID] = float64((1-p.alpha)*e) + float64(p.alpha*observed)
 	}
 	p.prev = nil
 

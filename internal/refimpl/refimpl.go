@@ -53,7 +53,7 @@ func PrefixEnergy(src energy.Source, t float64) float64 {
 		if end > t {
 			end = t
 		}
-		total += src.PowerAt(u) * (end - u)
+		total += float64(src.PowerAt(u) * (end - u))
 		u = end
 	}
 	return total
@@ -89,7 +89,7 @@ func WalkEnergy(src energy.Source, t1, t2 float64) float64 {
 		if end > t2 {
 			end = t2
 		}
-		total += src.PowerAt(u) * (end - u)
+		total += float64(src.PowerAt(u) * (end - u))
 		u = end
 	}
 	return total
@@ -148,7 +148,7 @@ func (e *EWMA) Observe(t, p float64) {
 		e.seen = true
 		return
 	}
-	e.avg = e.Alpha*p + (1-e.Alpha)*e.avg
+	e.avg = float64(e.Alpha*p) + float64((1-e.Alpha)*e.avg)
 }
 
 // PredictEnergy implements energy.Predictor.

@@ -81,8 +81,10 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // Float64 returns a uniform deviate in [0, 1) with 53 bits of precision.
+// The outer conversion ends the expression: the scaling, compiled as a
+// multiply, cannot fuse into an add of an inlining caller.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Uniform returns a uniform deviate in [lo, hi). It panics if hi < lo.
@@ -90,7 +92,7 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Uniform bounds inverted")
 	}
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -130,7 +132,7 @@ func (r *RNG) Normal() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

@@ -9,7 +9,7 @@ import (
 // harvest power ps and load power pc, including charge/discharge
 // efficiency and leakage.
 func (s *Store) netRate(ps, pc float64) float64 {
-	return ps*s.chargeEff - pc/s.dischargeEff - s.leakRate
+	return float64(ps*s.chargeEff) - pc/s.dischargeEff - s.leakRate
 }
 
 // TimeToEmpty returns how long the store can keep the load served under
@@ -63,11 +63,11 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		return 0, 0
 	}
 	net := s.netRate(ps, pc)
-	end := s.level + net*dt
+	end := s.level + float64(net*dt)
 
 	const tol = 1e-7
 	if end < -tol*max(1, pc*dt) {
-		inflow := ps * s.chargeEff
+		inflow := float64(ps * s.chargeEff)
 		loadRate := pc / s.dischargeEff
 		if loadRate > inflow+tol {
 			// The load itself over-draws an emptying store: the caller
@@ -81,20 +81,20 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		if net < 0 {
 			tc = min(dt, s.level/-net)
 		}
-		s.totalHarvested += ps * dt
-		delivered = pc * dt
+		s.totalHarvested += float64(ps * dt)
+		delivered = float64(pc * dt)
 		s.totalDrawn += delivered
 		// Phase 1 (level > 0): full leak. Phase 2 (pinned at 0): the
 		// effective leak is the inflow surplus, inflow − loadRate < leak.
-		leaked := s.leakRate*tc + (inflow-loadRate)*(dt-tc)
+		leaked := float64(s.leakRate*tc) + float64((inflow-loadRate)*(dt-tc))
 		s.totalLeaked += leaked
-		s.totalStored += inflow * dt
+		s.totalStored += float64(inflow * dt)
 		s.level = 0
 		return delivered, 0
 	}
 
-	s.totalHarvested += ps * dt
-	delivered = pc * dt
+	s.totalHarvested += float64(ps * dt)
+	delivered = float64(pc * dt)
 	s.totalDrawn += delivered
 
 	if end > s.capacity {
@@ -106,12 +106,12 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		overflow = end - s.capacity
 		end = s.capacity
 	}
-	stored := end - s.level + pc/s.dischargeEff*dt + s.leakRate*dt
+	stored := end - s.level + float64(pc/s.dischargeEff*dt) + float64(s.leakRate*dt)
 	// stored is the harvest energy accepted (ps·ηc·dt − overflow); meter
 	// the components consistently with Harvest/Draw/Leak.
 	s.totalStored += stored
 	s.totalOverflow += overflow
-	s.totalLeaked += s.leakRate * dt
+	s.totalLeaked += float64(s.leakRate * dt)
 	if end < 0 {
 		end = 0
 	}

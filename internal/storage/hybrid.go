@@ -98,11 +98,11 @@ func (h *Hybrid) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		panic(fmt.Sprintf("storage: Flow over invalid interval %v", dt))
 	}
 	const tol = 1e-9
-	if dt > h.TimeToEmpty(ps, pc)+tol*max(1, dt) {
+	if dt > h.TimeToEmpty(ps, pc)+float64(tol*max(1, dt)) {
 		panic(fmt.Sprintf("storage: hybrid Flow empties mid-interval (dt %v, tte %v)", dt, h.TimeToEmpty(ps, pc)))
 	}
-	h.totalHarvested += ps * dt
-	h.totalDrawn += pc * dt
+	h.totalHarvested += float64(ps * dt)
+	h.totalDrawn += float64(pc * dt)
 	delivered = pc * dt
 
 	remaining := dt
@@ -128,7 +128,7 @@ func (h *Hybrid) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 				overflow += h.batt.Harvest(surplus * step)
 			default:
 				step = remaining
-				overflow += surplus * step
+				overflow += float64(surplus * step)
 			}
 		default:
 			// Deficit drains the supercap, then the battery.

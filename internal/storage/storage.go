@@ -121,7 +121,7 @@ func (s *Store) Harvest(e float64) (overflow float64) {
 		panic(fmt.Sprintf("storage: harvesting invalid energy %v", e))
 	}
 	s.totalHarvested += e
-	usable := e * s.chargeEff
+	usable := float64(e * s.chargeEff)
 	space := s.capacity - s.level
 	if math.IsInf(space, 1) {
 		space = math.Inf(1)
@@ -145,7 +145,7 @@ func (s *Store) Draw(e float64) (delivered float64) {
 	need := e / s.dischargeEff // stored energy required
 	taken := min(need, s.level)
 	s.level -= taken
-	delivered = taken * s.dischargeEff
+	delivered = float64(taken * s.dischargeEff)
 	s.totalDrawn += delivered
 	return delivered
 }

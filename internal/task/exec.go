@@ -89,7 +89,7 @@ func (s *ExecSpec) Ratio(r *rng.RNG, seq int) float64 {
 	case DistUniform:
 		return r.Uniform(s.BCRatio, 1)
 	case DistNormal:
-		x := s.Mean + s.StdDev*r.Normal()
+		x := s.Mean + float64(s.StdDev*r.Normal())
 		if x < s.BCRatio {
 			x = s.BCRatio
 		}

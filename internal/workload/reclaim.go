@@ -88,7 +88,7 @@ func (p *Reclaimer) observe() {
 	if !ok {
 		e = 1
 	}
-	p.est[j.TaskID] = (1-p.Alpha)*e + p.Alpha*observed
+	p.est[j.TaskID] = float64((1-p.Alpha)*e) + float64(p.Alpha*observed)
 }
 
 // ratioFor returns the floored speculative ratio for a task.
