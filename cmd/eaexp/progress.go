@@ -47,7 +47,7 @@ func (t *etaTracker) update(done, total int, now time.Time) string {
 	if dt := now.Sub(t.lastT); dt > 0 && done > t.lastDone {
 		inst := float64(done-t.lastDone) / dt.Seconds()
 		if t.primed {
-			t.rate = alpha*inst + (1-alpha)*t.rate
+			t.rate = float64(alpha*inst) + float64((1-alpha)*t.rate)
 		} else {
 			t.rate = inst
 			t.primed = true

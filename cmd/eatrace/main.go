@@ -27,74 +27,53 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
 	"github.com/eadvfs/eadvfs/internal/buildinfo"
-	"github.com/eadvfs/eadvfs/internal/cpu"
-	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/experiment"
 	"github.com/eadvfs/eadvfs/internal/obs"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
-	"github.com/eadvfs/eadvfs/internal/task"
 	"github.com/eadvfs/eadvfs/internal/trace"
 )
 
 func main() {
-	var (
-		scenario = flag.String("scenario", "fig1", "fig1, fig3, or random")
-		policy   = flag.String("policy", "ea-dvfs", "scheduling policy")
-		u        = flag.Float64("u", 0.4, "utilization (random scenario)")
-		horizon  = flag.Float64("horizon", 400, "horizon (random scenario)")
-		seed     = flag.Uint64("seed", 1, "seed (random scenario)")
-		width    = flag.Int("width", 78, "gantt width in columns")
-		csv      = flag.Bool("csv", false, "emit the segment CSV instead of the gantt")
-		activity = flag.Bool("activity", false, "append the per-task activity table (responses, jitter, fragments)")
-		audit    = flag.Bool("audit", false, "append the scheduler decision log (slack, energy, s1/s2, reason codes)")
-		version  = flag.Bool("version", false, "print the build version and exit")
-	)
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("eatrace"))
-		return
-	}
-
-	pf, err := experiment.Policy(*policy)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eatrace:", err)
 		os.Exit(1)
 	}
+}
 
-	rec := trace.NewRecorder()
-	var cfg *sim.Config
+// run is the whole command: it parses args, runs the scenario and writes
+// the chart (or CSV) to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("eatrace", flag.ExitOnError)
+	var (
+		scenario = fs.String("scenario", "fig1", "fig1, fig3, or random")
+		policy   = fs.String("policy", "ea-dvfs", "scheduling policy")
+		u        = fs.Float64("u", 0.4, "utilization (random scenario)")
+		horizon  = fs.Float64("horizon", 400, "horizon (random scenario)")
+		seed     = fs.Uint64("seed", 1, "seed (random scenario)")
+		width    = fs.Int("width", 78, "gantt width in columns")
+		csv      = fs.Bool("csv", false, "emit the segment CSV instead of the gantt")
+		activity = fs.Bool("activity", false, "append the per-task activity table (responses, jitter, fragments)")
+		audit    = fs.Bool("audit", false, "append the scheduler decision log (slack, energy, s1/s2, reason codes)")
+		version  = fs.Bool("version", false, "print the build version and exit")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage
+	if *version {
+		fmt.Fprintln(stdout, buildinfo.Line("eatrace"))
+		return nil
+	}
+
+	var doc *runspec.Spec
+	var err error
 	switch *scenario {
-	case "fig1":
-		src := energy.NewConstant(0.5)
-		cfg = &sim.Config{
-			Horizon: 25,
-			Tasks: []task.Task{
-				{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-				{ID: 2, Period: 1e9, Deadline: 16, WCET: 1.5, Offset: 5},
-			},
-			Source:    src,
-			Predictor: energy.NewOracle(src),
-			Store:     storage.New(1e6, 24),
-			CPU:       cpu.TwoSpeed(8),
-		}
-	case "fig3":
-		src := energy.NewConstant(0)
-		cfg = &sim.Config{
-			Horizon: 20,
-			Tasks: []task.Task{
-				{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-				{ID: 2, Period: 1e9, Deadline: 12, WCET: 1.5, Offset: 5},
-			},
-			Source:    src,
-			Predictor: energy.NewOracle(src),
-			Store:     storage.New(1e6, 32),
-			CPU:       cpu.Fig3(),
+	case "fig1", "fig3":
+		if doc, err = runspec.Paper(*scenario); err != nil {
+			return err
 		}
 	case "random":
 		spec := experiment.DefaultSpec()
@@ -102,23 +81,27 @@ func main() {
 		spec.Seed = *seed
 		rep, err := experiment.Replicate(spec, 0)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "eatrace:", err)
-			os.Exit(1)
+			return err
 		}
-		src := energy.NewSolarModel(rep.SourceSeed)
-		cfg = &sim.Config{
+		doc = &runspec.Spec{
+			Predictor: spec.Predictor,
 			Horizon:   *horizon,
 			Tasks:     rep.Tasks,
-			Source:    src,
-			Predictor: energy.NewEWMA(0.2),
-			Store:     storage.NewIdeal(300),
-			CPU:       spec.Processor(),
+			Source:    runspec.SourceSpec{Kind: "solar", Seed: rep.SourceSeed, Amplitude: 10},
+			Capacity:  300,
+			Initial:   300,
+			CPU:       "xscale",
+			PMax:      spec.PMax,
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "eatrace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
-	cfg.Policy = pf()
+	doc.Policy = *policy
+	cfg, err := doc.Compile(false)
+	if err != nil {
+		return err
+	}
+	rec := trace.NewRecorder()
 	cfg.Probe = rec
 	var auditRec *obs.Recorder
 	if *audit {
@@ -128,26 +111,26 @@ func main() {
 
 	res, err := sim.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "eatrace:", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *csv {
-		fmt.Print(rec.CSV())
-		return
+		fmt.Fprint(stdout, rec.CSV())
+		return nil
 	}
-	fmt.Printf("scenario %s under %s — released %d, finished %d, missed %d\n\n",
+	fmt.Fprintf(stdout, "scenario %s under %s — released %d, finished %d, missed %d\n\n",
 		*scenario, cfg.Policy.Name(), res.Miss.Released, res.Miss.Finished, res.Miss.Missed)
-	fmt.Print(rec.Gantt(cfg.Horizon, *width))
-	fmt.Printf("\ndigits = DVFS level (0 slowest), '!' stall, '^' arrival, 'v' completion, 'X' miss\n")
+	fmt.Fprint(stdout, rec.Gantt(cfg.Horizon, *width))
+	fmt.Fprintf(stdout, "\ndigits = DVFS level (0 slowest), '!' stall, '^' arrival, 'v' completion, 'X' miss\n")
 	if *activity {
-		fmt.Println()
-		fmt.Print(rec.ActivityTable())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, rec.ActivityTable())
 	}
 	if auditRec != nil {
-		fmt.Println()
-		printAudit(auditRec.Decisions())
+		fmt.Fprintln(stdout)
+		printAudit(stdout, auditRec.Decisions())
 	}
+	return nil
 }
 
 // printAudit renders the decision log: one line per policy decision with
@@ -156,9 +139,9 @@ func main() {
 // identical decisions (same job, reason and level — the re-evaluations a
 // lazy policy makes at every event while idling) are compressed into one
 // line with a repeat count.
-func printAudit(decs []obs.DecisionRecord) {
-	fmt.Println("decision audit (consecutive identical decisions compressed):")
-	fmt.Printf("%8s %-22s %8s %8s %8s %8s %8s %5s %6s  %s\n",
+func printAudit(w io.Writer, decs []obs.DecisionRecord) {
+	fmt.Fprintln(w, "decision audit (consecutive identical decisions compressed):")
+	fmt.Fprintf(w, "%8s %-22s %8s %8s %8s %8s %8s %5s %6s  %s\n",
 		"t", "job", "slack", "stored", "avail", "s1", "s2", "level", "until", "reason")
 	for i := 0; i < len(decs); {
 		d := decs[i]
@@ -182,7 +165,7 @@ func printAudit(decs []obs.DecisionRecord) {
 		if !math.IsInf(d.Until, 0) {
 			until = fmt.Sprintf("%.2f", d.Until)
 		}
-		fmt.Printf("%8.2f %-22s %8.2f %8.1f %8.1f %8.2f %8.2f %5s %6s  %s\n",
+		fmt.Fprintf(w, "%8.2f %-22s %8.2f %8.1f %8.1f %8.2f %8.2f %5s %6s  %s\n",
 			d.Time, job, d.Slack, d.Stored, d.Available, d.S1, d.S2, level, until, d.Reason)
 		i = j
 	}

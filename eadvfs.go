@@ -23,16 +23,14 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/experiment"
-	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/registry"
 	"github.com/eadvfs/eadvfs/internal/rng"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
 	"github.com/eadvfs/eadvfs/internal/spec"
-	"github.com/eadvfs/eadvfs/internal/storage"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -241,6 +239,9 @@ func (c *Config) withDefaults() Config {
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
+	if out.FaultSeed == 0 {
+		out.FaultSeed = 1
+	}
 	return out
 }
 
@@ -271,46 +272,6 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 		return nil, errors.New("eadvfs: InitialEnergy is NaN")
 	}
 
-	proc, err := cpu.XScaleScaled(cfg.PMax).WithSleepPreset(cfg.Sleep)
-	if err != nil {
-		return nil, fmt.Errorf("eadvfs: %w", err)
-	}
-
-	// Resolve the energy source through the scenario registry: the
-	// facade's convenience fields name the registered kinds.
-	var src energy.Source
-	var srcErr error
-	switch {
-	case cfg.ConstantHarvest != nil && len(cfg.HarvestTrace) > 0:
-		return nil, errors.New("eadvfs: ConstantHarvest and HarvestTrace are mutually exclusive")
-	case cfg.ConstantHarvest != nil:
-		src, srcErr = buildSource("constant", registry.Params{"power": *cfg.ConstantHarvest})
-	case len(cfg.HarvestTrace) > 0:
-		src, srcErr = buildSource("trace", registry.Params{"samples": cfg.HarvestTrace, "label": "user"})
-	default:
-		src, srcErr = buildSource("solar", registry.Params{"seed": cfg.Seed})
-	}
-	if srcErr != nil {
-		return nil, fmt.Errorf("eadvfs: %w", srcErr)
-	}
-
-	// Resolve the policy and predictor through the registry; the spec
-	// context binds "static-dvfs" to the configured utilization unless
-	// PolicyParams pins one explicitly.
-	pf, err := experiment.PolicyParams(cfg.Policy, cfg.PolicyParams, experiment.Spec{Utilization: cfg.Utilization})
-	if err != nil {
-		return nil, err
-	}
-	predF, err := experiment.Predictor(cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
-
-	tasks, err := buildTasks(cfg, src, proc)
-	if err != nil {
-		return nil, err
-	}
-
 	initial := cfg.Capacity
 	if cfg.InitialEnergy != nil {
 		initial = *cfg.InitialEnergy
@@ -318,33 +279,55 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 	if initial < 0 || initial > cfg.Capacity {
 		return nil, fmt.Errorf("eadvfs: initial energy %v outside [0, %v]", initial, cfg.Capacity)
 	}
-
-	simCfg := &sim.Config{
-		Horizon:         cfg.Horizon,
-		Tasks:           tasks,
-		Source:          src,
-		Predictor:       predF(src),
-		Store:           storage.New(cfg.Capacity, initial),
-		CPU:             proc,
-		Policy:          pf(),
-		ExecSeed:        cfg.Seed, // consulted only when the workload is stochastic
-		RecordEnergy:    cfg.RecordEnergy,
-		CheckInvariants: cfg.CheckInvariants,
-		Probe:           cfg.Probe,
+	if !(cfg.FaultIntensity >= 0 && cfg.FaultIntensity <= 1) {
+		return nil, fmt.Errorf("eadvfs: fault intensity %v outside [0, 1]", cfg.FaultIntensity)
 	}
+
+	// Lower the run into a run document; the facade's convenience fields
+	// name the registered source kinds, solar at its default amplitude.
+	doc := &runspec.Spec{
+		Policy:         cfg.Policy,
+		Predictor:      cfg.Predictor,
+		Horizon:        cfg.Horizon,
+		Capacity:       cfg.Capacity,
+		Initial:        initial,
+		CPU:            "xscale",
+		PMax:           cfg.PMax,
+		Sleep:          cfg.Sleep,
+		ExecSeed:       cfg.Seed, // consulted only when the workload is stochastic
+		FaultIntensity: cfg.FaultIntensity,
+		FaultSeed:      cfg.FaultSeed,
+	}
+	switch {
+	case cfg.ConstantHarvest != nil && len(cfg.HarvestTrace) > 0:
+		return nil, errors.New("eadvfs: ConstantHarvest and HarvestTrace are mutually exclusive")
+	case cfg.ConstantHarvest != nil:
+		doc.Source = runspec.SourceSpec{Kind: "constant", Power: *cfg.ConstantHarvest}
+	case len(cfg.HarvestTrace) > 0:
+		doc.Source = runspec.SourceSpec{Kind: "trace", Samples: cfg.HarvestTrace}
+	default:
+		doc.Source = runspec.SourceSpec{Kind: "solar", Seed: cfg.Seed, Amplitude: 10}
+	}
+
+	// The spec context binds "static-dvfs" to the configured utilization
+	// unless PolicyParams pins one explicitly.
+	def, err := registry.Policy(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	doc.PolicyParams = experiment.BindUtilization(def, cfg.PolicyParams, cfg.Utilization)
+	if doc.Tasks, err = buildTasks(cfg, doc); err != nil {
+		return nil, err
+	}
+	simCfg, err := doc.Compile(false)
+	if err != nil {
+		return nil, fmt.Errorf("eadvfs: %w", err)
+	}
+	simCfg.RecordEnergy = cfg.RecordEnergy
+	simCfg.CheckInvariants = cfg.CheckInvariants
+	simCfg.Probe = cfg.Probe
 	if ctx != nil && ctx != context.Background() {
 		simCfg.Context = ctx
-	}
-	if cfg.FaultIntensity != 0 {
-		if cfg.FaultIntensity < 0 || cfg.FaultIntensity > 1 {
-			return nil, fmt.Errorf("eadvfs: fault intensity %v outside [0, 1]", cfg.FaultIntensity)
-		}
-		fseed := cfg.FaultSeed
-		if fseed == 0 {
-			fseed = 1
-		}
-		fspec := fault.AtIntensity(fseed, cfg.FaultIntensity)
-		simCfg.Faults = &fspec
 	}
 	res, err := sim.Run(simCfg)
 	if err != nil {
@@ -365,18 +348,7 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 		IdleTime:        res.IdleTime,
 		StallTime:       res.StallTime,
 		LevelTime:       res.LevelTime,
-		Degradation: Degradation{
-			SourceFaultTime: res.Degradation.SourceFaultTime,
-			LeakSpikeTime:   res.Degradation.LeakSpikeTime,
-			DVFSStuckTime:   res.Degradation.DVFSStuckTime,
-			BlackoutTime:    res.Degradation.BlackoutTime,
-			FadeEnergy:      res.Degradation.FadeEnergy,
-			LeakSpikeEnergy: res.Degradation.LeakSpikeEnergy,
-			OverrunWork:     res.Degradation.OverrunWork,
-			DVFSClamps:      res.Degradation.DVFSClamps,
-			StaleForecasts:  res.Degradation.StaleForecasts,
-			Overruns:        res.Degradation.Overruns,
-		},
+		Degradation:     Degradation(res.Degradation),
 	}
 	out.SleepTime = res.SleepTime
 	out.Wakeups = res.Wakeups
@@ -390,26 +362,23 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 	return out, nil
 }
 
-// buildSource resolves and constructs a registered energy source.
-func buildSource(kind string, p registry.Params) (energy.Source, error) {
-	def, err := registry.Source(kind)
-	if err != nil {
-		return nil, err
-	}
-	return def.Build(p)
-}
-
-func buildTasks(cfg Config, src energy.Source, proc *cpu.Processor) ([]task.Task, error) {
+// buildTasks returns the configured task list, or generates one sized to
+// the document's source and processor.
+func buildTasks(cfg Config, doc *runspec.Spec) ([]task.Task, error) {
 	if len(cfg.Tasks) == 0 {
 		model, err := registry.TaskModel(cfg.TaskModel)
 		if err != nil {
 			return nil, err
 		}
+		src, err := doc.Source.Build()
+		if err != nil {
+			return nil, fmt.Errorf("eadvfs: %w", err)
+		}
 		gen := registry.TaskGen{
 			NumTasks:         cfg.NumTasks,
 			TargetU:          cfg.Utilization,
 			MeanHarvestPower: src.MeanPower(),
-			PMax:             proc.MaxPower(),
+			PMax:             cfg.PMax, // the maximum power of the rescaled XScale table
 		}
 		if gen.MeanHarvestPower <= 0 {
 			// A zero-power source cannot parameterize the generator;

@@ -135,6 +135,13 @@ func TestRunErrors(t *testing.T) {
 		// A NaN utilization once sent the task generator into unbounded
 		// redraw recursion: a fatal stack overflow recover cannot catch.
 		{Config{Utilization: nan}, "utilization"},
+		// NaN once passed the range check and failed deep in the engine.
+		{Config{FaultIntensity: nan}, "fault intensity"},
+		{Config{FaultIntensity: -0.1}, "fault intensity"},
+		{Config{FaultIntensity: 1.5}, "fault intensity"},
+		// A PMax whose scaled XScale table underflows once panicked in
+		// the processor constructor.
+		{Config{PMax: 5e-324, Tasks: []Task{{Period: 10, WCET: 1}}}, "pmax"},
 	}
 	for i, tc := range cases {
 		_, err := Run(tc.cfg)

@@ -17,69 +17,40 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/eadvfs/eadvfs/internal/cpu"
-	"github.com/eadvfs/eadvfs/internal/energy"
-	"github.com/eadvfs/eadvfs/internal/experiment"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
-	"github.com/eadvfs/eadvfs/internal/task"
 	"github.com/eadvfs/eadvfs/internal/trace"
 )
 
 func main() {
 	fmt.Println("=== Figure 1 (motivational example, §2) ===")
-	runScenario(fig1, "lsa", "ea-dvfs")
+	runScenario("fig1", "lsa", "ea-dvfs")
 
 	fmt.Println("=== Figure 3 (preventing excessive stretching, §4.3) ===")
-	runScenario(fig3, "greedy-stretch", "ea-dvfs")
+	runScenario("fig3", "greedy-stretch", "ea-dvfs")
 }
 
-func fig1() *sim.Config {
-	src := energy.NewConstant(0.5)
-	return &sim.Config{
-		Horizon: 25,
-		Tasks: []task.Task{
-			{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-			{ID: 2, Period: 1e9, Deadline: 16, WCET: 1.5, Offset: 5},
-		},
-		Source:    src,
-		Predictor: energy.NewOracle(src),
-		Store:     storage.New(1e6, 24),
-		CPU:       cpu.TwoSpeed(8),
-	}
-}
-
-func fig3() *sim.Config {
-	src := energy.NewConstant(0)
-	return &sim.Config{
-		Horizon: 20,
-		Tasks: []task.Task{
-			{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-			{ID: 2, Period: 1e9, Deadline: 12, WCET: 1.5, Offset: 5},
-		},
-		Source:    src,
-		Predictor: energy.NewOracle(src),
-		Store:     storage.New(1e6, 32),
-		CPU:       cpu.Fig3(),
-	}
-}
-
-func runScenario(mk func() *sim.Config, policies ...string) {
-	for _, name := range policies {
-		pf, err := experiment.Policy(name)
+// runScenario runs one of the paper's worked examples (internal/runspec's
+// paper documents) under each policy and prints its Gantt chart.
+func runScenario(name string, policies ...string) {
+	for _, policy := range policies {
+		doc, err := runspec.Paper(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		doc.Policy = policy
+		cfg, err := doc.Compile(false)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rec := trace.NewRecorder()
-		cfg := mk()
-		cfg.Policy = pf()
 		cfg.Probe = rec
 		res, err := sim.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s: finished %d, missed %d, cpu energy %.1f\n",
-			name, res.Miss.Finished, res.Miss.Missed, res.CPUEnergy)
+			policy, res.Miss.Finished, res.Miss.Missed, res.CPUEnergy)
 		fmt.Print(rec.Gantt(cfg.Horizon, 72))
 	}
 	fmt.Println()

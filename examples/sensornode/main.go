@@ -34,7 +34,7 @@ func solarDay(seed uint64) energy.Source {
 	r := rng.New(seed)
 	samples := make([]float64, int(4*day))
 	for i := range samples {
-		cloud := 0.5 + 0.5*r.HalfNormal() // mean ≈ 0.9
+		cloud := 0.5 + float64(0.5*r.HalfNormal()) // mean ≈ 0.9
 		if cloud > 1.5 {
 			cloud = 1.5
 		}

@@ -126,7 +126,7 @@ func MaxDeficit(src energy.Source, demand, horizon float64) (float64, error) {
 	n := int(horizon)
 	for k := 0; k < n; k++ {
 		cum += src.PowerAt(float64(k))
-		deficit = demand*float64(k+1) - cum
+		deficit = float64(demand*float64(k+1)) - cum
 		if gap := deficit - minSoFar; gap > maxGap {
 			maxGap = gap
 		}

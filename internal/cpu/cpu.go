@@ -450,7 +450,7 @@ func SleepPresetNames() []string { return []string{"none", "default"} }
 // names no sleep machinery ("", "none"). The preset constructors
 // (XScale, TwoSpeed, …) build their operating-point tables without
 // options; this is how the wire layers (eadvfs.Config.Sleep,
-// experiment.Spec.Sleep, verify.Spec.Sleep) bolt a preset onto one of
+// experiment.Spec.Sleep, runspec.Spec.Sleep) bolt a preset onto one of
 // them after the fact. Switch overheads carry over unchanged.
 func (c *Processor) WithSleepPreset(name string) (*Processor, error) {
 	idle, states, err := SleepPreset(name, c.MaxPower())

@@ -74,35 +74,23 @@ type PredictorFactory func(src energy.Source) energy.Predictor
 // schema binds to spec context (static-dvfs derives its operating point
 // from the utilization) should resolve through Spec.PolicyFor instead.
 func Policy(name string) (PolicyFactory, error) {
-	return PolicyParams(name, nil, Spec{})
+	return Spec{}.PolicyFor(name)
 }
 
-// PolicyParams resolves a registered policy with explicit parameters,
-// validated against the registration's schema. When the schema declares
-// a "utilization" parameter and the caller didn't set it, the spec's
-// utilization is bound in — the context static-dvfs sizes its fixed
-// operating point from.
-func PolicyParams(name string, params map[string]any, s Spec) (PolicyFactory, error) {
-	def, err := registry.Policy(name)
-	if err != nil {
-		return nil, err
+// BindUtilization returns params with utilization bound in when the
+// registration declares a "utilization" parameter — the context
+// static-dvfs sizes its fixed operating point from — and params leaves it
+// unset; params itself is never modified. A zero utilization binds
+// nothing.
+func BindUtilization(def registry.PolicyDef, params map[string]any, utilization float64) registry.Params {
+	if _, set := params["utilization"]; set || utilization == 0 || !def.HasParam("utilization") {
+		return params
 	}
-	p := registry.Params(params)
-	if def.HasParam("utilization") && s.Utilization != 0 {
-		if _, ok := p["utilization"]; !ok {
-			bound := make(registry.Params, len(p)+1)
-			for k, v := range p {
-				bound[k] = v
-			}
-			bound["utilization"] = s.Utilization
-			p = bound
-		}
+	bound := registry.Params{"utilization": utilization}
+	for k, v := range params {
+		bound[k] = v
 	}
-	f, err := def.Factory(p)
-	if err != nil {
-		return nil, err
-	}
-	return PolicyFactory(f), nil
+	return bound
 }
 
 // Policies resolves a list of policy names via PolicyFor — the plural form
@@ -126,14 +114,15 @@ func (s Spec) Policies(names []string) ([]PolicyFactory, error) {
 // parameters; schema-declared context parameters (static-dvfs's
 // "utilization") bind from the spec.
 func (s Spec) PolicyFor(name string) (PolicyFactory, error) {
-	return PolicyParams(name, nil, s)
-}
-
-// Predictor returns the factory for a registered predictor name with
-// default parameters ("" aliases "ewma"); see internal/registry for the
-// catalog.
-func Predictor(name string) (PredictorFactory, error) {
-	return Spec{}.PredictorFor(name)
+	def, err := registry.Policy(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := def.Factory(BindUtilization(def, nil, s.Utilization))
+	if err != nil {
+		return nil, err
+	}
+	return PolicyFactory(f), nil
 }
 
 // Spec holds the §5.1 simulation parameters.

@@ -82,7 +82,7 @@ func TestPolicyFactories(t *testing.T) {
 
 func TestPredictorFactories(t *testing.T) {
 	for _, name := range []string{"", "ewma", "oracle", "slot-ewma", "moving-average", "last-value", "zero"} {
-		f, err := Predictor(name)
+		f, err := Spec{}.PredictorFor(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}
@@ -90,7 +90,7 @@ func TestPredictorFactories(t *testing.T) {
 			t.Fatalf("%q: nil factory", name)
 		}
 	}
-	if _, err := Predictor("bogus"); err == nil {
+	if _, err := (Spec{}).PredictorFor("bogus"); err == nil {
 		t.Fatal("unknown predictor accepted")
 	}
 }

@@ -136,7 +136,7 @@ func TaskCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivit
 // own predictor, not the swept ones.
 func PredictorSweep(s Spec, predictors []string, policyNames []string) (*SensitivityResult, error) {
 	for _, name := range predictors {
-		if _, err := Predictor(name); err != nil {
+		if _, err := (Spec{}).PredictorFor(name); err != nil {
 			return nil, err
 		}
 	}

@@ -152,20 +152,20 @@ func finalize(proc *cpu.Processor, spec FrameSpec, p *Plan) bool {
 
 	pSlow := proc.Power(p.SlowLevel)
 	pFast := proc.Power(p.FastLevel)
-	p.Energy = pSlow*p.SlowTime + pFast*p.FastTime
+	p.Energy = float64(pSlow*p.SlowTime) + float64(pFast*p.FastTime)
 
 	// Battery trajectory with the slow phase first (slow draw before
 	// fast draw keeps the minimum level as high as possible).
-	level := math.Min(spec.Capacity, spec.InitialEnergy+spec.RechargePower*p.Start)
+	level := math.Min(spec.Capacity, spec.InitialEnergy+float64(spec.RechargePower*p.Start))
 	startLevel := level
 	// Slow phase.
-	level += (spec.RechargePower - pSlow) * p.SlowTime
+	level += float64((spec.RechargePower - pSlow) * p.SlowTime)
 	if level > spec.Capacity {
 		level = spec.Capacity
 	}
 	minLevel := math.Min(startLevel, level)
 	// Fast phase.
-	level += (spec.RechargePower - pFast) * p.FastTime
+	level += float64((spec.RechargePower - pFast) * p.FastTime)
 	if level > spec.Capacity {
 		level = spec.Capacity
 	}
@@ -207,7 +207,7 @@ func ContinuousLowerBound(proc *cpu.Processor, spec FrameSpec) (float64, error) 
 		// time-weighted average of the powers over the whole frame —
 		// the tight bound for discrete DVFS (Ishihara–Yasuura).
 		x := (sIdeal - lo) / (hi - lo)
-		power := (1-x)*proc.Power(n) + x*proc.Power(n+1)
+		power := float64((1-x)*proc.Power(n)) + float64(x*proc.Power(n+1))
 		return power * spec.Frame, nil
 	}
 	return proc.ExecEnergy(work, proc.MaxLevel()), nil

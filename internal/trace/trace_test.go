@@ -6,32 +6,17 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/eadvfs/eadvfs/internal/cpu"
-	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/sim"
-	"github.com/eadvfs/eadvfs/internal/storage"
-	"github.com/eadvfs/eadvfs/internal/task"
 )
 
 func runTraced(t *testing.T, policy sched.Policy) (*Recorder, *sim.Result) {
 	t.Helper()
 	rec := NewRecorder()
-	src := energy.NewConstant(0.5)
-	cfg := &sim.Config{
-		Horizon: 25,
-		Tasks: []task.Task{
-			{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-			{ID: 2, Period: 1e9, Deadline: 16, WCET: 1.5, Offset: 5},
-		},
-		Source:    src,
-		Predictor: energy.NewOracle(src),
-		Store:     storage.New(1e6, 24),
-		CPU:       cpu.TwoSpeed(8),
-		Policy:    policy,
-		Probe:     rec,
-	}
+	cfg := paperScenario(t, "fig1", "lsa")
+	cfg.Policy = policy
+	cfg.Probe = rec
 	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

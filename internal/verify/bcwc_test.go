@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
@@ -66,15 +67,15 @@ func TestBCWCRatioPinnedResults(t *testing.T) {
 // degenerate ratios 0 and 1 leave the run WCET-exact.
 func TestBCWCRatioTranslation(t *testing.T) {
 	own := &task.ExecSpec{Dist: task.DistTrace, Slots: []float64{0.5}}
-	spec := &Spec{
+	spec := &Spec{Spec: runspec.Spec{
 		Policy: "edf", Predictor: "oracle", Horizon: 40,
-		Source:   SourceSpec{Kind: "constant", Power: 2},
-		Capacity: 50, InitialFrac: 1,
+		Source:   runspec.SourceSpec{Kind: "constant", Power: 2},
+		Capacity: 50, Initial: 50,
 		Tasks: []task.Task{
 			{ID: 0, Period: 20, Deadline: 20, WCET: 4},
 			{ID: 1, Period: 10, Deadline: 10, WCET: 1, Exec: own},
 		},
-	}
+	}}
 	for _, ratio := range []float64{0, 1} {
 		spec.BCWCRatio = ratio
 		opt, ref, err := spec.Pair()

@@ -8,6 +8,7 @@ import (
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/refimpl"
 	"github.com/eadvfs/eadvfs/internal/rng"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/sim"
 	"github.com/eadvfs/eadvfs/internal/task"
@@ -29,7 +30,7 @@ func (c *decideCounter) Decide(ctx *sched.Context) sched.Decision {
 // boundaries are quiet.
 func quietSpec(t *testing.T, policy string) *Spec {
 	t.Helper()
-	src := SourceSpec{Kind: "solar", Seed: 11, Amplitude: 10}
+	src := runspec.SourceSpec{Kind: "solar", Seed: 11, Amplitude: 10}
 	tasks, err := task.Generate(task.GeneratorConfig{
 		NumTasks:         5,
 		Periods:          task.PaperPeriods(),
@@ -40,11 +41,11 @@ func quietSpec(t *testing.T, policy string) *Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Spec{
+	return &Spec{Spec: runspec.Spec{
 		Policy: policy, Predictor: "ewma",
 		Horizon: 300, Tasks: tasks, Source: src,
-		Capacity: 5000, InitialFrac: 1,
-	}
+		Capacity: 5000, Initial: 5000,
+	}}
 }
 
 // TestEventBudgetExactAtQuietBoundaries sweeps the event budget over every

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -59,12 +60,14 @@ func TestDifferential(t *testing.T) {
 // make the sweep vacuously green.
 func TestInjectedDivergence(t *testing.T) {
 	spec := &Spec{
-		Policy:    "ea-dvfs",
-		Predictor: "zero",
-		Horizon:   60,
-		Tasks:     []task.Task{{ID: 0, Period: 20, Deadline: 20, WCET: 4}},
-		Source:    SourceSpec{Kind: "constant", Power: 2},
-		Capacity:  50, InitialFrac: 0.5,
+		Spec: runspec.Spec{
+			Policy:    "ea-dvfs",
+			Predictor: "zero",
+			Horizon:   60,
+			Tasks:     []task.Task{{ID: 0, Period: 20, Deadline: 20, WCET: 4}},
+			Source:    runspec.SourceSpec{Kind: "constant", Power: 2},
+			Capacity:  50, Initial: 25,
+		},
 		InjectBias: 1e-6, InjectAfter: 0,
 	}
 	d, err := Check(spec)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/eadvfs/eadvfs/internal/registry"
 	"github.com/eadvfs/eadvfs/internal/rng"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -37,7 +38,8 @@ func RandomSpec(seed uint64) *Spec {
 	meanPower := sourceMean(s.Source)
 
 	s.CPU = pick(r, "xscale", "xscale", "two-speed", "pxa270", "sensor-mcu")
-	s.Tasks = randomTasks(r, meanPower, cpuPresets[s.CPU]().MaxPower())
+	proc, _ := s.Processor() // the menu names only known presets: no error
+	s.Tasks = randomTasks(r, meanPower, proc.MaxPower())
 
 	switch r.Intn(5) {
 	case 0:
@@ -49,7 +51,7 @@ func RandomSpec(seed uint64) *Spec {
 	default:
 		s.Capacity = r.Uniform(100, 1000)
 	}
-	s.InitialFrac = r.Float64()
+	s.Initial = r.Float64() * s.Capacity
 
 	// Execution jitter, two flavors: the legacy global best-case ratio, or
 	// a drawn per-task distribution (task.ExecSpec) shared by the set —
@@ -150,13 +152,13 @@ func randomExecSpec(r *rng.RNG) task.ExecSpec {
 	}
 }
 
-func randomSource(r *rng.RNG) SourceSpec {
+func randomSource(r *rng.RNG) runspec.SourceSpec {
 	switch r.Intn(4) {
 	case 0:
-		return SourceSpec{Kind: "constant", Power: r.Uniform(0.5, 6)}
+		return runspec.SourceSpec{Kind: "constant", Power: r.Uniform(0.5, 6)}
 	case 1:
 		period := float64(10 + r.Intn(40))
-		return SourceSpec{
+		return runspec.SourceSpec{
 			Kind:   "two-mode",
 			Day:    r.Uniform(2, 8),
 			Night:  r.Uniform(0, 1),
@@ -164,26 +166,27 @@ func randomSource(r *rng.RNG) SourceSpec {
 			DayLen: period * r.Uniform(0.2, 0.8),
 		}
 	case 2:
-		return SourceSpec{Kind: "solar", Seed: r.Uint64(), Amplitude: r.Uniform(4, 12)}
+		return runspec.SourceSpec{Kind: "solar", Seed: r.Uint64(), Amplitude: r.Uniform(4, 12)}
 	default:
 		n := 5 + r.Intn(20)
 		samples := make([]float64, n)
 		for i := range samples {
 			samples[i] = r.Uniform(0, 8)
 		}
-		return SourceSpec{Kind: "trace", Samples: samples}
+		return runspec.SourceSpec{Kind: "trace", Samples: samples}
 	}
 }
 
 // sourceMean estimates the spec's mean power for sizing the task set —
-// precision is irrelevant, it only biases utilization toward schedulable.
-func sourceMean(s SourceSpec) float64 {
+// precision is irrelevant, it only biases utilization toward schedulable,
+// but float64(...) pins the products so a seed draws one spec everywhere.
+func sourceMean(s runspec.SourceSpec) float64 {
 	switch s.Kind {
 	case "constant":
 		return s.Power
 	case "two-mode":
 		frac := s.DayLen / s.Period
-		return s.Day*frac + s.Night*(1-frac)
+		return float64(s.Day*frac) + float64(s.Night*(1-frac))
 	case "solar":
 		return s.Amplitude / math.Pi // half-sine day, dark night
 	case "trace":

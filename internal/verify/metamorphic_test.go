@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/eadvfs/eadvfs/internal/obs"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
@@ -66,7 +67,7 @@ const malformedSeed = 123456789
 // arithmetic reassociates float sums).
 func TestTimeShiftInvariance(t *testing.T) {
 	const delta = 7.0
-	base := &Spec{
+	base := &Spec{Spec: runspec.Spec{
 		Policy:    "ea-dvfs",
 		Predictor: "zero",
 		Horizon:   80,
@@ -74,9 +75,9 @@ func TestTimeShiftInvariance(t *testing.T) {
 			{ID: 0, Period: 20, Deadline: 20, WCET: 5},
 			{ID: 1, Period: 30, Deadline: 30, WCET: 6, Offset: 4},
 		},
-		Source:   SourceSpec{Kind: "constant", Power: 3},
-		Capacity: 200, InitialFrac: 1,
-	}
+		Source:   runspec.SourceSpec{Kind: "constant", Power: 3},
+		Capacity: 200, Initial: 200,
+	}}
 	shifted := *base
 	shifted.Horizon += delta
 	shifted.Tasks = make([]task.Task, len(base.Tasks))
@@ -126,13 +127,12 @@ func TestCapacityMonotonicity(t *testing.T) {
 	for _, seed := range []uint64{5, 29, 71} {
 		spec := RandomSpec(seed)
 		spec.Policy = "edf"
-		spec.InitialFrac = 1
 		spec.BCWCRatio = 0 // keep actual work identical across runs
 		spec.FaultIntensity = 0
 		prevMissed := -1
 		prevCap := 0.0
 		for i, c := range capacities {
-			spec.Capacity = c
+			spec.Capacity, spec.Initial = c, c
 			cfg, _, err := spec.Pair()
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

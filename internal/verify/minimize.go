@@ -7,6 +7,7 @@ import (
 	"reflect"
 
 	"github.com/eadvfs/eadvfs/internal/obs"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -114,7 +115,7 @@ func shrinkCandidates(s *Spec) []*Spec {
 		if mean <= 0 {
 			mean = 1
 		}
-		c.Source = SourceSpec{Kind: "constant", Power: mean}
+		c.Source = runspec.SourceSpec{Kind: "constant", Power: mean}
 		return true
 	})
 	add(func(c *Spec) bool { // simplest predictor
@@ -125,18 +126,20 @@ func shrinkCandidates(s *Spec) []*Spec {
 		c.Alpha = 0
 		return true
 	})
-	add(func(c *Spec) bool { // halve the capacity
+	add(func(c *Spec) bool { // halve the capacity, keeping the store's fill
 		if c.Capacity < 1 {
 			return false
 		}
-		c.Capacity = math.Floor(c.Capacity / 2)
+		half := math.Floor(c.Capacity / 2)
+		c.Initial = math.Min(c.Initial*(half/c.Capacity), half)
+		c.Capacity = half
 		return true
 	})
 	add(func(c *Spec) bool { // full initial charge is the simplest state
-		if c.InitialFrac == 1 {
+		if c.Initial == c.Capacity {
 			return false
 		}
-		c.InitialFrac = 1
+		c.Initial = c.Capacity
 		return true
 	})
 	return out

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/eadvfs/eadvfs/internal/registry"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 )
 
 // registryRunCounter mirrors runCounter for the registry sweep: repeated
@@ -72,6 +73,31 @@ func TestRegistryDifferential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestPaperExamplesDifferential puts the paper's two worked examples,
+// §2 / Fig 1 and §4.3 / Fig 3 (the run documents cmd/eatrace renders),
+// under the differential check with every registered policy.
+func TestPaperExamplesDifferential(t *testing.T) {
+	for _, name := range []string{"fig1", "fig3"} {
+		for _, policy := range registry.PolicyNames() {
+			t.Run(name+"/"+policy, func(t *testing.T) {
+				doc, err := runspec.Paper(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				doc.Policy = policy
+				d, err := Check(&Spec{Spec: *doc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Diverged() {
+					t.Fatalf("%s under %s diverged from the reference engine:\n  %s",
+						name, policy, strings.Join(d.Diffs, "\n  "))
+				}
+			})
+		}
 	}
 }
 
