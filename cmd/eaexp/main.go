@@ -46,8 +46,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -63,48 +65,66 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is an invocation the command cannot run: main exits 2 for
+// it and 1 for any other error.
+type usageError struct{ error }
+
+// run is the whole command: it parses args, runs the selected
+// experiments and writes their charts and tables to stdout. Errors come
+// back prefixed for stderr; the progress line and the errors of deferred
+// writes go to stderr directly.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("eaexp", flag.ExitOnError)
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table1, all; beyond the paper: sens-levels, sens-pmax, sens-tasks, sens-predictors, overhead, convergence, robustness, slack, sleep")
-		reps  = flag.Int("replications", 0, "task sets per point (0 = experiment default)")
-		seed  = flag.Uint64("seed", 1, "master seed")
-		pmax  = flag.Float64("pmax", 10, "processor maximum power")
-		pred  = flag.String("predictor", "ewma", "harvest predictor")
-		alpha = flag.Float64("alpha", 0, "predictor smoothing factor override in (0, 1]; 0 keeps the default")
-		csv   = flag.String("csv", "", "directory for CSV output (omit to skip)")
-		width = flag.Int("width", 72, "chart width in columns")
+		exp   = fs.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table1, all; beyond the paper: sens-levels, sens-pmax, sens-tasks, sens-predictors, overhead, convergence, robustness, slack, sleep")
+		reps  = fs.Int("replications", 0, "task sets per point (0 = experiment default)")
+		seed  = fs.Uint64("seed", 1, "master seed")
+		pmax  = fs.Float64("pmax", 10, "processor maximum power")
+		pred  = fs.String("predictor", "ewma", "harvest predictor")
+		alpha = fs.Float64("alpha", 0, "predictor smoothing factor override in (0, 1]; 0 keeps the default")
+		csv   = fs.String("csv", "", "directory for CSV output (omit to skip)")
+		width = fs.Int("width", 72, "chart width in columns")
 
 		// -exp robustness parameters.
-		intensities = flag.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
-		faultSeed   = flag.Uint64("fault-seed", 1, "master fault-schedule seed")
-		capacity    = flag.Float64("capacity", 1000, "storage capacity of the robustness sweep")
-		policies    = flag.String("policies", "edf,lsa,ea-dvfs", "comma-separated policies of the robustness sweep")
+		intensities = fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
+		faultSeed   = fs.Uint64("fault-seed", 1, "master fault-schedule seed")
+		capacity    = fs.Float64("capacity", 1000, "storage capacity of the robustness sweep")
+		policies    = fs.String("policies", "edf,lsa,ea-dvfs", "comma-separated policies of the robustness sweep")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 
 		// -exp slack / -exp sleep parameters.
-		slackFactors = flag.String("slack-factors", "0.1,0.25,0.5,0.75,1", "comma-separated best-case/WCET ratios of the slack sweep, each in (0, 1]")
-		sleepPresets = flag.String("sleep-presets", "none,default", "comma-separated DPM sleep presets of the sleep ablation")
+		slackFactors = fs.String("slack-factors", "0.1,0.25,0.5,0.75,1", "comma-separated best-case/WCET ratios of the slack sweep, each in (0, 1]")
+		sleepPresets = fs.String("sleep-presets", "none,default", "comma-separated DPM sleep presets of the sleep ablation")
 
-		validateEvents = flag.Bool("validate-events", false, "validate every structured event and decision audit against the closed obs tables; exit non-zero on any violation")
+		validateEvents = fs.Bool("validate-events", false, "validate every structured event and decision audit against the closed obs tables; exit non-zero on any violation")
 
-		quiet       = flag.Bool("quiet", false, "suppress the live progress line on stderr")
-		metricsOut  = flag.String("metrics-out", "", "write a Prometheus text-format snapshot aggregated over all runs to this file")
-		eventsOut   = flag.String("events-out", "", "write the structured per-run event log (JSONL schema v1) to this file")
-		manifestOut = flag.String("manifest-out", "", "write the experiment manifest (build, seeds, parameter digest) to this file")
-		version     = flag.Bool("version", false, "print the build version and exit")
+		quiet       = fs.Bool("quiet", false, "suppress the live progress line on stderr")
+		metricsOut  = fs.String("metrics-out", "", "write a Prometheus text-format snapshot aggregated over all runs to this file")
+		eventsOut   = fs.String("events-out", "", "write the structured per-run event log (JSONL schema v1) to this file")
+		manifestOut = fs.String("manifest-out", "", "write the experiment manifest (build, seeds, parameter digest) to this file")
+		version     = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage
 
 	if *version {
-		fmt.Println(buildinfo.Line("eaexp"))
-		return
+		fmt.Fprintln(stdout, buildinfo.Line("eaexp"))
+		return nil
 	}
 
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "eaexp:", err)
-		os.Exit(1)
+		return fmt.Errorf("eaexp: %w", err)
 	}
 	defer stopCPU()
 	defer func() {
@@ -128,8 +148,7 @@ func main() {
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "eaexp:", err)
-			os.Exit(1)
+			return fmt.Errorf("eaexp: %w", err)
 		}
 		defer f.Close()
 		eventsW = obs.NewJSONLWriter(f)
@@ -188,61 +207,62 @@ func main() {
 			err = m.WriteFile(*manifestOut)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "eaexp:", err)
-			os.Exit(1)
+			return fmt.Errorf("eaexp: %w", err)
 		}
 	}
 
 	stopProgress := startProgress(*quiet)
 	defer stopProgress()
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+	switch *exp {
+	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "table1",
+		"sens-levels", "sens-pmax", "sens-tasks", "sens-predictors",
+		"overhead", "convergence", "robustness", "slack", "sleep":
+	default:
+		return usageError{fmt.Errorf("eaexp: unknown experiment %q", *exp)}
+	}
+
+	// runExp runs f when -exp names it or, for the paper's artifacts, when
+	// it is all; the first error stops the rest and is returned.
+	var runErr error
+	runExp := func(name string, inAll bool, f func() error) {
+		if runErr != nil || *exp != name && !(inAll && *exp == "all") {
 			return
 		}
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "eaexp %s: %v\n", name, err)
-			os.Exit(1)
+			runErr = fmt.Errorf("eaexp %s: %w", name, err)
 		}
 	}
 
-	run("fig5", func() error { return fig5(spec, *csv, *width) })
-	run("fig6", func() error { return remaining(spec, 0.4, "fig6", *csv, *width) })
-	run("fig7", func() error { return remaining(spec, 0.8, "fig7", *csv, *width) })
-	run("fig8", func() error { return missRate(spec, 0.4, "fig8", *csv, *width) })
-	run("fig9", func() error { return missRate(spec, 0.8, "fig9", *csv, *width) })
-	run("table1", func() error { return table1(spec, *csv) })
+	runExp("fig5", true, func() error { return fig5(stdout, spec, *csv, *width) })
+	runExp("fig6", true, func() error { return remaining(stdout, spec, 0.4, "fig6", *csv, *width) })
+	runExp("fig7", true, func() error { return remaining(stdout, spec, 0.8, "fig7", *csv, *width) })
+	runExp("fig8", true, func() error { return missRate(stdout, spec, 0.4, "fig8", *csv, *width) })
+	runExp("fig9", true, func() error { return missRate(stdout, spec, 0.8, "fig9", *csv, *width) })
+	runExp("table1", true, func() error { return table1(stdout, spec, *csv) })
 
 	// Sensitivity sweeps (beyond the paper; not part of -exp all).
-	runOnly := func(name string, f func() error) {
-		if *exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "eaexp %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
+	runOnly := func(name string, f func() error) { runExp(name, false, f) }
 	runOnly("sens-levels", func() error {
 		res, err := experiment.LevelCountSweep(spec, []float64{1, 2, 3, 5, 8, 12}, []string{"lsa", "ea-dvfs"})
 		if err != nil {
 			return err
 		}
-		return printSweep(res, *csv)
+		return printSweep(stdout, res, *csv)
 	})
 	runOnly("sens-pmax", func() error {
 		res, err := experiment.PMaxSweep(spec, []float64{4, 6, 8, 10, 12, 16}, []string{"lsa", "ea-dvfs"})
 		if err != nil {
 			return err
 		}
-		return printSweep(res, *csv)
+		return printSweep(stdout, res, *csv)
 	})
 	runOnly("sens-tasks", func() error {
 		res, err := experiment.TaskCountSweep(spec, []float64{1, 2, 5, 10, 20}, []string{"lsa", "ea-dvfs"})
 		if err != nil {
 			return err
 		}
-		return printSweep(res, *csv)
+		return printSweep(stdout, res, *csv)
 	})
 	runOnly("overhead", func() error {
 		sp := spec
@@ -265,8 +285,8 @@ func main() {
 				fmt.Sprintf("%.0f", res.Events[name]),
 			})
 		}
-		fmt.Println("Scheduling overhead per 10,000-unit run (mean over replications, capacity 300)")
-		fmt.Println(plot.Table(header, rows))
+		fmt.Fprintln(stdout, "Scheduling overhead per 10,000-unit run (mean over replications, capacity 300)")
+		fmt.Fprintln(stdout, plot.Table(header, rows))
 		return nil
 	})
 	runOnly("convergence", func() error {
@@ -290,8 +310,8 @@ func main() {
 					fmt.Sprintf("%.4f", res.StdErr[i]),
 				})
 			}
-			fmt.Printf("Convergence of the %s miss-rate estimate (capacity 300)\n", policy)
-			fmt.Println(plot.Table(header, rows))
+			fmt.Fprintf(stdout, "Convergence of the %s miss-rate estimate (capacity 300)\n", policy)
+			fmt.Fprintln(stdout, plot.Table(header, rows))
 		}
 		return nil
 	})
@@ -311,7 +331,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Summary())
+		fmt.Fprint(stdout, res.Summary())
 		var b strings.Builder
 		b.WriteString("intensity")
 		for _, p := range rs.Policies {
@@ -337,8 +357,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Slack-factor sweep: stochastic-periodic workload, reclaiming vs plain policies")
-		return printSweep(res, *csv)
+		fmt.Fprintln(stdout, "Slack-factor sweep: stochastic-periodic workload, reclaiming vs plain policies")
+		return printSweep(stdout, res, *csv)
 	})
 	runOnly("sleep", func() error {
 		sp := spec
@@ -351,8 +371,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Sleep-state ablation: DPM presets under a stochastic workload")
-		return printSweep(res, *csv)
+		fmt.Fprintln(stdout, "Sleep-state ablation: DPM presets under a stochastic workload")
+		return printSweep(stdout, res, *csv)
 	})
 	runOnly("sens-predictors", func() error {
 		// Every registered predictor, enumerated rather than hardcoded: a
@@ -363,24 +383,18 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return printSweep(res, *csv)
+		return printSweep(stdout, res, *csv)
 	})
 
-	switch *exp {
-	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "table1",
-		"sens-levels", "sens-pmax", "sens-tasks", "sens-predictors",
-		"overhead", "convergence", "robustness", "slack", "sleep":
-	default:
-		fmt.Fprintf(os.Stderr, "eaexp: unknown experiment %q\n", *exp)
-		os.Exit(2)
+	if runErr != nil {
+		return runErr
 	}
-
 	if validator != nil {
-		if err := validator.report(); err != nil {
-			fmt.Fprintln(os.Stderr, "eaexp: validate-events:", err)
-			os.Exit(1)
+		if err := validator.report(stdout); err != nil {
+			return fmt.Errorf("eaexp: validate-events: %w", err)
 		}
 	}
+	return nil
 }
 
 func parseFloatList(s string) ([]float64, error) {
@@ -395,7 +409,7 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-func printSweep(res *experiment.SensitivityResult, csvDir string) error {
+func printSweep(w io.Writer, res *experiment.SensitivityResult, csvDir string) error {
 	header := append([]string{res.Param}, res.Policies...)
 	var rows [][]string
 	var csvB strings.Builder
@@ -411,8 +425,8 @@ func printSweep(res *experiment.SensitivityResult, csvDir string) error {
 		rows = append(rows, row)
 		csvB.WriteByte('\n')
 	}
-	fmt.Printf("Sensitivity sweep: deadline miss rate vs %s\n", res.Param)
-	fmt.Println(plot.Table(header, rows))
+	fmt.Fprintf(w, "Sensitivity sweep: deadline miss rate vs %s\n", res.Param)
+	fmt.Fprintln(w, plot.Table(header, rows))
 	return writeCSV(csvDir, "sweep.csv", csvB.String())
 }
 
@@ -435,15 +449,15 @@ func seriesLine(name string, s *metrics.Series) plot.Line {
 	return l
 }
 
-func fig5(spec experiment.Spec, csvDir string, width int) error {
+func fig5(w io.Writer, spec experiment.Spec, csvDir string, width int) error {
 	s := experiment.SourceTrace(spec.Seed, int(spec.Horizon))
 	line := seriesLine("PS(t)", s)
-	fmt.Println(plot.Chart("Figure 5: energy source behavior (eq. 13 sample path)",
+	fmt.Fprintln(w, plot.Chart("Figure 5: energy source behavior (eq. 13 sample path)",
 		width, 16, plot.Downsampled(line, width)))
 	return writeCSV(csvDir, "fig5.csv", plot.CSV("t", line))
 }
 
-func remaining(spec experiment.Spec, u float64, name, csvDir string, width int) error {
+func remaining(w io.Writer, spec experiment.Spec, u float64, name, csvDir string, width int) error {
 	spec.Utilization = u
 	res, err := experiment.RemainingEnergy(context.Background(), spec, []string{"lsa", "ea-dvfs"})
 	if err != nil {
@@ -459,7 +473,7 @@ func remaining(spec experiment.Spec, u float64, name, csvDir string, width int) 
 	for i, l := range lines {
 		down[i] = plot.Downsampled(l, width)
 	}
-	fmt.Println(plot.Chart(title, width, 16, down...))
+	fmt.Fprintln(w, plot.Chart(title, width, 16, down...))
 	return writeCSV(csvDir, name+".csv", plot.CSV("t", lines...))
 }
 
@@ -469,7 +483,7 @@ func figureCapacities() []float64 {
 	return []float64{50, 100, 200, 300, 500, 1000, 2000, 3000, 4000, 5000}
 }
 
-func missRate(spec experiment.Spec, u float64, name, csvDir string, width int) error {
+func missRate(w io.Writer, spec experiment.Spec, u float64, name, csvDir string, width int) error {
 	spec.Utilization = u
 	spec.Capacities = figureCapacities()
 	res, err := experiment.MissRateSweep(spec, []string{"lsa", "ea-dvfs"})
@@ -487,7 +501,7 @@ func missRate(spec experiment.Spec, u float64, name, csvDir string, width int) e
 	}
 	title := fmt.Sprintf("Figure %s: deadline miss rate vs normalized storage capacity, U = %.1f (%d replications)",
 		strings.TrimPrefix(name, "fig"), u, spec.Replications)
-	fmt.Println(plot.Chart(title, width, 14, lines...))
+	fmt.Fprintln(w, plot.Chart(title, width, 14, lines...))
 
 	header := []string{"capacity", "normalized", "lsa", "ea-dvfs", "reduction"}
 	var rows [][]string
@@ -506,11 +520,11 @@ func missRate(spec experiment.Spec, u float64, name, csvDir string, width int) e
 			red,
 		})
 	}
-	fmt.Println(plot.Table(header, rows))
+	fmt.Fprintln(w, plot.Table(header, rows))
 	return writeCSV(csvDir, name+".csv", plot.CSV("normalized_capacity", lines...))
 }
 
-func table1(spec experiment.Spec, csvDir string) error {
+func table1(w io.Writer, spec experiment.Spec, csvDir string) error {
 	utils := []float64{0.2, 0.4, 0.6, 0.8}
 	res, err := experiment.MinCapacity(spec, utils, []string{"lsa", "ea-dvfs"})
 	if err != nil {
@@ -531,10 +545,10 @@ func table1(spec experiment.Spec, csvDir string) error {
 		fmt.Fprintf(&csvB, "%g,%g,%g,%g,%g\n", u,
 			res.Mean["lsa"][i], res.Mean["ea-dvfs"][i], res.Ratio[i], res.RatioErr[i])
 	}
-	fmt.Println("Table 1: minimum storage capacity for zero deadline misses, Cmin-LSA / Cmin-EA-DVFS")
-	fmt.Println(plot.Table(header, rows))
+	fmt.Fprintln(w, "Table 1: minimum storage capacity for zero deadline misses, Cmin-LSA / Cmin-EA-DVFS")
+	fmt.Fprintln(w, plot.Table(header, rows))
 	if res.Skipped > 0 {
-		fmt.Printf("(skipped %d replications with no zero-miss capacity in range)\n", res.Skipped)
+		fmt.Fprintf(w, "(skipped %d replications with no zero-miss capacity in range)\n", res.Skipped)
 	}
 	return writeCSV(csvDir, "table1.csv", csvB.String())
 }

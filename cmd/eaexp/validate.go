@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -76,14 +77,14 @@ func (v *eventValidator) OnDecision(d obs.DecisionRecord) {
 
 // report summarizes the validation pass; the error is non-nil when any
 // event or decision fell outside the closed tables.
-func (v *eventValidator) report() error {
+func (v *eventValidator) report(w io.Writer) error {
 	if n := v.violations.Load(); n > 0 {
 		v.mu.Lock()
 		first := v.first
 		v.mu.Unlock()
 		return fmt.Errorf("%d invalid events/decisions (first: %s)", n, first)
 	}
-	fmt.Printf("validate-events: %d events, %d decision audits, all within the closed obs tables\n",
+	fmt.Fprintf(w, "validate-events: %d events, %d decision audits, all within the closed obs tables\n",
 		v.events.Load(), v.decisions.Load())
 	return nil
 }

@@ -13,6 +13,7 @@ package energy
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"github.com/eadvfs/eadvfs/internal/rng"
@@ -92,7 +93,10 @@ func naiveEnergy(src Source, t1, t2 float64) float64 {
 // covers only the units prefix queries have reached — the engine reads
 // PowerAt alone, so on the default path it is never built. Growth beyond
 // maxSolarSamples panics — that many units (~512 MiB of power table)
-// always indicates a runaway horizon, not a real experiment.
+// always indicates a runaway horizon, not a real experiment. The cos²
+// envelope is not per model: every model reads it from one process-wide
+// table (envelopeTable), which grows to the furthest unit any model has
+// realized.
 type SolarModel struct {
 	Amplitude float64 // peak envelope scale; the paper uses 10
 	r         *rng.RNG
@@ -155,6 +159,46 @@ func Envelope(t float64) float64 {
 	return c * c
 }
 
+// envelopeTable holds Envelope(float64(k)) for every k below its length:
+// the cos² factor of every unit any SolarModel in the process has
+// realized. The factor depends on k alone, so one table serves every
+// seed, and math.Cos runs once per index per process instead of once per
+// unit of every trace. The table is append-only: readers load it without
+// a lock, and growth publishes a longer copy whose prefix is the old
+// table, so a slice loaded earlier stays valid and bit-identical.
+var envelopeTable atomic.Pointer[[]float64]
+
+// envelopeGrow serializes growth of envelopeTable.
+var envelopeGrow sync.Mutex
+
+// minEnvelopeTable is the length of the first table (8 KiB), so short
+// traces do not regrow it index by index.
+const minEnvelopeTable = 1 << 10
+
+// envelopeThrough returns the envelope table covering index k, growing it
+// when it is shorter. k must be below maxSolarSamples.
+func envelopeThrough(k int) []float64 {
+	if t := envelopeTable.Load(); t != nil && k < len(*t) {
+		return *t
+	}
+	envelopeGrow.Lock()
+	defer envelopeGrow.Unlock()
+	var old []float64
+	if t := envelopeTable.Load(); t != nil {
+		if old = *t; k < len(old) {
+			return old
+		}
+	}
+	n := min(max(2*len(old), k+1, minEnvelopeTable), maxSolarSamples)
+	t := make([]float64, n)
+	copy(t, old)
+	for i := len(old); i < n; i++ {
+		t[i] = Envelope(float64(i))
+	}
+	envelopeTable.Store(&t)
+	return t
+}
+
 // solarRealized counts solar unit intervals realized (memoized for the
 // first time in some model) across the process — one tick per unit of
 // trace a model generates rather than inherits from a Fork. Tests use the
@@ -178,15 +222,19 @@ func (s *SolarModel) ensure(k int) {
 // extend grows the power table through unit interval k with one
 // reservation (the former one-append-per-element growth was quadratic from
 // a cold start at large t). Each unit draws its half-normal deviate and
-// stores only the resulting power.
+// stores only the resulting power; the envelope factor comes from the
+// shared table, fetched once per call. The product keeps eq. (13)'s
+// order, Amplitude·|N|·Envelope(k), so every power is bit-identical to
+// computing the envelope in place.
 func (s *SolarModel) extend(k int) {
 	if k >= maxSolarSamples {
 		panic(fmt.Sprintf("energy: solar trace would exceed %d units at t=%d — runaway horizon? (see SolarModel retention policy)", maxSolarSamples, k))
 	}
+	env := envelopeThrough(k)
 	solarRealized.Add(uint64(k + 1 - len(s.power)))
 	s.power = grow(s.power, k+1-len(s.power))
 	for i := len(s.power); i <= k; i++ {
-		s.power = append(s.power, s.Amplitude*s.r.HalfNormal()*Envelope(float64(i)))
+		s.power = append(s.power, s.Amplitude*s.r.HalfNormal()*env[i])
 	}
 }
 

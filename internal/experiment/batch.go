@@ -11,9 +11,11 @@ import (
 
 // Runner amortizes per-(spec, replication) run setup across many runs of
 // the same replication: the predictor name is resolved once, the (immutable)
-// processor is built once, the solar trace is realized once and a single
-// fork of it is reused run to run, and every run executes on one dedicated
-// sim.Arena, so the release schedule is expanded exactly once. RunOne
+// processor is built once, the solar trace is realized once — by
+// NewRunner, on the goroutine that will run it, unless the caller already
+// prepared the replication — and a single fork of it is reused run to
+// run, and every run executes on one dedicated sim.Arena, so the release
+// schedule is expanded exactly once. RunOne
 // re-derives all of that per run — it builds an arena-less Runner for
 // every run, since Runner.config is the package's one run builder; over a
 // capacity bisection or a batch of sweep columns the difference is most
@@ -40,7 +42,8 @@ type Runner struct {
 
 // NewRunner prepares an amortized runner for one replication of the spec.
 // The replication's solar master is prepared through the horizon (a no-op
-// when the caller already did) and forked once.
+// when the caller already did) and forked once. rep is a copy, so the
+// master it prepares is the runner's alone and goes away with it.
 func NewRunner(s Spec, rep Replication) (*Runner, error) {
 	rep.PrepareSource(s.Horizon)
 	r, err := newRunner(s, rep)

@@ -58,37 +58,62 @@ func TestWarmBisectionMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSweepRealizesSolarOncePerReplication guards the AdoptSource fix: a
-// task-count sweep must realize each replication's solar trace roughly once
-// (master preparation plus short beyond-horizon tails from predictor
-// lookahead), not once per (point, policy) cell. Before the fix the
-// re-derived replications carried no master and every cell regenerated the
-// full trace, making the realization count scale with the cell count.
+// TestSweepRealizesSolarOncePerReplication guards the AdoptSource fix and
+// lazy preparation: a sweep must realize each replication's solar trace
+// roughly once (one preparation plus short beyond-horizon tails from
+// predictor lookahead), not once per (point, policy) cell. Before the
+// AdoptSource fix the re-derived replications of a task-count sweep
+// carried no master and every cell regenerated the full trace; with
+// preparation moved to the workers, a cell that missed its replication's
+// one-time preparation would do the same. The miss-rate sweep runs the
+// shard runner's path, and MinCapacity one search job per replication.
 func TestSweepRealizesSolarOncePerReplication(t *testing.T) {
 	s := DefaultSpec()
 	s.Horizon = 800
 	s.Replications = 2
 	s.Capacities = []float64{300}
-	points := []float64{2, 4, 6}
 	policies := []string{"lsa", "ea-dvfs"}
-
-	before := energy.SolarRealizations()
-	if _, err := TaskCountSweep(s, points, policies); err != nil {
-		t.Fatal(err)
-	}
-	delta := energy.SolarRealizations() - before
-
-	cells := uint64(len(points) * len(policies) * s.Replications)
 	perRep := uint64(s.Horizon) + 10
-	// Per-replication realization plus a one-cell allowance for lookahead
-	// tails; the pre-fix behaviour realizes ~cells*perRep units and lands
-	// far above this.
-	limit := uint64(s.Replications)*perRep + cells*64
-	t.Logf("realized %d units over %d cells (limit %d, regression ~%d)",
-		delta, cells, limit, cells*perRep)
-	if delta > limit {
-		t.Fatalf("sweep realized %d solar units over %d cells — per-cell re-realization regressed (limit %d)",
-			delta, cells, limit)
+
+	for _, tc := range []struct {
+		name  string
+		cells int // cells sharing each replication's trace, summed over replications
+		preps int // trace preparations the sweep should make
+		run   func() error
+	}{
+		{"tasks", 3 * len(policies) * s.Replications, s.Replications, func() error {
+			_, err := TaskCountSweep(s, []float64{2, 4, 6}, policies)
+			return err
+		}},
+		{"missrate", 4 * len(policies) * s.Replications, s.Replications, func() error {
+			ms := s
+			ms.Capacities = []float64{100, 300, 1000, 3000}
+			_, err := RunSweep(context.Background(), "missrate", ms, policies)
+			return err
+		}},
+		{"mincap", 2 * 2 * len(policies) * s.Replications, 2 * s.Replications, func() error {
+			_, err := MinCapacity(s, []float64{0.4, 0.8}, policies)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := energy.SolarRealizations()
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+			delta := energy.SolarRealizations() - before
+			cells := uint64(tc.cells)
+			// Per-replication realization plus a one-cell allowance for
+			// lookahead tails; per-cell re-realization costs ~cells*perRep
+			// units and lands far above this.
+			limit := uint64(tc.preps)*perRep + cells*64
+			t.Logf("realized %d units over %d cells (limit %d, regression ~%d)",
+				delta, cells, limit, cells*perRep)
+			if delta > limit {
+				t.Fatalf("sweep realized %d solar units over %d cells — per-cell re-realization regressed (limit %d)",
+					delta, cells, limit)
+			}
+		})
 	}
 }
 
@@ -96,16 +121,22 @@ func TestSweepRealizesSolarOncePerReplication(t *testing.T) {
 // retains: its solar master realizes the trace through the horizon but
 // keeps only the per-unit power table, 8 bytes per unit. The prefix-sum
 // table is built only by prefix queries, which no default-path run makes,
-// so a prepared point's heap must stay well under 12 bytes per unit.
+// and the envelope factor lives in one process-wide table, so a prepared
+// point's heap must stay well under 12 bytes per unit.
 func TestPreparedSourceFootprint(t *testing.T) {
 	s := DefaultSpec()
 	const n = 16
+	// Grow the shared envelope table first; it is not the replications'.
+	energy.NewSolarModel(0).PowerAt(s.Horizon)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	reps, err := replicate(s, 0, n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range reps {
+		reps[i].PrepareSource(s.Horizon)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -116,6 +147,41 @@ func TestPreparedSourceFootprint(t *testing.T) {
 	t.Logf("%d replications to horizon %v retain %.2f B per realized unit", n, s.Horizon, perUnit)
 	if perUnit >= 12 {
 		t.Fatalf("prepared replications retain %.2f B per realized unit, want < 12", perUnit)
+	}
+}
+
+// TestSweepHeapIndependentOfReplications bounds the live heap of a
+// miss-rate sweep while it runs: each replication's trace is prepared by
+// the worker that runs it and dropped after its last cell, so a
+// 400-replication sweep holds about as many prepared traces as a
+// 40-replication one. A sweep that prepared every replication before
+// running any would hold 400 traces (~32 MB at the default horizon)
+// against 40 (~3.2 MB).
+func TestSweepHeapIndependentOfReplications(t *testing.T) {
+	live := func(reps int) uint64 {
+		s := DefaultSpec()
+		s.Replications = reps
+		s.Capacities = []float64{300}
+		var peak uint64
+		Progress = func(done, total int) {
+			if done%(total/4) != 0 || done == total {
+				return
+			}
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+		defer func() { Progress = nil }()
+		if _, err := RunSweep(context.Background(), "missrate", s, []string{"ea-dvfs"}); err != nil {
+			t.Fatal(err)
+		}
+		return peak
+	}
+	small, large := live(40), live(400)
+	t.Logf("live heap mid-sweep: %d B at 40 replications, %d B at 400", small, large)
+	if large > 2*small {
+		t.Fatalf("live heap of a 400-replication sweep (%d B) exceeds twice a 40-replication one (%d B)", large, small)
 	}
 }
 

@@ -311,8 +311,12 @@ type Replication struct {
 // through time upTo. Call it once before fanning a replication out to
 // parallel runs: the forks then share the realized trace and never mutate
 // the master, so concurrent runs stay race-free. The master retains only
-// its per-unit power table, 8 bytes per unit; each fork that answers
-// prefix queries (the oracle predictor's) builds its own prefix table.
+// its per-unit power table, 8 bytes per unit (the cos² envelope comes
+// from energy's process-wide table); each fork that answers prefix
+// queries (the oracle predictor's) builds its own prefix table. Sweeps
+// call it on the worker that first runs one of the replication's cells
+// and drop the master after the last (gridJobs), so a sweep's prepared
+// traces scale with Parallelism, not with its replication count.
 func (r *Replication) PrepareSource(upTo float64) {
 	if r.master == nil {
 		r.master = energy.NewSolarModel(r.SourceSeed)

@@ -181,16 +181,18 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 			ok     bool
 		}
 		results := make([]pair, spec.Replications)
-		reps, err := replicate(spec, 0, spec.Replications) // sources shared across each search's probes
+		reps, err := replicate(spec, 0, spec.Replications)
 		if err != nil {
 			return nil, err
 		}
-		jobs := gridJobs(spec.Replications, 1, 1, func(_, r, _, _ int) error {
+		jobs := gridJobs(spec.Horizon, reps, 1, 1, func(_ int, rep Replication, _, _ int) error {
 			// Warm-start searcher: one arena, one solar fork and one probe
 			// memo per replication job, first-miss early exit on every
 			// infeasible probe. Returns exactly the cold search's
-			// capacities (see MinCapacitySearcher).
-			search, err := NewMinCapacitySearcher(spec, reps[r], factories)
+			// capacities (see MinCapacitySearcher). The job is the
+			// replication's only cell, so its trace is realized here and
+			// dropped when the job ends.
+			search, err := NewMinCapacitySearcher(spec, rep, factories)
 			if err != nil {
 				return err
 			}
@@ -202,7 +204,7 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 			if err != nil {
 				return err
 			}
-			results[r] = pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}
+			results[rep.Index] = pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}
 			return nil
 		})
 		if err := runJobs(context.TODO(), jobs); err != nil {

@@ -49,8 +49,8 @@ func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
 	}
 	np := len(policyNames)
 	slots := make([]counters, s.Replications*np)
-	jobs := gridJobs(s.Replications, 1, np, func(slot, r, _, pi int) error {
-		res, err := RunOne(context.TODO(), s, reps[r], capacity, factories[pi], false)
+	jobs := gridJobs(s.Horizon, reps, 1, np, func(slot int, rep Replication, _, pi int) error {
+		res, err := RunOne(context.TODO(), s, rep, capacity, factories[pi], false)
 		if err != nil {
 			return err
 		}
@@ -151,13 +151,13 @@ func Convergence(s Spec, policy string, counts []int) (*ConvergenceResult, error
 
 	rates := make([]float64, maxN)
 	tallies := make([]metrics.MissStats, maxN)
-	jobs := gridJobs(maxN, 1, 1, func(_, r, _, _ int) error {
-		res, err := RunOne(context.TODO(), spec, reps[r], capacity, pf, false)
+	jobs := gridJobs(spec.Horizon, reps, 1, 1, func(_ int, rep Replication, _, _ int) error {
+		res, err := RunOne(context.TODO(), spec, rep, capacity, pf, false)
 		if err != nil {
 			return err
 		}
-		rates[r] = res.Miss.Rate()
-		tallies[r] = res.Miss
+		rates[rep.Index] = res.Miss.Rate()
+		tallies[rep.Index] = res.Miss
 		return nil
 	})
 	if err := runJobs(context.TODO(), jobs); err != nil {

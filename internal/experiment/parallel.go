@@ -35,16 +35,51 @@ type job struct {
 }
 
 // gridJobs fans a replication × point × policy grid out into one job per
-// cell. Cell (r, p, pi) owns slot (r*points+p)*policies+pi — the layout
-// every sweep's raw material and fold share — and run executes the cell,
-// storing its material at that slot.
-func gridJobs(reps, points, policies int, run func(slot, r, p, pi int) error) []job {
-	jobs := make([]job, reps*points*policies)
+// cell. Cell (i, p, pi) owns slot (i*points+p)*policies+pi — the layout
+// every sweep's raw material and fold share — and run executes the cell
+// on reps[i], storing its material at that slot.
+//
+// Replications are prepared by the worker that runs them, not up front:
+// the first cell of reps[i] a worker picks realizes its solar master
+// through the horizon (a per-replication sync.Once, so the replication's
+// other cells wait for that one realization instead of making their own),
+// and the cell that counts down the replication's last cell drops the
+// master. Workers pick cells in slot order, so a sweep holds about
+// Parallelism prepared traces at a time, whatever its replication count.
+// A cell that fails is not counted down; its replication's master lives
+// until the batch is dropped.
+func gridJobs(horizon float64, reps []Replication, points, policies int, run func(slot int, rep Replication, p, pi int) error) []job {
+	cells := points * policies
+	lazy := make([]lazyRep, len(reps))
+	jobs := make([]job, len(reps)*cells)
+	for i := range lazy {
+		lazy[i].rep = reps[i]
+		lazy[i].left.Store(int64(cells))
+	}
 	for slot := range jobs {
-		r, p, pi := slot/(points*policies), slot/policies%points, slot%policies
-		jobs[slot] = job{slot: slot, run: func() error { return run(slot, r, p, pi) }}
+		l, p, pi := &lazy[slot/cells], slot/policies%points, slot%policies
+		jobs[slot] = job{slot: slot, run: func() error {
+			l.once.Do(func() { l.rep.PrepareSource(horizon) })
+			if err := run(slot, l.rep, p, pi); err != nil {
+				return err
+			}
+			if l.left.Add(-1) == 0 {
+				l.rep.master = nil
+			}
+			return nil
+		}}
 	}
 	return jobs
+}
+
+// lazyRep is one replication of a gridJobs batch: prepared once by its
+// first cell, its master dropped when left, the count of its cells not
+// yet finished, reaches zero. Every cell copies rep before it counts
+// down, so the last cell's write cannot race a reader.
+type lazyRep struct {
+	once sync.Once
+	rep  Replication
+	left atomic.Int64
 }
 
 // TransientError marks a job failure as retryable: runJobs re-executes

@@ -124,13 +124,13 @@ func RobustnessSweep(rs RobustnessSpec) (*RobustnessResult, error) {
 		deg  metrics.Degradation
 	}
 	cells := make([]cell, base.Replications*ni*np)
-	jobs := gridJobs(base.Replications, ni, np, func(slot, r, ii, pi int) error {
-		runner, err := newRunner(base, reps[r])
+	jobs := gridJobs(base.Horizon, reps, ni, np, func(slot int, rep Replication, ii, pi int) error {
+		runner, err := newRunner(base, rep)
 		if err != nil {
 			return err
 		}
 		cfg := runner.config(context.TODO(), rs.Capacity, factories[pi], false)
-		if fspec := fault.AtIntensity(rs.faultSeed(r), rs.Intensities[ii]); fspec.Enabled() {
+		if fspec := fault.AtIntensity(rs.faultSeed(rep.Index), rs.Intensities[ii]); fspec.Enabled() {
 			cfg.Faults = &fspec
 		}
 		res, err := runner.run(cfg)

@@ -54,8 +54,8 @@ func runSweep(s Spec, param string, points []float64, policyNames []string, run 
 		return nil, err
 	}
 	tallies := make([]metrics.MissStats, s.Replications*len(points)*len(policyNames))
-	jobs := gridJobs(s.Replications, len(points), len(policyNames), func(slot, r, p, pi int) error {
-		res, err := run(s, reps[r], points[p], factories[pi])
+	jobs := gridJobs(s.Horizon, reps, len(points), len(policyNames), func(slot int, rep Replication, p, pi int) error {
+		res, err := run(s, rep, points[p], factories[pi])
 		if err != nil {
 			return err
 		}

@@ -182,8 +182,9 @@ func RunShardCtx(ctx context.Context, kind string, s Spec, policyNames []string,
 // (and End a no-op) when the shard failed or no span sink is attached.
 //
 // Phase spans (DESIGN.md §15): when the spec carries a span sink, the
-// three stages of a shard — the plan (validation, replication derivation
-// and solar realization), the parallel simulation fan-out, and the
+// three stages of a shard — the plan (validation and replication
+// derivation), the parallel simulation fan-out (which realizes each
+// replication's solar trace on the worker that first runs it), and the
 // aggregation fold — each emit one wall-clock span under the sink's
 // parent context. A nil sink costs one comparison per phase.
 func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh Shard) (*ShardResult, *obs.ActiveSpan, error) {
@@ -212,8 +213,8 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 	} else {
 		tallies = make([]metrics.MissStats, nr*ncw*np)
 	}
-	jobs := gridJobs(nr, ncw, np, func(slot, i, c, pi int) error {
-		res, err := RunOne(ctx, s, reps[i], s.Capacities[sh.CapLo+c], factories[pi], record)
+	jobs := gridJobs(s.Horizon, reps, ncw, np, func(slot int, rep Replication, c, pi int) error {
+		res, err := RunOne(ctx, s, rep, s.Capacities[sh.CapLo+c], factories[pi], record)
 		if err != nil {
 			return err
 		}
@@ -246,8 +247,8 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 	return out, agg, nil
 }
 
-// planShard validates a shard request and derives its replications, solar
-// traces realized, and its policy factories.
+// planShard validates a shard request and derives its replications (not
+// yet prepared; see gridJobs) and its policy factories.
 func planShard(kind string, s Spec, policyNames []string, sh Shard) ([]Replication, []PolicyFactory, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
