@@ -130,7 +130,7 @@ func runTable1(n int) (map[string]float64, error) {
 // runTable1Warm isolates one warm-start capacity search (one replication,
 // U=0.6, both Table 1 policies on a shared MinCapacitySearcher) from the
 // full Table 1 sweep, so the baseline can watch the amortized bisection path —
-// runner reuse, probe memo, first-miss early exit — without the sweep's
+// runner reuse and first-miss early exit — without the sweep's
 // parallel-runner noise. The cmin metrics pin the searched capacities; the
 // warm-vs-cold equality itself is pinned by the experiment tests.
 func runTable1Warm(n int) (map[string]float64, error) {
@@ -173,7 +173,7 @@ func runTable1Warm(n int) (map[string]float64, error) {
 
 // runRunManyBatch measures the batched grid entry point: one replication's
 // full (capacity × policy) grid through experiment.RunBatch, i.e. the
-// amortized Runner executing every cell on one arena and one solar fork.
+// amortized Runner executing every cell on one solar fork.
 func runRunManyBatch(n int) (map[string]float64, error) {
 	s := spec()
 	factories, err := s.Policies([]string{"lsa", "ea-dvfs"})

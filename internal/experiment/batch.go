@@ -11,13 +11,13 @@ import (
 
 // Runner amortizes per-(spec, replication) run setup across many runs of
 // the same replication: the predictor name is resolved once, the (immutable)
-// processor is built once, the solar trace is realized once — by
+// processor is built once, and the solar trace is realized once — by
 // NewRunner, on the goroutine that will run it, unless the caller already
 // prepared the replication — and a single fork of it is reused run to
-// run, and every run executes on one dedicated sim.Arena, so the release
-// schedule is expanded exactly once. RunOne
-// re-derives all of that per run — it builds an arena-less Runner for
-// every run, since Runner.config is the package's one run builder; over a
+// run. Every run executes on an arena from sim.Run's pool, which gives
+// each worker goroutine its own warm arena. RunOne re-derives the
+// predictor, processor and fork per run — it builds a Runner for every
+// run, since Runner.config is the package's one run builder; over a
 // capacity bisection or a batch of sweep columns the difference is most
 // of the non-engine cost.
 //
@@ -25,19 +25,18 @@ import (
 // SolarModel fork is a pure function of time (power queries within the
 // realized prefix never mutate it, prefix queries only extend the fork's
 // own prefix-sum memo, and sequential extension realizes the same samples
-// a fresh fork would), and the arena path is pinned bit-identical by the
-// internal/verify differential. With the oracle predictor the reused fork
-// builds its prefix table once per replication, not once per run.
+// a fresh fork would). With the oracle predictor the reused fork builds
+// its prefix table once per replication, not once per run.
 //
-// A Runner is single-goroutine: runs execute sequentially on its arena.
-// Fan replication-level parallelism out with one Runner per worker.
+// A Runner is single-goroutine: its runs share one fork, so they execute
+// sequentially. Fan replication-level parallelism out with one Runner per
+// worker.
 type Runner struct {
 	spec  Spec
 	rep   Replication
 	predF PredictorFactory
 	proc  *cpu.Processor
 	src   *energy.SolarModel
-	arena *sim.Arena
 }
 
 // NewRunner prepares an amortized runner for one replication of the spec.
@@ -50,14 +49,12 @@ func NewRunner(s Spec, rep Replication) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.arena = sim.NewArena()
 	return &r, nil
 }
 
 // newRunner resolves the run material of one (spec, replication) pair:
 // the spec's predictor (with its smoothing override), its processor and
-// one fork of the replication's solar source. Without an arena its runs
-// go through sim.Run's pooled arenas; RunOne builds one per run.
+// one fork of the replication's solar source. RunOne builds one per run.
 func newRunner(s Spec, rep Replication) (Runner, error) {
 	predF, err := s.PredictorFor(s.Predictor)
 	if err != nil {
@@ -94,16 +91,10 @@ func (r *Runner) config(ctx context.Context, capacity float64, pf PolicyFactory,
 	return cfg
 }
 
-// run executes cfg on the runner's arena (sim.Run's pool when it has
-// none) and feeds the spec's run observability.
+// run executes cfg on a pooled arena and feeds the spec's run
+// observability.
 func (r *Runner) run(cfg *sim.Config) (*sim.Result, error) {
-	var res *sim.Result
-	var err error
-	if r.arena != nil {
-		res, err = r.arena.Run(cfg)
-	} else {
-		res, err = sim.Run(cfg)
-	}
+	res, err := sim.Run(cfg)
 	r.spec.recordRun(res)
 	return res, err
 }
@@ -122,8 +113,8 @@ func (r *Runner) RunCtx(ctx context.Context, capacity float64, pf PolicyFactory,
 // RunBatch executes one replication's full (capacity × policy) grid on a
 // single amortized Runner and returns results indexed [capacity][policy].
 // It is the batched equivalent of calling RunOne per cell — each cell
-// is bit-identical — with the scheduler plan, task-set expansion and solar
-// realization computed once for the whole grid instead of once per cell.
+// is bit-identical — with the predictor, processor and solar realization
+// resolved once for the whole grid instead of once per cell.
 func RunBatch(ctx context.Context, s Spec, rep Replication, capacities []float64, pfs []PolicyFactory, record bool) ([][]*sim.Result, error) {
 	r, err := NewRunner(s, rep)
 	if err != nil {

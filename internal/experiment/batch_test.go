@@ -12,8 +12,8 @@ import (
 )
 
 // TestWarmBisectionMatchesCold pins the MinCapacitySearcher contract: over
-// the Table 1 utilization grid, the warm-start search (shared runner, probe
-// memo, first-miss early exit) returns exactly the capacities and ok flags
+// the Table 1 utilization grid, the warm-start search (shared runner,
+// first-miss early exit) returns exactly the capacities and ok flags
 // of the cold MinCapacitySearch it replaces.
 func TestWarmBisectionMatchesCold(t *testing.T) {
 	s := DefaultSpec()
@@ -150,6 +150,27 @@ func TestPreparedSourceFootprint(t *testing.T) {
 	}
 }
 
+// sweepPeakHeap runs a whole sweep and returns the largest live heap seen
+// after a garbage collection at each quarter of its cells.
+func sweepPeakHeap(t *testing.T, kind string, s Spec, policies []string) uint64 {
+	t.Helper()
+	var peak uint64
+	Progress = func(done, total int) {
+		if done%(total/4) != 0 || done == total {
+			return
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	defer func() { Progress = nil }()
+	if _, err := RunSweep(context.Background(), kind, s, policies); err != nil {
+		t.Fatal(err)
+	}
+	return peak
+}
+
 // TestSweepHeapIndependentOfReplications bounds the live heap of a
 // miss-rate sweep while it runs: each replication's trace is prepared by
 // the worker that runs it and dropped after its last cell, so a
@@ -162,26 +183,43 @@ func TestSweepHeapIndependentOfReplications(t *testing.T) {
 		s := DefaultSpec()
 		s.Replications = reps
 		s.Capacities = []float64{300}
-		var peak uint64
-		Progress = func(done, total int) {
-			if done%(total/4) != 0 || done == total {
-				return
-			}
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			peak = max(peak, ms.HeapAlloc)
-		}
-		defer func() { Progress = nil }()
-		if _, err := RunSweep(context.Background(), "missrate", s, []string{"ea-dvfs"}); err != nil {
-			t.Fatal(err)
-		}
-		return peak
+		return sweepPeakHeap(t, "missrate", s, []string{"ea-dvfs"})
 	}
 	small, large := live(40), live(400)
 	t.Logf("live heap mid-sweep: %d B at 40 replications, %d B at 400", small, large)
 	if large > 2*small {
 		t.Fatalf("live heap of a 400-replication sweep (%d B) exceeds twice a 40-replication one (%d B)", large, small)
+	}
+}
+
+// TestRemainingSweepHeapPerReplication bounds what a remaining-energy
+// sweep holds per replication while it runs. The cell that finishes a
+// replication folds its block of energy series (one per capacity and
+// policy, H+1 floats each) into the np curves the merge needs and drops
+// the block, so the live heap grows by about np·(H+1)·8 B per finished
+// replication. A sweep that kept every run's series until the end would
+// grow by capacities·np·(H+1)·8 B, 7 times that at the paper's sweep.
+// Two workers keep the blocks in flight, up to one replication's block
+// per worker, the same at both replication counts on any host.
+func TestRemainingSweepHeapPerReplication(t *testing.T) {
+	old := Parallelism
+	defer func() { Parallelism = old }()
+	Parallelism = 2
+	s := DefaultSpec()
+	s.Horizon = 2000
+	policies := []string{"lsa", "ea-dvfs"}
+	live := func(reps int) uint64 {
+		s.Replications = reps
+		return sweepPeakHeap(t, "remaining", s, policies)
+	}
+	const small, large = 8, 32
+	a, b := live(small), live(large)
+	perRep := (float64(b) - float64(a)) / (large - small)
+	limit := 2 * float64(len(policies)) * (s.Horizon + 1) * 8
+	t.Logf("live heap mid-sweep: %d B at %d replications, %d B at %d: %.0f B per replication (limit %.0f)",
+		a, small, b, large, perRep, limit)
+	if perRep > limit {
+		t.Fatalf("remaining sweep's live heap grows by %.0f B per replication, want at most %.0f", perRep, limit)
 	}
 }
 

@@ -44,34 +44,29 @@ const (
 // bisection returns the smallest zero-miss point of the monotone envelope,
 // which is the quantity the paper sweeps.
 //
-// The search is warm: one amortized Runner (shared solar fork, processor,
-// predictor resolution and sim arena) serves every probe of every search
-// over the same (spec, replication) pair, each infeasible probe exits at
-// its first deadline miss instead of simulating to the horizon, and probe
-// outcomes are memoized per (policy, capacity) so repeated searches never
-// re-simulate a decided capacity.
+// The search is warm: one amortized Runner (shared solar fork, processor
+// and predictor resolution) serves every probe of every search over the
+// same (spec, replication) pair, and each infeasible probe exits at its
+// first deadline miss instead of simulating to the horizon.
 //
 // Warm search returns exactly what a cold search — one full RunOne per
 // probe, kept as the test oracle — returns. The argument
 // (DESIGN.md §14): the probe sequence — geometric growth doubling from lo,
 // then bisection on [hi/2, hi] — is fully determined by each probe's
-// zero-miss classification, and every mechanism above preserves that
+// zero-miss classification, and both mechanisms above preserve that
 // classification: the early exit stops only after a miss is tallied
-// (Missed > 0 iff the full run misses), the memo replays recorded
-// classifications, and arena/fork reuse reproduces each run bit for bit
-// (pinned by the internal/verify differential). No probe is ever skipped
-// on monotonicity grounds, because misses are not perfectly monotone in
-// capacity: confirming the envelope's smallest zero-miss point requires
-// observing every dyadic predecessor miss, and the searcher does.
+// (Missed > 0 iff the full run misses), and fork reuse reproduces each
+// run bit for bit. No probe is ever skipped on monotonicity grounds,
+// because misses are not perfectly monotone in capacity: confirming the
+// envelope's smallest zero-miss point requires observing every dyadic
+// predecessor miss, and the searcher does. Nothing is memoized: when
+// maxHi/lo is a power of two (as with MinCapLo and MinCapMaxHi), one
+// search never probes a capacity twice — doubling visits each lo·2^k once
+// and bisection probes only midpoints strictly inside (hi/2, hi) — and a
+// repeated Search re-simulates.
 type MinCapacitySearcher struct {
 	runner *Runner
 	pfs    []PolicyFactory
-	memo   map[probeKey]bool // capacity → had at least one miss
-}
-
-type probeKey struct {
-	policy   int
-	capacity float64
 }
 
 // NewMinCapacitySearcher prepares a warm searcher for one replication.
@@ -81,7 +76,7 @@ func NewMinCapacitySearcher(s Spec, rep Replication, pfs []PolicyFactory) (*MinC
 	if err != nil {
 		return nil, err
 	}
-	return &MinCapacitySearcher{runner: r, pfs: pfs, memo: make(map[probeKey]bool)}, nil
+	return &MinCapacitySearcher{runner: r, pfs: pfs}, nil
 }
 
 // Search runs the capacity search for policy index pi over [lo, maxHi]:
@@ -96,17 +91,11 @@ func (m *MinCapacitySearcher) Search(pi int, lo, maxHi, tol float64) (float64, b
 		return 0, false, fmt.Errorf("experiment: policy index %d outside [0, %d)", pi, len(m.pfs))
 	}
 	missed := func(c float64) (bool, error) {
-		key := probeKey{policy: pi, capacity: c}
-		if v, ok := m.memo[key]; ok {
-			return v, nil
-		}
 		res, err := m.runner.RunCtx(nil, c, m.pfs[pi], false, true)
 		if err != nil {
 			return false, err
 		}
-		v := res.Miss.Missed > 0
-		m.memo[key] = v
-		return v, nil
+		return res.Miss.Missed > 0, nil
 	}
 	hi := lo
 	for {
@@ -186,10 +175,10 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 			return nil, err
 		}
 		jobs := gridJobs(spec.Horizon, reps, 1, 1, func(_ int, rep Replication, _, _ int) error {
-			// Warm-start searcher: one arena, one solar fork and one probe
-			// memo per replication job, first-miss early exit on every
-			// infeasible probe. Returns exactly the cold search's
-			// capacities (see MinCapacitySearcher). The job is the
+			// Warm-start searcher: one solar fork per replication job,
+			// first-miss early exit on every infeasible probe. Returns
+			// exactly the cold search's capacities (see
+			// MinCapacitySearcher). The job is the
 			// replication's only cell, so its trace is realized here and
 			// dropped when the job ends.
 			search, err := NewMinCapacitySearcher(spec, rep, factories)

@@ -18,8 +18,8 @@ import (
 // which is the quantity the paper sweeps. tol is the absolute capacity
 // resolution.
 //
-// This is the cold search — one full RunOne per probe, no early exit, no
-// memo — kept as the oracle MinCapacitySearcher must reproduce exactly.
+// This is the cold search — one full RunOne per probe, no early exit —
+// kept as the oracle MinCapacitySearcher must reproduce exactly.
 func MinCapacitySearch(s Spec, rep Replication, pf PolicyFactory, lo, maxHi, tol float64) (float64, bool, error) {
 	if lo <= 0 || maxHi <= lo || tol <= 0 {
 		return 0, false, fmt.Errorf("experiment: bad search bounds [%v, %v] tol %v", lo, maxHi, tol)

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -16,10 +15,6 @@ import (
 // replications parallelize embarrassingly; results are merged in a
 // deterministic order regardless of completion order.
 var Parallelism = runtime.GOMAXPROCS(0)
-
-// maxJobAttempts bounds how many times a job failing with a
-// TransientError is re-executed before its error sticks.
-const maxJobAttempts = 3
 
 // Progress, when non-nil, is invoked after every finished parallel job with
 // the number of jobs done so far and the batch total. Calls are serialized
@@ -82,19 +77,6 @@ type lazyRep struct {
 	left atomic.Int64
 }
 
-// TransientError marks a job failure as retryable: runJobs re-executes
-// the job (up to maxJobAttempts total) before recording the error.
-// Simulations are deterministic, so genuine model errors are NOT
-// transient; this classifies environmental failures (e.g. a temp-file
-// write during CSV export) that a retry can clear.
-type TransientError struct{ Err error }
-
-// Error implements error.
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
 // PanicError is a worker panic converted into a slot-attributed error, so
 // one exploding replication surfaces as a diagnosable failure instead of
 // crashing (or, worse, hanging) the whole sweep.
@@ -133,11 +115,11 @@ func (e *CancelledError) Error() string {
 func (e *CancelledError) Unwrap() error { return e.Err }
 
 // RunHardened executes fn with the parallel runner's robustness wrapper —
-// panic recovery into a *PanicError and bounded retry of TransientError
-// failures — without a batch around it. The simulation service uses it so
-// a single network-submitted run gets the same hardening a sweep
-// replication does: one exploding request surfaces as a diagnosable 5xx,
-// never a dead worker.
+// panic recovery into a *PanicError attributed to slot 0 — without a
+// batch around it. The simulation service uses it so a single
+// network-submitted run gets the same hardening a sweep replication does:
+// one exploding request surfaces as a diagnosable 5xx, never a dead
+// worker.
 func RunHardened(fn func() error) error {
 	return runJob(job{slot: 0, run: fn})
 }
@@ -148,14 +130,16 @@ func RunHardened(fn func() error) error {
 // deterministic.
 //
 // Robustness guarantees: a panicking job is recovered into a *PanicError
-// (the sweep never hangs on a dead worker), TransientError failures are
-// retried a bounded number of times, and after the first recorded error
-// the remaining queued jobs are cancelled at pickup — already-running jobs
-// finish, and their errors still participate in lowest-slot selection.
-// When ctx is cancelled, queued jobs are dropped at pickup as well and the
-// batch returns a *CancelledError describing the partial aggregation,
-// taking precedence over per-job errors — a cancelled sweep's job errors
-// are usually just the engine reporting the same cancellation.
+// (the sweep never hangs on a dead worker), and after the first recorded
+// error the remaining queued jobs are cancelled at pickup — already-running
+// jobs finish, and their errors still participate in lowest-slot
+// selection. Workers pick jobs in slot order under one mutex, so with a
+// single worker the batch runs strictly in order and a failure cancels
+// exactly the jobs after it. When ctx is cancelled, queued jobs are
+// dropped at pickup as well and the batch returns a *CancelledError
+// describing the partial aggregation, taking precedence over per-job
+// errors — a cancelled sweep's job errors are usually just the engine
+// reporting the same cancellation.
 func runJobs(ctx context.Context, jobs []job) error {
 	errs, skipped := runJobsPartial(ctx, jobs, false)
 	if err := ctx.Err(); err != nil && skipped > 0 {
@@ -211,21 +195,6 @@ func runJobsPartial(ctx context.Context, jobs []job, keepGoing bool) (map[int]er
 		progress(done, len(jobs))
 		mu.Unlock()
 	}
-	if workers <= 1 {
-		// Serial path: same pickup-time cancellation semantics.
-		for _, j := range jobs {
-			if cancelled.Load() || ctx.Err() != nil {
-				skipped++
-				continue
-			}
-			if err := runJob(j); err != nil {
-				record(j.slot, err)
-			}
-			finished()
-		}
-		return errs, skipped
-	}
-
 	var (
 		wg   sync.WaitGroup
 		next int
@@ -260,23 +229,9 @@ func runJobsPartial(ctx context.Context, jobs []job, keepGoing bool) (map[int]er
 	return errs, skipped
 }
 
-// runJob executes one job with panic recovery and bounded retry of
-// transient failures.
-func runJob(j job) error {
-	var err error
-	for attempt := 0; attempt < maxJobAttempts; attempt++ {
-		err = runJobOnce(j)
-		var te *TransientError
-		if err == nil || !errors.As(err, &te) {
-			return err
-		}
-	}
-	return err
-}
-
-// runJobOnce executes the job's function, converting a panic into a
+// runJob executes the job's function, converting a panic into a
 // slot-attributed *PanicError.
-func runJobOnce(j job) (err error) {
+func runJob(j job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Slot: j.slot, Value: r, Stack: string(debug.Stack())}

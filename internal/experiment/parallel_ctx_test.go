@@ -67,7 +67,7 @@ func TestRunParallelCtxPreCancelled(t *testing.T) {
 }
 
 // Cancelling mid-sweep returns a partial-aggregation error rather than a
-// hang or a silently partial pooled miss rate. Serial Parallelism plus the
+// hang or a silently partial pooled miss rate. A single worker plus the
 // Progress hook make the cancellation point deterministic: after the first
 // finished replication, every remaining job must be skipped at pickup.
 func TestMissRateSweepCtxCancelMidSweep(t *testing.T) {

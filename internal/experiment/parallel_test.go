@@ -66,7 +66,7 @@ func TestRunParallelEmptyAndSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Fatal("serial path did not run the job")
+		t.Fatal("a single worker did not run the job")
 	}
 	Parallelism = 0 // degenerate setting must still work
 	if err := runJobs(context.Background(), []job{{slot: 0, run: func() error { return nil }}}); err != nil {
@@ -129,7 +129,7 @@ func TestRunParallelAllPanicNoHang(t *testing.T) {
 func TestRunParallelCancelsQueuedAfterError(t *testing.T) {
 	old := Parallelism
 	defer func() { Parallelism = old }()
-	Parallelism = 1 // serial pickup order makes the cancellation point exact
+	Parallelism = 1 // one worker picks in slot order, so the cancellation point is exact
 
 	boom := errors.New("boom")
 	var ran int64
@@ -185,56 +185,37 @@ func TestRunParallelPartialKeepsGoing(t *testing.T) {
 	}
 }
 
-// TransientError failures are retried up to maxJobAttempts; persistent
-// failures and plain errors are not retried.
-func TestRunParallelTransientRetry(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-	Parallelism = 1
-
-	flaky := errors.New("flaky io")
-	var attempts int64
-	recovers := job{slot: 0, run: func() error {
-		if atomic.AddInt64(&attempts, 1) < 3 {
-			return &TransientError{Err: flaky}
-		}
-		return nil
-	}}
-	if err := runJobs(context.Background(), []job{recovers}); err != nil {
-		t.Fatalf("job recovered on retry but sweep failed: %v", err)
+// RunHardened is the service's run wrapper: a panic comes back as a
+// slot-0 *PanicError with a stack, and anything the function returns comes
+// back unchanged.
+func TestRunHardened(t *testing.T) {
+	err := RunHardened(func() error { panic("boom") })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *PanicError", err)
 	}
-	if attempts != 3 {
-		t.Fatalf("%d attempts, want 3", attempts)
+	if pe.Slot != 0 || pe.Value != "boom" {
+		t.Fatalf("panic attributed to slot %d value %v, want slot 0 value boom", pe.Slot, pe.Value)
+	}
+	if !strings.Contains(pe.Stack, "goroutine") {
+		t.Fatal("panic error carries no stack trace")
 	}
 
-	attempts = 0
-	hopeless := job{slot: 0, run: func() error {
-		atomic.AddInt64(&attempts, 1)
-		return &TransientError{Err: flaky}
-	}}
-	err := runJobs(context.Background(), []job{hopeless})
-	if !errors.Is(err, flaky) {
-		t.Fatalf("got %v, want wrapped flaky error", err)
+	plain := errors.New("plain")
+	calls := 0
+	if err := RunHardened(func() error { calls++; return plain }); err != plain {
+		t.Fatalf("got %v, want the function's own error", err)
 	}
-	if attempts != maxJobAttempts {
-		t.Fatalf("%d attempts, want %d", attempts, maxJobAttempts)
+	if calls != 1 {
+		t.Fatalf("function ran %d times, want once", calls)
 	}
-
-	attempts = 0
-	plain := job{slot: 0, run: func() error {
-		atomic.AddInt64(&attempts, 1)
-		return flaky
-	}}
-	if err := runJobs(context.Background(), []job{plain}); err != flaky {
-		t.Fatalf("got %v, want flaky", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("plain error retried: %d attempts", attempts)
+	if err := RunHardened(func() error { return nil }); err != nil {
+		t.Fatalf("got %v, want nil", err)
 	}
 }
 
-// Parallel and serial execution of a sweep must produce identical results
-// — the merge is slot-ordered, not completion-ordered.
+// Eight workers and one must produce identical results — the merge is
+// slot-ordered, not completion-ordered.
 func TestParallelDeterminism(t *testing.T) {
 	s := testSpec()
 	s.Capacities = []float64{150, 600}
@@ -255,7 +236,7 @@ func TestParallelDeterminism(t *testing.T) {
 	for name := range par.Rates {
 		for i := range par.Rates[name] {
 			if par.Rates[name][i] != ser.Rates[name][i] {
-				t.Fatalf("%s[%d]: parallel %v != serial %v", name, i, par.Rates[name][i], ser.Rates[name][i])
+				t.Fatalf("%s[%d]: 8 workers %v != 1 worker %v", name, i, par.Rates[name][i], ser.Rates[name][i])
 			}
 		}
 	}

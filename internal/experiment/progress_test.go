@@ -42,7 +42,7 @@ func TestProgressHookCountsEveryJob(t *testing.T) {
 // reporter reflects work done, not work succeeded.
 func TestProgressHookRunsOnFailures(t *testing.T) {
 	old := Parallelism
-	Parallelism = 1 // serial path: deterministic pickup-time cancellation
+	Parallelism = 1 // one worker: deterministic pickup-time cancellation
 	defer func() { Parallelism = old }()
 
 	var last int

@@ -21,6 +21,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/obs"
@@ -184,7 +185,8 @@ func RunShardCtx(ctx context.Context, kind string, s Spec, policyNames []string,
 // Phase spans (DESIGN.md §15): when the spec carries a span sink, the
 // three stages of a shard — the plan (validation and replication
 // derivation), the parallel simulation fan-out (which realizes each
-// replication's solar trace on the worker that first runs it), and the
+// replication's solar trace on the worker that first runs it and, for
+// the remaining kind, folds each finished replication's curves), and the
 // aggregation fold — each emit one wall-clock span under the sink's
 // parent context. A nil sink costs one comparison per phase.
 func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh Shard) (*ShardResult, *obs.ActiveSpan, error) {
@@ -206,22 +208,37 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 	// both kinds run the shard's capacity window.
 	record := kind == "remaining"
 	nr, ncw, np := sh.Reps(), sh.Caps(), len(policyNames)
-	var tallies []metrics.MissStats
+	out := &ShardResult{Kind: kind, Shard: sh}
 	var series []*metrics.Series
+	var left []atomic.Int32
 	if record {
+		// A replication's block of series is folded into its curves by
+		// the cell that finishes it last, then dropped, so the shard
+		// holds finished curves plus the blocks in flight, not every
+		// run's series.
 		series = make([]*metrics.Series, nr*ncw*np)
+		out.Curves = make([][][]float64, nr)
+		left = make([]atomic.Int32, nr)
+		for i := range left {
+			left[i].Store(int32(ncw * np))
+		}
 	} else {
-		tallies = make([]metrics.MissStats, nr*ncw*np)
+		out.Tallies = make([]metrics.MissStats, nr*ncw*np)
 	}
 	jobs := gridJobs(s.Horizon, reps, ncw, np, func(slot int, rep Replication, c, pi int) error {
 		res, err := RunOne(ctx, s, rep, s.Capacities[sh.CapLo+c], factories[pi], record)
 		if err != nil {
 			return err
 		}
-		if record {
-			series[slot] = res.EnergySeries
-		} else {
-			tallies[slot] = res.Miss
+		if !record {
+			out.Tallies[slot] = res.Miss
+			return nil
+		}
+		series[slot] = res.EnergySeries
+		if i := slot / (ncw * np); left[i].Add(-1) == 0 {
+			block := series[i*ncw*np : (i+1)*ncw*np]
+			out.Curves[i] = repEnergyCurves(s, np, block)
+			clear(block)
 		}
 		return nil
 	})
@@ -234,17 +251,7 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 	}
 	sp.End()
 
-	agg := phase("aggregate")
-	out := &ShardResult{Kind: kind, Shard: sh}
-	if record {
-		out.Curves = make([][][]float64, nr)
-		for i := range out.Curves {
-			out.Curves[i] = repEnergyCurves(s, np, series[i*ncw*np:(i+1)*ncw*np])
-		}
-	} else {
-		out.Tallies = tallies
-	}
-	return out, agg, nil
+	return out, phase("aggregate"), nil
 }
 
 // planShard validates a shard request and derives its replications (not

@@ -79,8 +79,6 @@ type Options struct {
 	AllowPartial bool
 	// Seed drives the deterministic backoff jitter (default 1).
 	Seed uint64
-	// Vnodes per worker on the consistent-hash ring (default 64).
-	Vnodes int
 	// Registry receives fabric metrics (default: a private registry).
 	Registry *obs.Registry
 	// Trace, when non-nil, receives the coordinator's spans — one root
@@ -166,7 +164,7 @@ func New(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:    o,
 		workers: append([]string(nil), o.Workers...),
-		ring:    newRing(o.Workers, o.Vnodes),
+		ring:    newRing(o.Workers),
 		jitter:  rng.New(o.Seed),
 	}
 	reg := o.Registry

@@ -82,8 +82,8 @@ func mergedJSON(t *testing.T, res *SweepResult) string {
 
 func TestRingSequenceCoversAllWorkersDeterministically(t *testing.T) {
 	workers := []string{"http://a", "http://b", "http://c"}
-	r1 := newRing(workers, 64)
-	r2 := newRing(workers, 64)
+	r1 := newRing(workers)
+	r2 := newRing(workers)
 	ownerCount := make([]int, len(workers))
 	for _, key := range []string{"k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10"} {
 		s1, s2 := r1.sequence(key), r2.sequence(key)

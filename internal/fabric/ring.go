@@ -12,7 +12,8 @@ import (
 // same owning worker: repeat and retried sweeps land on the node whose
 // single-flight cache already holds (or is computing) that digest, and
 // adding or removing one worker reassigns only the shards on its arcs.
-// Each worker contributes vnodes virtual points to smooth the split.
+// Each worker contributes pointsPerWorker virtual points to smooth the
+// split.
 type ring struct {
 	points  []ringPoint
 	workers int
@@ -23,16 +24,16 @@ type ringPoint struct {
 	worker int
 }
 
-func newRing(workers []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 64
-	}
+// pointsPerWorker is the number of virtual points per worker.
+const pointsPerWorker = 64
+
+func newRing(workers []string) *ring {
 	r := &ring{
-		points:  make([]ringPoint, 0, len(workers)*vnodes),
+		points:  make([]ringPoint, 0, len(workers)*pointsPerWorker),
 		workers: len(workers),
 	}
 	for wi, w := range workers {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < pointsPerWorker; v++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("%s\x00%d", w, v)), worker: wi})
 		}
 	}

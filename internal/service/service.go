@@ -394,7 +394,6 @@ func decodeStatus(err error) int {
 // statusOf maps a compute error to an HTTP status.
 func statusOf(err error) int {
 	var pe *experiment.PanicError
-	var te *experiment.TransientError
 	switch {
 	case errors.Is(err, errOverload):
 		return http.StatusTooManyRequests
@@ -407,8 +406,6 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.As(err, &pe):
 		return http.StatusInternalServerError
-	case errors.As(err, &te):
-		return http.StatusServiceUnavailable
 	default:
 		// The engine is deterministic: everything else is a property of
 		// the submitted configuration.

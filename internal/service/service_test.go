@@ -539,7 +539,6 @@ func TestStatusOfMapping(t *testing.T) {
 		{fmt.Errorf("wrap: %w", context.Canceled), http.StatusServiceUnavailable},
 		{&experiment.CancelledError{Total: 4, Done: 1, Skipped: 3, Err: context.Canceled}, http.StatusServiceUnavailable},
 		{&experiment.PanicError{}, http.StatusInternalServerError},
-		{&experiment.TransientError{Err: errors.New("x")}, http.StatusServiceUnavailable},
 		{errors.New("sim: no runnable configuration"), http.StatusBadRequest},
 	}
 	for _, c := range cases {

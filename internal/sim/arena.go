@@ -29,7 +29,7 @@ import (
 // from an internal sync.Pool, which gives every concurrently executing
 // worker — the experiment parallel runner's goroutines, the service's
 // bounded pool slots — its own warm arena without coordination; an
-// explicit Arena (or RunMany) only pins that reuse to one caller.
+// explicit Arena only pins that reuse to one caller.
 //
 // The contract the reset relies on: nothing retains engine-owned state
 // past Run. Probes receive copied job fields rather than a *Job (the
@@ -62,31 +62,6 @@ func NewArena() *Arena {
 // steady state, so every worker goroutine reuses run state without any
 // explicit plumbing.
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
-
-// RunOutcome pairs one run of a batch with its error, keeping RunMany
-// total: a failed run (invalid config, event-budget abort, cancellation)
-// occupies its slot instead of truncating the batch.
-type RunOutcome struct {
-	Result *Result
-	Err    error
-}
-
-// RunMany executes the configs sequentially on a single pooled arena and
-// returns one outcome per config, in order. Each run is bit-identical to
-// an independent Run of the same config (the internal/verify differential
-// pins this down); the batch form amortizes the deadline heap, queue and
-// release buffers across the whole batch. Stateful components (Store,
-// Predictor, Policy) are consumed per run as always and must be fresh per
-// config.
-func RunMany(cfgs []*Config) []RunOutcome {
-	a := arenaPool.Get().(*Arena)
-	out := make([]RunOutcome, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i].Result, out[i].Err = a.Run(cfg)
-	}
-	arenaPool.Put(a)
-	return out
-}
 
 // Run executes one simulation on this arena's pooled state. Semantics are
 // exactly those of the package-level Run.

@@ -14,7 +14,7 @@ import (
 )
 
 var runManyBatch = flag.Int("verify.batch", 8,
-	"configs per sim.RunMany batch in the batched-vs-single differential")
+	"configs per shared-arena batch in the batched-vs-single differential")
 
 // runManyCounter windows the seed space per invocation, like runCounter for
 // TestDifferential: `-count=K` scans K disjoint windows.
@@ -49,9 +49,9 @@ func (s *runManySide) flush(t *testing.T) {
 }
 
 // TestRunManyMatchesRunOne is the batched-execution differential: for every
-// random spec, one run through the batched sim.RunMany (many configs
-// sharing one arena back to back) must be bit-identical to an independent
-// sim.Run of an identically-built config — same Result fields, same error,
+// random spec, one run in a batch executed back to back on one
+// sim.NewArena() must be bit-identical to an independent sim.Run of an
+// identically-built config — same Result fields, same error,
 // same decision audits and event records, and byte-identical JSONL streams.
 // Any state leaking across a reused arena (release buffers, deadline
 // heap, ready queue, stats table) diverges here.
@@ -97,8 +97,9 @@ func TestRunManyMatchesRunOne(t *testing.T) {
 				singles[i].flush(t)
 				cfgs[i] = batched[i].instrument(many)
 			}
-			for i, out := range sim.RunMany(cfgs) {
-				batched[i].res, batched[i].err = out.Result, out.Err
+			arena := sim.NewArena()
+			for i, cfg := range cfgs {
+				batched[i].res, batched[i].err = arena.Run(cfg)
 				batched[i].flush(t)
 			}
 			for i := range specs {
@@ -129,7 +130,7 @@ func compareRunManySides(t *testing.T, spec *Spec, got, want *runManySide) {
 			got.jsonl.Len(), want.jsonl.Len()))
 	}
 	if len(diffs) > 0 {
-		t.Fatalf("RunMany diverged from RunOne on seed %d (policy=%s predictor=%s source=%s):\n  %s",
+		t.Fatalf("shared-arena run diverged from RunOne on seed %d (policy=%s predictor=%s source=%s):\n  %s",
 			spec.Seed, spec.Policy, spec.Predictor, spec.Source.Kind,
 			strings.Join(diffs, "\n  "))
 	}
