@@ -66,7 +66,9 @@ func TestWarmBisectionMatchesCold(t *testing.T) {
 // carried no master and every cell regenerated the full trace; with
 // preparation moved to the workers, a cell that missed its replication's
 // one-time preparation would do the same. The miss-rate sweep runs the
-// shard runner's path, and MinCapacity one search job per replication.
+// shard runner's path, and MinCapacity one pair of searches per
+// (replication, utilization) cell, every utilization adopting the
+// replication's one prepared trace.
 func TestSweepRealizesSolarOncePerReplication(t *testing.T) {
 	s := DefaultSpec()
 	s.Horizon = 800
@@ -91,7 +93,7 @@ func TestSweepRealizesSolarOncePerReplication(t *testing.T) {
 			_, err := RunSweep(context.Background(), "missrate", ms, policies)
 			return err
 		}},
-		{"mincap", 2 * 2 * len(policies) * s.Replications, 2 * s.Replications, func() error {
+		{"mincap", 2 * 2 * len(policies) * s.Replications, s.Replications, func() error {
 			_, err := MinCapacity(s, []float64{0.4, 0.8}, policies)
 			return err
 		}},
@@ -131,11 +133,12 @@ func TestPreparedSourceFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	reps, err := replicate(s, 0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := make([]Replication, n)
 	for i := range reps {
+		var err error
+		if reps[i], err = Replicate(s, i); err != nil {
+			t.Fatal(err)
+		}
 		reps[i].PrepareSource(s.Horizon)
 	}
 	runtime.GC()

@@ -315,7 +315,7 @@ type Replication struct {
 // from energy's process-wide table); each fork that answers prefix
 // queries (the oracle predictor's) builds its own prefix table. Sweeps
 // call it on the worker that first runs one of the replication's cells
-// and drop the master after the last (gridJobs), so a sweep's prepared
+// and drop the master after the last (runGrid), so a sweep's prepared
 // traces scale with Parallelism, not with its replication count.
 func (r *Replication) PrepareSource(upTo float64) {
 	if r.master == nil {
@@ -337,12 +337,13 @@ func (r *Replication) Source() *energy.SolarModel {
 }
 
 // AdoptSource shares another replication's memoized solar master when the
-// source seeds match. Sensitivity sweeps that re-derive the task set for a
-// shifted parameter (PMaxSweep, TaskCountSweep) produce replications with
-// the same source seed as the originals; adopting the prepared master lets
-// their runs fork the already-realized trace instead of regenerating
-// ~horizon half-normal draws per cell. A seed mismatch adopts nothing —
-// correctness never depends on adoption (the seed is the trace identity).
+// source seeds match. Sweeps that re-derive the task set for a shifted
+// parameter (PMaxSweep, TaskCountSweep, Table 1's utilizations) produce
+// replications with the same source seed as the originals; adopting the
+// prepared master lets their runs fork the already-realized trace instead
+// of regenerating ~horizon half-normal draws per cell. A seed mismatch
+// adopts nothing — correctness never depends on adoption (the seed is the
+// trace identity).
 func (r *Replication) AdoptSource(from Replication) {
 	if r.SourceSeed == from.SourceSeed {
 		r.master = from.master

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -325,5 +326,30 @@ func TestMinCapacityErrors(t *testing.T) {
 	}
 	if _, err := MinCapacity(s, []float64{2}, []string{"lsa", "ea-dvfs"}); err == nil {
 		t.Fatal("utilization > 1 accepted")
+	}
+}
+
+// MinCapacity resolves its policies at each utilization it sweeps, not at
+// the base spec: static-dvfs sizes its fixed operating point from the
+// utilization, so a Table 1 point must not depend on the base spec's.
+// Sized at the base U 0.4, static-dvfs runs too slowly for U 0.8 and no
+// capacity makes it feasible.
+func TestMinCapacityBindsPointUtilization(t *testing.T) {
+	table := func(base float64) *MinCapacityResult {
+		s := testSpec()
+		s.Replications = 2
+		s.Utilization = base
+		res, err := MinCapacity(s, []float64{0.8}, []string{"static-dvfs", "ea-dvfs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	at, from := table(0.8), table(0.4)
+	if at.Skipped != 0 {
+		t.Fatalf("static-dvfs sized at U 0.8 skipped %d replications", at.Skipped)
+	}
+	if !reflect.DeepEqual(at, from) {
+		t.Fatalf("Table 1 at U 0.8 depends on the base utilization: %+v from base 0.8, %+v from base 0.4", at, from)
 	}
 }

@@ -190,21 +190,3 @@ func aggregateMissRate(s Spec, points []float64, policyNames []string, tallies [
 	}
 	return out
 }
-
-// replicate derives replications [lo, hi) up front — task sets and
-// source seeds only, which is cheap and keeps worker closures free of
-// generator state, and surfaces a generation error before any run
-// starts. It realizes no solar trace: gridJobs prepares each
-// replication's trace on the worker that first runs one of its cells,
-// shares it (via Fork) across that replication's paired policy and point
-// cells, and drops it after the last one.
-func replicate(s Spec, lo, hi int) ([]Replication, error) {
-	reps := make([]Replication, hi-lo)
-	for i := range reps {
-		var err error
-		if reps[i], err = Replicate(s, lo+i); err != nil {
-			return nil, err
-		}
-	}
-	return reps, nil
-}

@@ -136,6 +136,13 @@ func (m *MinCapacitySearcher) Search(pi int, lo, maxHi, tol float64) (float64, b
 // MinCapacity regenerates Table 1: for each utilization, the ratio of the
 // minimum zero-miss capacities of the first policy to the second
 // (paper: LSA over EA-DVFS), averaged over replications.
+//
+// The sweep is one grid over the utilizations. A cell is one
+// replication's pair of warm searches at one utilization: the task set
+// is re-derived at that point, with the policies resolved there too
+// (static-dvfs sizes its operating point from the utilization), and the
+// replication's prepared solar master is adopted, so each replication's
+// trace is realized once for every utilization.
 func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityResult, error) {
 	if len(policyNames) != 2 {
 		return nil, fmt.Errorf("experiment: Table 1 compares exactly two policies, got %d", len(policyNames))
@@ -143,64 +150,62 @@ func MinCapacity(s Spec, utils []float64, policyNames []string) (*MinCapacityRes
 	if len(utils) == 0 {
 		return nil, fmt.Errorf("experiment: no utilizations")
 	}
-	factories, err := s.Policies(policyNames)
+	specs := make([]Spec, len(utils))
+	factories := make([][]PolicyFactory, len(utils))
+	for ui, u := range utils {
+		specs[ui] = s
+		specs[ui].Utilization = u
+		if err := specs[ui].Validate(); err != nil {
+			return nil, err
+		}
+		var err error
+		if factories[ui], err = specs[ui].Policies(policyNames); err != nil {
+			return nil, err
+		}
+	}
+	type pair struct {
+		ca, cb float64
+		ok     bool
+	}
+	g := grid{spec: specs[0], paired: true, hi: s.Replications, points: len(utils)}
+	pairs, _, agg, err := runGrid(context.Background(), g, func(_ int, rep Replication, ui int, _ PolicyFactory) (pair, error) {
+		at, err := Replicate(specs[ui], rep.Index)
+		if err != nil {
+			return pair{}, err
+		}
+		at.AdoptSource(rep)
+		// Warm-start searcher: one solar fork per cell, first-miss
+		// early exit on every infeasible probe. Returns exactly the cold
+		// search's capacities (see MinCapacitySearcher).
+		search, err := NewMinCapacitySearcher(specs[ui], at, factories[ui])
+		if err != nil {
+			return pair{}, err
+		}
+		ca, okA, err := search.Search(0, MinCapLo, MinCapMaxHi, MinCapTol)
+		if err != nil {
+			return pair{}, err
+		}
+		cb, okB, err := search.Search(1, MinCapLo, MinCapMaxHi, MinCapTol)
+		if err != nil {
+			return pair{}, err
+		}
+		return pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}, nil
+	})
+	defer agg.End()
 	if err != nil {
 		return nil, err
 	}
+
 	out := &MinCapacityResult{
 		Utilizations: append([]float64(nil), utils...),
 		Mean:         map[string][]float64{policyNames[0]: make([]float64, len(utils)), policyNames[1]: make([]float64, len(utils))},
 		Ratio:        make([]float64, len(utils)),
 		RatioErr:     make([]float64, len(utils)),
 	}
-	const (
-		lo    = MinCapLo
-		maxHi = MinCapMaxHi
-		tol   = MinCapTol
-	)
-	for ui, u := range utils {
-		spec := s
-		spec.Utilization = u
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		// Each replication's two bisections run as one parallel job.
-		type pair struct {
-			ca, cb float64
-			ok     bool
-		}
-		results := make([]pair, spec.Replications)
-		reps, err := replicate(spec, 0, spec.Replications)
-		if err != nil {
-			return nil, err
-		}
-		jobs := gridJobs(spec.Horizon, reps, 1, 1, func(_ int, rep Replication, _, _ int) error {
-			// Warm-start searcher: one solar fork per replication job,
-			// first-miss early exit on every infeasible probe. Returns
-			// exactly the cold search's capacities (see
-			// MinCapacitySearcher). The job is the
-			// replication's only cell, so its trace is realized here and
-			// dropped when the job ends.
-			search, err := NewMinCapacitySearcher(spec, rep, factories)
-			if err != nil {
-				return err
-			}
-			ca, okA, err := search.Search(0, lo, maxHi, tol)
-			if err != nil {
-				return err
-			}
-			cb, okB, err := search.Search(1, lo, maxHi, tol)
-			if err != nil {
-				return err
-			}
-			results[rep.Index] = pair{ca: ca, cb: cb, ok: okA && okB && cb > 0}
-			return nil
-		})
-		if err := runJobs(context.TODO(), jobs); err != nil {
-			return nil, err
-		}
+	for ui := range utils {
 		var meanA, meanB, ratio metrics.Welford
-		for _, p := range results {
+		for r := 0; r < s.Replications; r++ {
+			p := pairs[r*len(utils)+ui]
 			if !p.ok {
 				out.Skipped++
 				continue

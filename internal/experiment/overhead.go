@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"github.com/eadvfs/eadvfs/internal/metrics"
 )
@@ -29,45 +30,34 @@ type OverheadResult struct {
 // Overhead measures scheduling overhead counters for the named policies
 // at one storage capacity (the first in the spec's sweep).
 func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	factories, err := s.Policies(policyNames)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := replicate(s, 0, s.Replications)
-	if err != nil {
-		return nil, err
-	}
-	capacity := s.Capacities[0]
-
 	type counters struct {
 		switches, preempts, decisions, events float64
 		miss                                  metrics.MissStats
 		resp                                  metrics.Welford
 	}
-	np := len(policyNames)
-	slots := make([]counters, s.Replications*np)
-	jobs := gridJobs(s.Horizon, reps, 1, np, func(slot int, rep Replication, _, pi int) error {
-		res, err := RunOne(context.TODO(), s, rep, capacity, factories[pi], false)
+	ctx := context.Background()
+	g := grid{spec: s, policies: policyNames, hi: s.Replications, points: 1}
+	slots, _, agg, err := runGrid(ctx, g, func(_ int, rep Replication, _ int, pf PolicyFactory) (counters, error) {
+		res, err := RunOne(ctx, s, rep, s.Capacities[0], pf, false)
 		if err != nil {
-			return err
+			return counters{}, err
 		}
-		c := &slots[slot]
-		c.switches = float64(res.Switches)
-		c.preempts = float64(res.Preemptions)
-		c.decisions = float64(res.Decisions)
-		c.events = float64(res.Events)
-		c.miss = res.Miss
+		c := counters{
+			switches:  float64(res.Switches),
+			preempts:  float64(res.Preemptions),
+			decisions: float64(res.Decisions),
+			events:    float64(res.Events),
+			miss:      res.Miss,
+		}
 		for _, ts := range res.PerTask {
 			if ts.Finished > 0 {
 				c.resp.Add(ts.ResponseMean)
 			}
 		}
-		return nil
+		return c, nil
 	})
-	if err := runJobs(context.TODO(), jobs); err != nil {
+	defer agg.End()
+	if err != nil {
 		return nil, err
 	}
 
@@ -81,6 +71,7 @@ func Overhead(s Spec, policyNames []string) (*OverheadResult, error) {
 		MissRate:     map[string]float64{},
 		ResponseMean: map[string]float64{},
 	}
+	np := len(policyNames)
 	for pi, name := range policyNames {
 		var sw, pr, de, ev, rsp metrics.Welford
 		var miss metrics.MissStats
@@ -122,45 +113,18 @@ type ConvergenceResult struct {
 // counts (each a prefix of the same replication stream, so the sequence
 // is consistent).
 func Convergence(s Spec, policy string, counts []int) (*ConvergenceResult, error) {
-	if len(counts) == 0 {
+	if len(counts) == 0 || slices.Min(counts) <= 0 {
 		return nil, errEmptyCounts
 	}
-	maxN := 0
-	for _, n := range counts {
-		if n <= 0 {
-			return nil, errEmptyCounts
-		}
-		if n > maxN {
-			maxN = n
-		}
-	}
 	spec := s
-	spec.Replications = maxN
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	pf, err := spec.PolicyFor(policy)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := replicate(spec, 0, maxN)
-	if err != nil {
-		return nil, err
-	}
-	capacity := spec.Capacities[0]
-
-	rates := make([]float64, maxN)
-	tallies := make([]metrics.MissStats, maxN)
-	jobs := gridJobs(spec.Horizon, reps, 1, 1, func(_ int, rep Replication, _, _ int) error {
-		res, err := RunOne(context.TODO(), spec, rep, capacity, pf, false)
-		if err != nil {
-			return err
-		}
-		rates[rep.Index] = res.Miss.Rate()
-		tallies[rep.Index] = res.Miss
-		return nil
+	spec.Replications = slices.Max(counts)
+	ctx := context.Background()
+	g := grid{spec: spec, policies: []string{policy}, hi: spec.Replications, points: 1}
+	tallies, _, agg, err := runGrid(ctx, g, func(_ int, rep Replication, _ int, pf PolicyFactory) (metrics.MissStats, error) {
+		return missOf(RunOne(ctx, spec, rep, spec.Capacities[0], pf, false))
 	})
-	if err := runJobs(context.TODO(), jobs); err != nil {
+	defer agg.End()
+	if err != nil {
 		return nil, err
 	}
 
@@ -168,9 +132,9 @@ func Convergence(s Spec, policy string, counts []int) (*ConvergenceResult, error
 	for _, n := range counts {
 		var w metrics.Welford
 		var pooled metrics.MissStats
-		for r := 0; r < n; r++ {
-			w.Add(rates[r])
-			pooled.Add(tallies[r])
+		for _, tally := range tallies[:n] {
+			w.Add(tally.Rate())
+			pooled.Add(tally)
 		}
 		out.Rate = append(out.Rate, pooled.Rate())
 		out.StdErr = append(out.StdErr, w.StdErr())

@@ -7,6 +7,10 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"github.com/eadvfs/eadvfs/internal/metrics"
+	"github.com/eadvfs/eadvfs/internal/obs"
+	"github.com/eadvfs/eadvfs/internal/sim"
 )
 
 // Parallelism is the number of worker goroutines experiment runners use
@@ -29,45 +33,133 @@ type job struct {
 	run  func() error
 }
 
-// gridJobs fans a replication × point × policy grid out into one job per
-// cell. Cell (i, p, pi) owns slot (i*points+p)*policies+pi — the layout
-// every sweep's raw material and fold share — and run executes the cell
-// on reps[i], storing its material at that slot.
+// grid is one sweep's replication × point × policy grid. Every sweep of
+// the package — a shard of a miss-rate or remaining-energy sweep, the
+// sensitivity sweeps, robustness, overhead, convergence and Table 1 —
+// describes its grid and supplies a cell, and runGrid owns the plan and
+// simulate stages; the sweep keeps only its fold.
+type grid struct {
+	spec Spec // validated by the plan; replications derive from it
+	// policies are resolved at spec, one cell per policy at every point.
+	// A paired grid instead has one cell per (replication, point) that
+	// compares the sweep's policies itself (Table 1's pair of searches):
+	// it resolves none, and its cells' pf is nil.
+	policies  []string
+	paired    bool
+	lo, hi    int  // replication window [lo, hi)
+	points    int  // grid points per replication
+	shard     int  // shard index the plan span reports
+	keepGoing bool // a failing cell leaves its slot absent instead of cancelling the rest
+}
+
+// runGrid plans and simulates grid g. Cell (i, p, pi) — replication
+// lo+i, point p, policy pi — owns slot (i*points+p)*np+pi of the returned
+// slice (np is 1 for a paired grid), the layout every sweep's fold
+// reads: cell runs it with policy pi's factory and returns its material.
 //
-// Replications are prepared by the worker that runs them, not up front:
-// the first cell of reps[i] a worker picks realizes its solar master
-// through the horizon (a per-replication sync.Once, so the replication's
-// other cells wait for that one realization instead of making their own),
-// and the cell that counts down the replication's last cell drops the
-// master. Workers pick cells in slot order, so a sweep holds about
-// Parallelism prepared traces at a time, whatever its replication count.
-// A cell that fails is not counted down; its replication's master lives
-// until the batch is dropped.
-func gridJobs(horizon float64, reps []Replication, points, policies int, run func(slot int, rep Replication, p, pi int) error) []job {
-	cells := points * policies
-	lazy := make([]lazyRep, len(reps))
-	jobs := make([]job, len(reps)*cells)
-	for i := range lazy {
-		lazy[i].rep = reps[i]
-		lazy[i].left.Store(int64(cells))
+// The plan validates the spec, resolves the policies and derives the
+// replications — task sets and source seeds only, so a generation error
+// surfaces before any run starts. A replication is prepared by the
+// worker that runs it: its first cell a worker picks realizes the solar
+// master through the horizon (a per-replication sync.Once, so its other
+// cells wait for that one realization), and the cell that counts down
+// its last cell drops the master. Workers pick cells in slot order, so a
+// sweep holds about Parallelism prepared traces at a time, whatever its
+// replication count. A failed cell is not counted down; its
+// replication's master lives until the batch is dropped.
+//
+// Without keepGoing the first failing cell (by slot) cancels the rest
+// and is returned (runJobs); with it every cell runs, errs holds the
+// failures by slot (runJobsPartial) and their slots stay zero.
+//
+// Phase spans (DESIGN.md §15): when the spec carries a span sink, the
+// plan and the parallel simulation each emit one wall-clock span under
+// the sink's parent context, and runGrid returns the aggregate span
+// still open for the sweep's fold. It is nil (End a no-op) when the grid
+// failed or no sink is attached.
+func runGrid[T any](ctx context.Context, g grid, cell func(slot int, rep Replication, p int, pf PolicyFactory) (T, error)) (slots []T, errs map[int]error, agg *obs.ActiveSpan, err error) {
+	traceParent := obs.SpanParentOf(g.spec.Spans)
+	phase := func(name string) *obs.ActiveSpan {
+		return obs.StartSpan(g.spec.Spans, "experiment", name, traceParent)
 	}
+	sp := phase("plan")
+	factories, lazy, err := g.plan()
+	sp.SetInt("shard", int64(g.shard))
+	sp.SetInt("replications", int64(g.hi-g.lo))
+	sp.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	np := max(len(factories), 1)
+	cells := g.points * np
+	slots = make([]T, len(lazy)*cells)
+	jobs := make([]job, len(slots))
 	for slot := range jobs {
-		l, p, pi := &lazy[slot/cells], slot/policies%points, slot%policies
+		l, p, pi := &lazy[slot/cells], slot/np%g.points, slot%np
+		var pf PolicyFactory
+		if factories != nil {
+			pf = factories[pi]
+		}
 		jobs[slot] = job{slot: slot, run: func() error {
-			l.once.Do(func() { l.rep.PrepareSource(horizon) })
-			if err := run(slot, l.rep, p, pi); err != nil {
+			l.once.Do(func() { l.rep.PrepareSource(g.spec.Horizon) })
+			v, err := cell(slot, l.rep, p, pf)
+			if err != nil {
 				return err
 			}
+			slots[slot] = v
 			if l.left.Add(-1) == 0 {
 				l.rep.master = nil
 			}
 			return nil
 		}}
 	}
-	return jobs
+	for i := range lazy {
+		lazy[i].left.Store(int64(cells))
+	}
+
+	sp = phase("simulate")
+	sp.SetInt("runs", int64(len(jobs)))
+	if g.keepGoing {
+		errs, _ = runJobsPartial(ctx, jobs, true)
+	} else if err = runJobs(ctx, jobs); err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.End()
+		return nil, nil, nil, err
+	}
+	sp.End()
+	return slots, errs, phase("aggregate"), nil
 }
 
-// lazyRep is one replication of a gridJobs batch: prepared once by its
+// plan validates the grid's spec, resolves its policies at the spec and
+// derives its replications, not yet prepared.
+func (g grid) plan() (factories []PolicyFactory, lazy []lazyRep, err error) {
+	if err = g.spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if !g.paired {
+		if factories, err = g.spec.Policies(g.policies); err != nil {
+			return nil, nil, err
+		}
+	}
+	lazy = make([]lazyRep, g.hi-g.lo)
+	for i := range lazy {
+		if lazy[i].rep, err = Replicate(g.spec, g.lo+i); err != nil {
+			return nil, nil, err
+		}
+	}
+	return factories, lazy, nil
+}
+
+// missOf is a miss-rate cell's material: the run's tally, or its error.
+func missOf(res *sim.Result, err error) (metrics.MissStats, error) {
+	if err != nil {
+		return metrics.MissStats{}, err
+	}
+	return res.Miss, nil
+}
+
+// lazyRep is one replication of a grid: prepared once by its
 // first cell, its master dropped when left, the count of its cells not
 // yet finished, reaches zero. Every cell copies rep before it counts
 // down, so the last cell's write cannot race a reader.

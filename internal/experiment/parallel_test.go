@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,29 +216,37 @@ func TestRunHardened(t *testing.T) {
 }
 
 // Eight workers and one must produce identical results — the merge is
-// slot-ordered, not completion-ordered.
+// slot-ordered, not completion-ordered. Table 1's cells of one
+// replication run on different workers against its one prepared trace.
 func TestParallelDeterminism(t *testing.T) {
 	s := testSpec()
 	s.Capacities = []float64{150, 600}
 
 	old := Parallelism
 	defer func() { Parallelism = old }()
+	run := func(workers int) (*MissRateResult, *MinCapacityResult) {
+		Parallelism = workers
+		mr, err := MissRateSweep(s, []string{"lsa", "ea-dvfs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := MinCapacity(s, []float64{0.3, 0.5, 0.7}, []string{"lsa", "ea-dvfs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mr, mc
+	}
 
-	Parallelism = 8
-	par, err := MissRateSweep(s, []string{"lsa", "ea-dvfs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Parallelism = 1
-	ser, err := MissRateSweep(s, []string{"lsa", "ea-dvfs"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par, parMC := run(8)
+	ser, serMC := run(1)
 	for name := range par.Rates {
 		for i := range par.Rates[name] {
 			if par.Rates[name][i] != ser.Rates[name][i] {
 				t.Fatalf("%s[%d]: 8 workers %v != 1 worker %v", name, i, par.Rates[name][i], ser.Rates[name][i])
 			}
 		}
+	}
+	if !reflect.DeepEqual(parMC, serMC) {
+		t.Fatalf("Table 1: 8 workers %+v != 1 worker %+v", parMC, serMC)
 	}
 }

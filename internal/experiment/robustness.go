@@ -109,75 +109,61 @@ func RobustnessSweep(rs RobustnessSpec) (*RobustnessResult, error) {
 	}
 	base := rs.Base
 	base.Capacities = []float64{rs.Capacity}
-	factories, err := base.Policies(rs.Policies)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := replicate(base, 0, base.Replications)
-	if err != nil {
-		return nil, err
-	}
-
 	ni, np := len(rs.Intensities), len(rs.Policies)
-	type cell struct {
-		miss metrics.MissStats
-		deg  metrics.Degradation
-	}
-	cells := make([]cell, base.Replications*ni*np)
-	jobs := gridJobs(base.Horizon, reps, ni, np, func(slot int, rep Replication, ii, pi int) error {
+	degs := make([]metrics.Degradation, base.Replications*ni*np)
+	ctx := context.Background()
+	g := grid{spec: base, policies: rs.Policies, hi: base.Replications, points: ni, keepGoing: true}
+	tallies, errs, agg, err := runGrid(ctx, g, func(slot int, rep Replication, ii int, pf PolicyFactory) (metrics.MissStats, error) {
 		runner, err := newRunner(base, rep)
 		if err != nil {
-			return err
+			return metrics.MissStats{}, err
 		}
-		cfg := runner.config(context.TODO(), rs.Capacity, factories[pi], false)
+		cfg := runner.config(ctx, rs.Capacity, pf, false)
 		if fspec := fault.AtIntensity(rs.faultSeed(rep.Index), rs.Intensities[ii]); fspec.Enabled() {
 			cfg.Faults = &fspec
 		}
 		res, err := runner.run(cfg)
-		if err != nil {
-			return err
+		if err == nil {
+			degs[slot] = res.Degradation
 		}
-		cells[slot] = cell{miss: res.Miss, deg: res.Degradation}
-		return nil
+		return missOf(res, err)
 	})
-	errs, _ := runJobsPartial(context.TODO(), jobs, true)
+	defer agg.End()
+	if err != nil {
+		return nil, err
+	}
+	if len(errs) == len(tallies) {
+		return nil, fmt.Errorf("experiment: every robustness run failed; first: %w", lowestSlotError(errs))
+	}
 
+	// Failed cells are absent from the pooled tallies and counted per
+	// point.
+	present := make([]bool, len(tallies))
+	for slot := range present {
+		present[slot] = errs[slot] == nil
+	}
+	pooled := aggregateMissRate(base, rs.Intensities, rs.Policies, tallies, present)
 	out := &RobustnessResult{
 		Spec:        rs,
-		Intensities: append([]float64(nil), rs.Intensities...),
-		MissRates:   make(map[string][]float64, np),
-		Stats:       make(map[string][]metrics.MissStats, np),
+		Intensities: pooled.Capacities,
+		MissRates:   pooled.Rates,
+		Stats:       pooled.Stats,
 		Degradation: make(map[string][]metrics.Degradation, np),
 		Failed:      make(map[string][]int, np),
+		errs:        describeErrs(errs, rs, np, ni),
 	}
 	for _, name := range rs.Policies {
-		out.MissRates[name] = make([]float64, ni)
-		out.Stats[name] = make([]metrics.MissStats, ni)
 		out.Degradation[name] = make([]metrics.Degradation, ni)
 		out.Failed[name] = make([]int, ni)
 	}
-	for r := 0; r < base.Replications; r++ {
-		for ii := range rs.Intensities {
-			for pi, name := range rs.Policies {
-				slot := (r*ni+ii)*np + pi
-				if errs[slot] != nil {
-					out.Failed[name][ii]++
-					continue
-				}
-				out.Stats[name][ii].Add(cells[slot].miss)
-				out.Degradation[name][ii].Add(cells[slot].deg)
-			}
+	for slot, d := range degs {
+		name, ii := rs.Policies[slot%np], slot/np%ni
+		if present[slot] {
+			out.Degradation[name][ii].Add(d)
+		} else {
+			out.Failed[name][ii]++
 		}
 	}
-	for _, name := range rs.Policies {
-		for ii := range rs.Intensities {
-			out.MissRates[name][ii] = out.Stats[name][ii].Rate()
-		}
-	}
-	if len(errs) == len(jobs) && len(jobs) > 0 {
-		return nil, fmt.Errorf("experiment: every robustness run failed; first: %w", lowestSlotError(errs))
-	}
-	out.errs = describeErrs(errs, rs, np, ni)
 	return out, nil
 }
 

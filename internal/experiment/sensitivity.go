@@ -34,35 +34,21 @@ func (r *SensitivityResult) PointLabel(i int) string {
 // sweep under policy pf. Cells express their point as a modified Spec
 // (re-deriving the replication when the workload depends on it) or, for
 // what a Spec cannot express, as a field set on the run's config.
-type sweepRunner func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error)
+type sweepRunner func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error)
 
-// runSweep executes a generic (replication × point × policy) sweep in
-// parallel and pools it with the miss-rate fold.
+// runSweep runs a generic (replication × point × policy) sweep as one
+// grid and pools it with the miss-rate fold.
 func runSweep(s Spec, param string, points []float64, policyNames []string, run sweepRunner) (*SensitivityResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("experiment: empty %s sweep", param)
 	}
-	factories, err := s.Policies(policyNames)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := replicate(s, 0, s.Replications)
-	if err != nil {
-		return nil, err
-	}
-	tallies := make([]metrics.MissStats, s.Replications*len(points)*len(policyNames))
-	jobs := gridJobs(s.Horizon, reps, len(points), len(policyNames), func(slot int, rep Replication, p, pi int) error {
-		res, err := run(s, rep, points[p], factories[pi])
-		if err != nil {
-			return err
-		}
-		tallies[slot] = res.Miss
-		return nil
+	ctx := context.Background()
+	g := grid{spec: s, policies: policyNames, hi: s.Replications, points: len(points)}
+	tallies, _, agg, err := runGrid(ctx, g, func(_ int, rep Replication, p int, pf PolicyFactory) (metrics.MissStats, error) {
+		return missOf(run(ctx, s, rep, points[p], pf))
 	})
-	if err := runJobs(context.TODO(), jobs); err != nil {
+	defer agg.End()
+	if err != nil {
 		return nil, err
 	}
 	pooled := aggregateMissRate(s, points, policyNames, tallies, nil)
@@ -84,7 +70,7 @@ const defaultSweepCapacity = 300
 // levels does EA-DVFS actually need?".
 func LevelCountSweep(s Spec, counts []float64, policyNames []string) (*SensitivityResult, error) {
 	return runSweep(s, "dvfs-levels", counts, policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			n := int(point)
 			if n < 1 {
 				return nil, fmt.Errorf("experiment: level count %v < 1", point)
@@ -93,8 +79,13 @@ func LevelCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivi
 			if err != nil {
 				return nil, err
 			}
-			cfg := r.config(context.TODO(), defaultSweepCapacity, pf, false)
-			cfg.CPU = cpu.Cubic("cubic", n, 1000, s.PMax, s.PMax*0.02)
+			cfg := r.config(ctx, defaultSweepCapacity, pf, false)
+			// cpu.Cubic's math.Pow(f, 3) takes Go's integer-exponent
+			// path, which only multiplies: no Exp or Log rounding
+			// reaches the operating points.
+			if cfg.CPU, err = cpu.Cubic("cubic", n, 1000, s.PMax, s.PMax*0.02).WithSleepPreset(s.Sleep); err != nil {
+				return nil, err
+			}
 			return r.run(cfg)
 		})
 }
@@ -103,14 +94,14 @@ func LevelCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivi
 // the calibration study behind DESIGN.md §5.3, runnable.
 func PMaxSweep(s Spec, pmaxes []float64, policyNames []string) (*SensitivityResult, error) {
 	return runSweep(s, "pmax", pmaxes, policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			if point <= 0 {
 				return nil, fmt.Errorf("experiment: pmax %v <= 0", point)
 			}
 			sp := s
 			sp.PMax = point
 			// WCETs depend on PMax (§5.1).
-			return runShifted(sp, rep, pf)
+			return runShifted(ctx, sp, rep, pf)
 		})
 }
 
@@ -119,14 +110,14 @@ func PMaxSweep(s Spec, pmaxes []float64, policyNames []string) (*SensitivityResu
 // tasks in a task set is arbitrary").
 func TaskCountSweep(s Spec, counts []float64, policyNames []string) (*SensitivityResult, error) {
 	return runSweep(s, "tasks", counts, policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			n := int(point)
 			if n < 1 {
 				return nil, fmt.Errorf("experiment: task count %v < 1", point)
 			}
 			sp := s
 			sp.NumTasks = n
-			return runShifted(sp, rep, pf)
+			return runShifted(ctx, sp, rep, pf)
 		})
 }
 
@@ -141,11 +132,11 @@ func PredictorSweep(s Spec, predictors []string, policyNames []string) (*Sensiti
 		}
 	}
 	res, err := runSweep(s, "predictor", indexPoints(len(predictors)), policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			sp := s
 			sp.Predictor = predictors[int(point)]
 			sp.PredictorAlpha = 0
-			return RunOne(context.TODO(), sp, rep, defaultSweepCapacity, pf, false)
+			return RunOne(ctx, sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
@@ -163,7 +154,7 @@ func PredictorSweep(s Spec, predictors []string, policyNames []string) (*Sensiti
 // ("dist", "mean", …) is still the caller's choice.
 func SlackFactorSweep(s Spec, factors []float64, policyNames []string) (*SensitivityResult, error) {
 	return runSweep(s, "bc-ratio", factors, policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			if point <= 0 || point > 1 {
 				return nil, fmt.Errorf("experiment: best-case ratio %v outside (0,1]", point)
 			}
@@ -176,7 +167,7 @@ func SlackFactorSweep(s Spec, factors []float64, policyNames []string) (*Sensiti
 			params["bc_ratio"] = point
 			sp.TaskParams = params
 			// The execution spec is part of the task set.
-			return runShifted(sp, rep, pf)
+			return runShifted(ctx, sp, rep, pf)
 		})
 }
 
@@ -192,10 +183,10 @@ func SleepStateSweep(s Spec, presets []string, policyNames []string) (*Sensitivi
 		}
 	}
 	res, err := runSweep(s, "sleep", indexPoints(len(presets)), policyNames,
-		func(s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
+		func(ctx context.Context, s Spec, rep Replication, point float64, pf PolicyFactory) (*sim.Result, error) {
 			sp := s
 			sp.Sleep = presets[int(point)]
-			return RunOne(context.TODO(), sp, rep, defaultSweepCapacity, pf, false)
+			return RunOne(ctx, sp, rep, defaultSweepCapacity, pf, false)
 		})
 	if err != nil {
 		return nil, err
@@ -218,11 +209,11 @@ func indexPoints(n int) []float64 {
 // since the source seed does not depend on those parameters the new
 // replication adopts rep's prepared solar master instead of re-realizing
 // the trace once per (point, policy) cell.
-func runShifted(s Spec, rep Replication, pf PolicyFactory) (*sim.Result, error) {
+func runShifted(ctx context.Context, s Spec, rep Replication, pf PolicyFactory) (*sim.Result, error) {
 	shifted, err := Replicate(s, rep.Index)
 	if err != nil {
 		return nil, err
 	}
 	shifted.AdoptSource(rep)
-	return RunOne(context.TODO(), s, shifted, defaultSweepCapacity, pf, false)
+	return RunOne(ctx, s, shifted, defaultSweepCapacity, pf, false)
 }

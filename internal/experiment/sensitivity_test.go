@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -158,5 +159,25 @@ func TestPMaxSweepHonoursPredictorAlpha(t *testing.T) {
 	if def.Rates["ea-dvfs"][0] == ref.Rates["ea-dvfs"][0] {
 		t.Fatalf("alpha 0.05 and the default alpha give the same rate %v; pick a spec where alpha matters",
 			ref.Rates["ea-dvfs"][0])
+	}
+}
+
+// LevelCountSweep's cubic processor carries the spec's sleep preset, as
+// every other sweep's processor does: with the DPM states attached the
+// stochastic workload sleeps in its slack and the miss rates move.
+func TestLevelCountSweepHonoursSleep(t *testing.T) {
+	s := sensSpec()
+	s.TaskModel = "stochastic-periodic"
+	rates := func(sleep string) []float64 {
+		sp := s
+		sp.Sleep = sleep
+		res, err := LevelCountSweep(sp, []float64{3, 5}, []string{"lsa"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rates["lsa"]
+	}
+	if none, dpm := rates(""), rates("default"); reflect.DeepEqual(none, dpm) {
+		t.Fatalf("sleep preset ignored: rates %v with and without it", none)
 	}
 }

@@ -148,7 +148,7 @@ func PlanShards(kind string, s Spec, n int) ([]Shard, error) {
 //
 //   - missrate: Tallies holds the integer deadline-outcome counts of every
 //     (replication, capacity, policy) cell of the shard, row-major with the
-//     policy index minor — the grid layout of every sweep (gridJobs),
+//     policy index minor — the grid layout of every sweep (runGrid),
 //     offset to the shard's window. Integers merge exactly by placement.
 //   - remaining: Curves[i][pi][k] is replication RepLo+i's per-policy
 //     partial curve Σ_ci EC(t_k)/C_ci (repEnergyCurves) — the exact
@@ -179,31 +179,13 @@ func RunShardCtx(ctx context.Context, kind string, s Spec, policyNames []string,
 }
 
 // runShard is RunShardCtx with the aggregate phase span left open, so a
-// single-node sweep can fold the whole grid inside it. The span is nil
-// (and End a no-op) when the shard failed or no span sink is attached.
-//
-// Phase spans (DESIGN.md §15): when the spec carries a span sink, the
-// three stages of a shard — the plan (validation and replication
-// derivation), the parallel simulation fan-out (which realizes each
-// replication's solar trace on the worker that first runs it and, for
-// the remaining kind, folds each finished replication's curves), and the
-// aggregation fold — each emit one wall-clock span under the sink's
-// parent context. A nil sink costs one comparison per phase.
+// single-node sweep can fold the whole grid inside it. The shard is the
+// grid of its replication and capacity windows; for the remaining kind
+// the simulate phase also folds each finished replication's curves.
 func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh Shard) (*ShardResult, *obs.ActiveSpan, error) {
-	traceParent := obs.SpanParentOf(s.Spans)
-	phase := func(name string) *obs.ActiveSpan {
-		return obs.StartSpan(s.Spans, "experiment", name, traceParent)
-	}
-
-	sp := phase("plan")
-	reps, factories, err := planShard(kind, s, policyNames, sh)
-	sp.SetInt("shard", int64(sh.Index))
-	sp.SetInt("replications", int64(sh.Reps()))
-	sp.End()
-	if err != nil {
+	if err := sh.Validate(s, kind); err != nil {
 		return nil, nil, err
 	}
-
 	// Remaining-energy shards span every capacity (Shard.Validate), so
 	// both kinds run the shard's capacity window.
 	record := kind == "remaining"
@@ -222,56 +204,27 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 		for i := range left {
 			left[i].Store(int32(ncw * np))
 		}
-	} else {
-		out.Tallies = make([]metrics.MissStats, nr*ncw*np)
 	}
-	jobs := gridJobs(s.Horizon, reps, ncw, np, func(slot int, rep Replication, c, pi int) error {
-		res, err := RunOne(ctx, s, rep, s.Capacities[sh.CapLo+c], factories[pi], record)
-		if err != nil {
-			return err
+	g := grid{spec: s, policies: policyNames, lo: sh.RepLo, hi: sh.RepHi, points: ncw, shard: sh.Index}
+	tallies, _, agg, err := runGrid(ctx, g, func(slot int, rep Replication, c int, pf PolicyFactory) (metrics.MissStats, error) {
+		res, err := RunOne(ctx, s, rep, s.Capacities[sh.CapLo+c], pf, record)
+		if err == nil && record {
+			series[slot] = res.EnergySeries
+			if i := slot / (ncw * np); left[i].Add(-1) == 0 {
+				block := series[i*ncw*np : (i+1)*ncw*np]
+				out.Curves[i] = repEnergyCurves(s, np, block)
+				clear(block)
+			}
 		}
-		if !record {
-			out.Tallies[slot] = res.Miss
-			return nil
-		}
-		series[slot] = res.EnergySeries
-		if i := slot / (ncw * np); left[i].Add(-1) == 0 {
-			block := series[i*ncw*np : (i+1)*ncw*np]
-			out.Curves[i] = repEnergyCurves(s, np, block)
-			clear(block)
-		}
-		return nil
+		return missOf(res, err)
 	})
-	sp = phase("simulate")
-	sp.SetInt("runs", int64(len(jobs)))
-	if err := runJobs(ctx, jobs); err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		return nil, nil, err
-	}
-	sp.End()
-
-	return out, phase("aggregate"), nil
-}
-
-// planShard validates a shard request and derives its replications (not
-// yet prepared; see gridJobs) and its policy factories.
-func planShard(kind string, s Spec, policyNames []string, sh Shard) ([]Replication, []PolicyFactory, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := sh.Validate(s, kind); err != nil {
-		return nil, nil, err
-	}
-	factories, err := s.Policies(policyNames)
 	if err != nil {
 		return nil, nil, err
 	}
-	reps, err := replicate(s, sh.RepLo, sh.RepHi)
-	if err != nil {
-		return nil, nil, err
+	if !record {
+		out.Tallies = tallies
 	}
-	return reps, factories, nil
+	return out, agg, nil
 }
 
 // RunSweep runs a whole sweep on this node: the one-shard plan, computed

@@ -131,18 +131,6 @@ func MeanSeries(series []*Series) *Series {
 	return out
 }
 
-// Downsample returns every k-th sample (k >= 1), for compact reporting.
-func (s *Series) Downsample(k int) *Series {
-	if k < 1 {
-		panic("metrics: downsample factor < 1")
-	}
-	out := &Series{Start: s.Start, Step: s.Step * float64(k)}
-	for i := 0; i < len(s.Values); i += k {
-		out.Values = append(out.Values, s.Values[i])
-	}
-	return out
-}
-
 // MissStats tallies deadline outcomes.
 type MissStats struct {
 	Released int

@@ -116,26 +116,6 @@ func TestMeanSeriesShapeMismatchPanics(t *testing.T) {
 	MeanSeries([]*Series{a, b})
 }
 
-func TestDownsample(t *testing.T) {
-	s := NewSeries(0, 1, 10)
-	for i := range s.Values {
-		s.Values[i] = float64(i)
-	}
-	d := s.Downsample(3)
-	if d.Step != 3 {
-		t.Fatalf("downsampled step = %v", d.Step)
-	}
-	want := []float64{0, 3, 6, 9}
-	if len(d.Values) != len(want) {
-		t.Fatalf("downsampled to %d values", len(d.Values))
-	}
-	for i := range want {
-		if d.Values[i] != want[i] {
-			t.Fatalf("downsample = %v", d.Values)
-		}
-	}
-}
-
 func TestMissStats(t *testing.T) {
 	m := MissStats{Released: 10, Finished: 7, Missed: 3}
 	if m.Rate() != 0.3 {

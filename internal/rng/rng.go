@@ -167,11 +167,3 @@ func Choice[T any](r *RNG, vals []T) T {
 	}
 	return vals[r.Intn(len(vals))]
 }
-
-// Shuffle permutes vals uniformly at random (Fisher–Yates).
-func Shuffle[T any](r *RNG, vals []T) {
-	for i := len(vals) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		vals[i], vals[j] = vals[j], vals[i]
-	}
-}

@@ -234,22 +234,6 @@ func TestChoicePanicsOnEmpty(t *testing.T) {
 	Choice[int](New(1), nil)
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(29)
-	orig := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	v := append([]int(nil), orig...)
-	Shuffle(r, v)
-	seen := map[int]int{}
-	for _, x := range v {
-		seen[x]++
-	}
-	for _, x := range orig {
-		if seen[x] != 1 {
-			t.Fatalf("shuffle lost or duplicated element %d", x)
-		}
-	}
-}
-
 func TestMul64MatchesBigArithmetic(t *testing.T) {
 	cases := []struct{ a, b uint64 }{
 		{0, 0}, {1, 1}, {math.MaxUint64, math.MaxUint64},

@@ -284,9 +284,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // cmd/easerve calls it on SIGTERM before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // acquire admits a request to the worker pool: immediately when a slot is
 // free, through the bounded wait queue when all workers are busy, and with
 // errOverload when the queue is full too — the server sheds load rather

@@ -30,18 +30,6 @@ func (s *Store) TimeToEmpty(ps, pc float64) float64 {
 	return s.level / -net
 }
 
-// TimeToFull returns how long until the store pins at capacity under
-// constant harvest ps and load pc, or +Inf when the level is
-// non-increasing or the capacity infinite.
-func (s *Store) TimeToFull(ps, pc float64) float64 {
-	checkPower(ps, pc)
-	net := s.netRate(ps, pc)
-	if net <= 0 || math.IsInf(s.capacity, 1) {
-		return math.Inf(1)
-	}
-	return (s.capacity - s.level) / net
-}
-
 // Flow applies simultaneous constant harvest power ps and load power pc
 // over an interval of length dt, with exact continuous semantics:
 // the level follows dE/dt = ps·ηc − pc/ηd − leak, pinned at the capacity

@@ -94,16 +94,6 @@ func TestTimeToEmptyFull(t *testing.T) {
 	if got := s.TimeToEmpty(5, 2); !math.IsInf(got, 1) {
 		t.Fatalf("TimeToEmpty charging = %v, want +Inf", got)
 	}
-	if got := s.TimeToFull(5, 2); math.Abs(got-70.0/3) > 1e-12 {
-		t.Fatalf("TimeToFull = %v, want 70/3", got)
-	}
-	if got := s.TimeToFull(1, 2); !math.IsInf(got, 1) {
-		t.Fatalf("TimeToFull draining = %v, want +Inf", got)
-	}
-	inf := New(math.Inf(1), 5)
-	if got := inf.TimeToFull(5, 0); !math.IsInf(got, 1) {
-		t.Fatalf("TimeToFull infinite cap = %v", got)
-	}
 	empty := New(10, 0)
 	if got := empty.TimeToEmpty(0, 1); got != 0 {
 		t.Fatalf("TimeToEmpty already empty = %v, want 0", got)

@@ -142,25 +142,9 @@ func (q *ReadyQueue) AppendJobs(dst []*Job) []*Job {
 	return append(dst, q.h...)
 }
 
-// ForEach calls fn for every queued job (no particular order) until fn
-// returns false. fn must not mutate the queue.
-func (q *ReadyQueue) ForEach(fn func(*Job) bool) {
-	for _, j := range q.h {
-		if !fn(j) {
-			return
-		}
-	}
-}
-
-// ExpiredBefore returns (without removing) all jobs whose absolute deadline
-// is <= t and that are not finished — candidates for miss accounting.
-func (q *ReadyQueue) ExpiredBefore(t float64) []*Job {
-	return q.AppendExpiredBefore(nil, t)
-}
-
-// AppendExpiredBefore appends to dst all queued, unfinished jobs with
-// absolute deadline <= t and returns the extended slice — the
-// allocation-free variant of ExpiredBefore.
+// AppendExpiredBefore appends to dst (without removing them) all queued,
+// unfinished jobs with absolute deadline <= t — candidates for miss
+// accounting — and returns the extended slice.
 func (q *ReadyQueue) AppendExpiredBefore(dst []*Job, t float64) []*Job {
 	for _, j := range q.h {
 		if j.Abs <= t && !j.Done() {

@@ -82,13 +82,17 @@ func TestExpiredBefore(t *testing.T) {
 	j2 := NewJob(1, 0, 0, 15, 1) // abs 15
 	q.Push(j1)
 	q.Push(j2)
-	exp := q.ExpiredBefore(10)
+	exp := q.AppendExpiredBefore(nil, 10)
 	if len(exp) != 1 || exp[0] != j1 {
-		t.Fatalf("ExpiredBefore(10) = %d jobs", len(exp))
+		t.Fatalf("AppendExpiredBefore(nil, 10) = %d jobs", len(exp))
+	}
+	// Jobs are appended after dst's contents.
+	if got := q.AppendExpiredBefore([]*Job{j2}, 10); len(got) != 2 || got[0] != j2 || got[1] != j1 {
+		t.Fatalf("AppendExpiredBefore([j2], 10) = %v", got)
 	}
 	// Finished jobs are never expired.
 	j1.Progress(1)
-	if got := q.ExpiredBefore(10); len(got) != 0 {
+	if got := q.AppendExpiredBefore(nil, 10); len(got) != 0 {
 		t.Fatalf("finished job reported expired")
 	}
 }
