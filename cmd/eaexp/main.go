@@ -188,18 +188,25 @@ func run(args []string, stdout io.Writer) error {
 
 	if *manifestOut != "" {
 		mcfg := struct {
-			Exp         string          `json:"exp"`
-			Spec        experiment.Spec `json:"spec"`
-			Intensities string          `json:"intensities,omitempty"`
-			FaultSeed   uint64          `json:"fault_seed,omitempty"`
-			Capacity    float64         `json:"capacity,omitempty"`
-			Policies    string          `json:"policies,omitempty"`
+			Exp          string          `json:"exp"`
+			Spec         experiment.Spec `json:"spec"`
+			Intensities  string          `json:"intensities,omitempty"`
+			FaultSeed    uint64          `json:"fault_seed,omitempty"`
+			Capacity     float64         `json:"capacity,omitempty"`
+			Policies     string          `json:"policies,omitempty"`
+			SlackFactors string          `json:"slack_factors,omitempty"`
+			SleepPresets string          `json:"sleep_presets,omitempty"`
 		}{Exp: *exp, Spec: spec}
-		if *exp == "robustness" {
+		switch *exp {
+		case "robustness":
 			mcfg.Intensities = *intensities
 			mcfg.FaultSeed = *faultSeed
 			mcfg.Capacity = *capacity
 			mcfg.Policies = *policies
+		case "slack":
+			mcfg.SlackFactors = *slackFactors
+		case "sleep":
+			mcfg.SleepPresets = *sleepPresets
 		}
 		m, err := obs.NewManifest("eaexp", *exp,
 			map[string]uint64{"seed": *seed, "fault-seed": *faultSeed}, mcfg)

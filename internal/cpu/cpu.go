@@ -30,11 +30,6 @@ type Processor struct {
 	// for ablations.
 	idlePower float64
 
-	// SwitchOverhead models the cost of a DVFS transition. The paper
-	// assumes it "negligible" (§5.1); non-zero values are an extension.
-	switchTime   float64
-	switchEnergy float64
-
 	// sleepStates are the optional DPM states (WithSleepStates); empty in
 	// the paper's model. Each state's power must not exceed idlePower, so
 	// an idle window a sleep state fits into is never cut short by
@@ -72,17 +67,6 @@ func WithIdlePower(p float64) Option {
 		panic(fmt.Sprintf("cpu: negative idle power %v", p))
 	}
 	return func(c *Processor) { c.idlePower = p }
-}
-
-// WithSwitchOverhead sets the time and energy cost of one frequency change.
-func WithSwitchOverhead(time, energy float64) Option {
-	if time < 0 || energy < 0 {
-		panic(fmt.Sprintf("cpu: negative switch overhead (%v, %v)", time, energy))
-	}
-	return func(c *Processor) {
-		c.switchTime = time
-		c.switchEnergy = energy
-	}
 }
 
 // New builds a processor from operating points. Points are sorted by
@@ -263,12 +247,6 @@ func (c *Processor) Name() string { return c.name }
 // Levels returns the number of operating points N.
 func (c *Processor) Levels() int { return len(c.points) }
 
-// Point returns operating point n (0-based, ascending frequency).
-func (c *Processor) Point(n int) OperatingPoint {
-	c.checkLevel(n)
-	return c.points[n]
-}
-
 // Speed returns S_n = f_n / f_max in (0, 1].
 func (c *Processor) Speed(n int) float64 {
 	c.checkLevel(n)
@@ -303,11 +281,6 @@ func (c *Processor) MaxPower() float64 { return c.points[len(c.points)-1].Power 
 
 // IdlePower returns the idle draw (0 in the paper's model).
 func (c *Processor) IdlePower() float64 { return c.idlePower }
-
-// SwitchOverhead returns the per-transition (time, energy) cost.
-func (c *Processor) SwitchOverhead() (time, energy float64) {
-	return c.switchTime, c.switchEnergy
-}
 
 // ExecTime returns how long work units of f_max-time take at level n.
 func (c *Processor) ExecTime(work float64, n int) float64 {
@@ -451,7 +424,7 @@ func SleepPresetNames() []string { return []string{"none", "default"} }
 // (XScale, TwoSpeed, …) build their operating-point tables without
 // options; this is how the wire layers (eadvfs.Config.Sleep,
 // experiment.Spec.Sleep, runspec.Spec.Sleep) bolt a preset onto one of
-// them after the fact. Switch overheads carry over unchanged.
+// them after the fact.
 func (c *Processor) WithSleepPreset(name string) (*Processor, error) {
 	idle, states, err := SleepPreset(name, c.MaxPower())
 	if err != nil {
@@ -462,6 +435,5 @@ func (c *Processor) WithSleepPreset(name string) (*Processor, error) {
 	}
 	return New(c.name, c.points,
 		WithIdlePower(idle),
-		WithSwitchOverhead(c.switchTime, c.switchEnergy),
 		WithSleepStates(states...)), nil
 }

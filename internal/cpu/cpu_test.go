@@ -56,7 +56,6 @@ func TestValidation(t *testing.T) {
 		// dominated point: faster but cheaper would make slow point useless
 		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 5}, {FreqMHz: 200, Power: 3}}) },
 		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 1}}, WithIdlePower(-1)) },
-		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 1}}, WithSwitchOverhead(-1, 0)) },
 		func() { TwoSpeed(0) },
 		func() { Cubic("c", 0, 1000, 3, 0) },
 		func() { Cubic("c", 4, 1000, 1, 2) },
@@ -196,13 +195,9 @@ func TestCubicModel(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	c := New("o", []OperatingPoint{{FreqMHz: 100, Power: 1}},
-		WithIdlePower(0.05), WithSwitchOverhead(0.001, 0.002))
+		WithIdlePower(0.05))
 	if c.IdlePower() != 0.05 {
 		t.Fatalf("idle = %v", c.IdlePower())
-	}
-	st, se := c.SwitchOverhead()
-	if st != 0.001 || se != 0.002 {
-		t.Fatalf("switch overhead = %v, %v", st, se)
 	}
 }
 

@@ -42,8 +42,6 @@ func propSources(t *testing.T) map[string]energy.Source {
 		"constant": energy.NewConstant(2.5),
 		"two-mode": energy.NewTwoMode(5, 0.5, 24, 10),
 		"trace":    trace,
-		"scaled":   energy.NewScaled(energy.NewSolarModel(9), 0.6),
-		"summed":   energy.NewSum(energy.NewConstant(1), energy.NewTwoMode(3, 0, 10, 4)),
 		"markov":   energy.NewMarkovWeather(energy.NewSolarModel(3), 21, 40, 15, 0.3),
 		"faulted":  set.WrapSource(energy.NewSolarModel(5)),
 	}

@@ -434,62 +434,3 @@ func (tr *Trace) Name() string {
 	}
 	return tr.name
 }
-
-// Scaled multiplies another source's output by a constant gain — used to
-// re-scale a measured profile to a deployment's panel size.
-type Scaled struct {
-	Src  Source
-	Gain float64
-}
-
-// NewScaled validates and returns a scaled source.
-func NewScaled(src Source, gain float64) Scaled {
-	if gain < 0 {
-		panic("energy: negative gain")
-	}
-	if src == nil {
-		panic("energy: nil source")
-	}
-	return Scaled{Src: src, Gain: gain}
-}
-
-func (s Scaled) PowerAt(t float64) float64 { return s.Gain * s.Src.PowerAt(t) }
-func (s Scaled) MeanPower() float64        { return s.Gain * s.Src.MeanPower() }
-func (s Scaled) Name() string              { return "scaled(" + s.Src.Name() + ")" }
-
-// Sum combines multiple harvesting transducers feeding the same storage
-// (e.g. solar plus vibrational, §1).
-type Sum struct {
-	Srcs []Source
-}
-
-// NewSum validates and returns a summed source.
-func NewSum(srcs ...Source) Sum {
-	if len(srcs) == 0 {
-		panic("energy: empty sum")
-	}
-	for _, s := range srcs {
-		if s == nil {
-			panic("energy: nil source in sum")
-		}
-	}
-	return Sum{Srcs: srcs}
-}
-
-func (s Sum) PowerAt(t float64) float64 {
-	total := 0.0
-	for _, src := range s.Srcs {
-		total += src.PowerAt(t)
-	}
-	return total
-}
-
-func (s Sum) MeanPower() float64 {
-	total := 0.0
-	for _, src := range s.Srcs {
-		total += src.MeanPower()
-	}
-	return total
-}
-
-func (s Sum) Name() string { return "sum" }

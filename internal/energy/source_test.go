@@ -185,18 +185,6 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
-func TestScaledAndSum(t *testing.T) {
-	c := NewConstant(2)
-	s := NewScaled(c, 3)
-	if s.PowerAt(0) != 6 || s.MeanPower() != 6 {
-		t.Fatal("scaled source wrong")
-	}
-	sum := NewSum(c, s)
-	if sum.PowerAt(1) != 8 || sum.MeanPower() != 8 {
-		t.Fatal("sum source wrong")
-	}
-}
-
 func TestSolarAmplitudeScaling(t *testing.T) {
 	a := NewSolarModelAmp(5, 10)
 	b := NewSolarModelAmp(5, 20)

@@ -285,9 +285,10 @@ func (s Spec) PredictorFor(name string) (PredictorFactory, error) {
 // defaultEventBudget is the runaway watchdog for experiment runs: a
 // healthy run dispatches a handful of events per time unit, so three
 // orders of magnitude above that can only be a decision loop stuck at one
-// instant.
+// instant. The explicit float64 keeps the product from fusing with the
+// conversion's subtraction on ppc64le and riscv64.
 func defaultEventBudget(horizon float64) uint64 {
-	return uint64((horizon + 10) * 1000)
+	return uint64(float64((horizon + 10) * 1000))
 }
 
 // Replication is the deterministic per-replication material: the task set

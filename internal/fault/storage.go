@@ -92,8 +92,8 @@ func (d *degradedStore) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	return delivered, overflow
 }
 
-// Draw implements storage.Reservoir (instantaneous draws, e.g. DVFS
-// switch overhead, pass straight through).
+// Draw implements storage.Reservoir (instantaneous draws, e.g. DPM sleep
+// transitions, pass straight through).
 func (d *degradedStore) Draw(e float64) float64 { return d.inner.Draw(e) }
 
 // Meters implements storage.Reservoir. Fault drains are included in the

@@ -222,14 +222,7 @@ func Run(cfg *sim.Config) (*sim.Result, error) {
 		e.res.EnergySeries.Values[0] = cfg.Store.Level()
 	}
 
-	release := task.ReleaseJobs(cfg.Tasks, cfg.Horizon)
-	for _, j := range cfg.Jobs {
-		if j.Arrival < cfg.Horizon {
-			release = append(release, j)
-		}
-	}
-	sort.SliceStable(release, func(a, b int) bool { return release[a].Arrival < release[b].Arrival })
-	e.release = release
+	e.release = task.ReleaseJobs(cfg.Tasks, cfg.Horizon)
 
 	e.nextBoundary = math.Inf(1)
 	if cfg.Horizon >= 1 {
@@ -394,10 +387,6 @@ func (e *engine) setActivity(now float64, mode sim.Mode, j *task.Job, level int)
 	if mode == sim.ModeRun {
 		if e.lastRunLv >= 0 && e.lastRunLv != level {
 			e.res.Switches++
-			_, se := e.cfg.CPU.SwitchOverhead()
-			if se > 0 {
-				e.cfg.Store.Draw(se)
-			}
 		}
 		e.lastRunLv = level
 	}

@@ -58,15 +58,6 @@ type ReadyView interface {
 	Len() int
 }
 
-// Audit sends a decision-audit record to the attached probe, if any.
-// Policies should guard the record construction itself with Auditing when
-// filling it requires extra computation.
-func (c *Context) Audit(rec obs.DecisionRecord) {
-	if c.Probe != nil {
-		c.Probe.OnDecision(rec)
-	}
-}
-
 // Auditing reports whether a probe is attached — i.e. whether building an
 // audit record is worth the work.
 func (c *Context) Auditing() bool { return c.Probe != nil }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"github.com/eadvfs/eadvfs/internal/fault"
@@ -152,7 +151,7 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 	}
 
 	planSpan := obs.StartSpan(trace, "sim", "plan", traceParent)
-	e.release = a.releaseJobs(cfg)
+	e.release = a.mergeReleases(cfg.Tasks, cfg.Horizon)
 	planSpan.SetInt("jobs", int64(len(e.release)))
 	planSpan.SetFloat("horizon", cfg.Horizon)
 	planSpan.End()
@@ -207,27 +206,6 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		}
 	}
 	return e.res, nil
-}
-
-// releaseJobs produces the run's release schedule, sorted by arrival.
-//
-// The pure-periodic case (no explicit Config.Jobs) merges into the
-// arena's buffers. Explicit jobs are caller state the buffers cannot own,
-// so that path keeps the per-run build.
-func (a *Arena) releaseJobs(cfg *Config) []*task.Job {
-	if len(cfg.Jobs) == 0 {
-		return a.mergeReleases(cfg.Tasks, cfg.Horizon)
-	}
-	release := task.ReleaseJobs(cfg.Tasks, cfg.Horizon)
-	for _, j := range cfg.Jobs {
-		if j.Arrival < cfg.Horizon {
-			release = append(release, j)
-		}
-	}
-	// The stable re-sort folds the appended explicit jobs in while keeping
-	// the original tie order at equal arrival instants.
-	sort.SliceStable(release, func(x, y int) bool { return release[x].Arrival < release[y].Arrival })
-	return release
 }
 
 // releaseHead is one task's cursor in the release merge: the arrival and

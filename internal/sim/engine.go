@@ -77,12 +77,8 @@ func (m Mode) String() string {
 // Config describes one simulation run. Store and Predictor are stateful
 // and consumed by the run; construct fresh ones per run.
 type Config struct {
-	Horizon float64
-	Tasks   []task.Task
-	// Jobs are explicit job instances (e.g. a sporadic stream from
-	// task.GenerateSporadic) released in addition to the periodic Tasks'
-	// jobs. Jobs arriving at or after Horizon are ignored.
-	Jobs      []*task.Job
+	Horizon   float64
+	Tasks     []task.Task
 	Source    energy.Source
 	Predictor energy.Predictor
 	Store     storage.Reservoir
@@ -104,9 +100,9 @@ type Config struct {
 	// unaffected, bit for bit.
 	StopAtFirstMiss bool
 
-	// ExecSeed seeds the per-job actual-work draws of tasks and jobs that
-	// carry a task.ExecSpec (default 1). Draws are per-(task, seq), so
-	// they do not depend on event ordering.
+	// ExecSeed seeds the per-job actual-work draws of tasks that carry a
+	// task.ExecSpec (default 1). Draws are per-(task, seq), so they do
+	// not depend on event ordering.
 	ExecSeed uint64
 
 	// RecordEnergy samples the storage level once per time unit into
@@ -180,14 +176,6 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	for i, j := range c.Jobs {
-		if j == nil {
-			return fmt.Errorf("sim: nil job at index %d", i)
-		}
-		if j.Done() || j.Remaining() != j.WCET {
-			return fmt.Errorf("sim: job %d/%d already executed", j.TaskID, j.Seq)
-		}
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
@@ -197,18 +185,12 @@ func (c *Config) Validate() error {
 }
 
 // Stochastic reports whether any job of this run draws an actual
-// execution time below its WCET — a task or job carrying a
-// task.ExecSpec. When false, the engines skip the exec RNG entirely: the
-// WCET-exact path stays allocation-free and bit-identical to the paper's
-// model.
+// execution time below its WCET — any task carrying a task.ExecSpec.
+// When false, the engines skip the exec RNG entirely: the WCET-exact
+// path stays allocation-free and bit-identical to the paper's model.
 func (c *Config) Stochastic() bool {
 	for i := range c.Tasks {
 		if c.Tasks[i].Exec != nil {
-			return true
-		}
-	}
-	for _, j := range c.Jobs {
-		if j.Exec != nil {
 			return true
 		}
 	}
@@ -571,10 +553,6 @@ func (e *engine) setActivity(now float64, mode Mode, j *task.Job, level int) {
 	if mode == ModeRun {
 		if e.lastRunLv >= 0 && e.lastRunLv != level {
 			e.res.Switches++
-			_, se := e.cfg.CPU.SwitchOverhead()
-			if se > 0 {
-				e.cfg.Store.Draw(se)
-			}
 		}
 		e.lastRunLv = level
 	}

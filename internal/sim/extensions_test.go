@@ -112,46 +112,6 @@ func TestEngineIdlePowerDepletion(t *testing.T) {
 	}
 }
 
-// DVFS switch overhead: transitions are counted and their energy drawn.
-func TestEngineSwitchOverhead(t *testing.T) {
-	mk := func(switchEnergy float64) *Result {
-		proc := cpu.New("p", []cpu.OperatingPoint{
-			{FreqMHz: 250, Power: 1}, {FreqMHz: 1000, Power: 8},
-		}, cpu.WithSwitchOverhead(0, switchEnergy))
-		src := energy.NewConstant(0)
-		cfg := &Config{
-			Horizon: 20,
-			Tasks: []task.Task{
-				{ID: 1, Period: 1e9, Deadline: 16, WCET: 4, Offset: 0},
-				{ID: 2, Period: 1e9, Deadline: 12, WCET: 1.5, Offset: 5},
-			},
-			Source:    src,
-			Predictor: energy.NewOracle(src),
-			Store:     storage.New(1e6, 40),
-			CPU:       proc,
-			Policy:    core.NewEADVFS(),
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	free := mk(0)
-	costly := mk(0.5)
-	if free.Switches == 0 {
-		t.Fatal("Fig-3-style scenario must switch levels at least once")
-	}
-	if costly.Switches != free.Switches {
-		t.Fatalf("switch counts differ: %d vs %d", costly.Switches, free.Switches)
-	}
-	wantDelta := 0.5 * float64(free.Switches)
-	if math.Abs((free.FinalLevel-costly.FinalLevel)-wantDelta) > 1e-6 {
-		t.Fatalf("switch energy not drawn: final levels %v vs %v, want delta %v",
-			free.FinalLevel, costly.FinalLevel, wantDelta)
-	}
-}
-
 // RecordEnergy series values always match the reservoir bounds.
 func TestEnergySeriesWithinBounds(t *testing.T) {
 	src := energy.NewSolarModel(3)

@@ -30,10 +30,6 @@ func TestStochasticOptIn(t *testing.T) {
 		{"task exec spec", func(c *Config) {
 			c.Tasks[0].Exec = &task.ExecSpec{Dist: task.DistUniform, BCRatio: 0.5}
 		}, true},
-		{"explicit job exec spec", func(c *Config) {
-			c.Jobs = []*task.Job{{TaskID: 0, Abs: 20, WCET: 4,
-				Exec: &task.ExecSpec{Dist: task.DistUniform, BCRatio: 0.5}}}
-		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -49,7 +49,7 @@ func fuzzTasks(data []byte) []task.Task {
 // and the arrival instants bit for bit.
 func checkMerge(t *testing.T, a *Arena, tasks []task.Task, horizon float64) {
 	t.Helper()
-	got := a.releaseJobs(&Config{Tasks: tasks, Horizon: horizon})
+	got := a.mergeReleases(tasks, horizon)
 	want := task.ReleaseJobs(tasks, horizon)
 	if len(got) != len(want) {
 		t.Fatalf("horizon %v: %d jobs, want %d (tasks %+v)", horizon, len(got), len(want), tasks)

@@ -20,7 +20,7 @@ type Reservoir interface {
 	// TimeToEmpty returns how long the reservoir can serve load pc under
 	// harvest ps before the load becomes unservable.
 	TimeToEmpty(ps, pc float64) float64
-	// Draw removes up to e units instantaneously (DVFS switch overhead).
+	// Draw removes up to e units instantaneously (DPM sleep transitions).
 	Draw(e float64) float64
 	// Meters returns the cumulative energy accounting.
 	Meters() Meters
