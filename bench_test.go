@@ -215,102 +215,6 @@ func BenchmarkAblationSlackReclamation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHybridStorage compares a single ideal store against a
-// Prometheus-style supercap+battery hybrid of the same total size with a
-// lossy battery tier.
-func BenchmarkAblationHybridStorage(b *testing.B) {
-	stores := map[string]func() storage.Reservoir{
-		"ideal-300":      func() storage.Reservoir { return storage.New(300, 300) },
-		"hybrid-50-250":  func() storage.Reservoir { return storage.NewHybrid(50, 50, 250, 250, 0.8) },
-		"lossy-batt-300": func() storage.Reservoir { return storage.NewHybrid(0.001, 0.001, 300, 300, 0.8) },
-	}
-	for name, mk := range stores {
-		b.Run(name, func(b *testing.B) {
-			spec := benchSpec()
-			var missed, released int
-			for i := 0; i < b.N; i++ {
-				missed, released = 0, 0
-				for r := 0; r < 3; r++ {
-					rep, err := experiment.Replicate(spec, r)
-					if err != nil {
-						b.Fatal(err)
-					}
-					src := energy.NewSolarModel(rep.SourceSeed)
-					res, err := sim.Run(&sim.Config{
-						Horizon:   spec.Horizon,
-						Tasks:     rep.Tasks,
-						Source:    src,
-						Predictor: energy.NewEWMA(0.2),
-						Store:     mk(),
-						CPU:       spec.Processor(),
-						Policy:    core.NewEADVFS(),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					missed += res.Miss.Missed
-					released += res.Miss.Released
-				}
-			}
-			b.ReportMetric(float64(missed)/float64(released), "missrate")
-		})
-	}
-}
-
-// BenchmarkAblationWeather runs the Figure-8 comparison under a two-state
-// Markov weather layer (long overcast spells at 30% power) instead of the
-// paper's i.i.d. noise: autocorrelated lulls are harder to ride through,
-// and the EA-DVFS advantage must survive them.
-func BenchmarkAblationWeather(b *testing.B) {
-	for _, weather := range []bool{false, true} {
-		name := "iid"
-		if weather {
-			name = "markov"
-		}
-		b.Run(name, func(b *testing.B) {
-			spec := benchSpec()
-			missed := map[string]int{}
-			released := map[string]int{}
-			for i := 0; i < b.N; i++ {
-				missed = map[string]int{}
-				released = map[string]int{}
-				for r := 0; r < 3; r++ {
-					rep, err := experiment.Replicate(spec, r)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var src energy.Source = energy.NewSolarModel(rep.SourceSeed)
-					if weather {
-						src = energy.NewMarkovWeather(src, rep.SourceSeed^0xABCD, 120, 60, 0.3)
-					}
-					for _, policy := range []string{"lsa", "ea-dvfs"} {
-						pf, err := experiment.Policy(policy)
-						if err != nil {
-							b.Fatal(err)
-						}
-						res, err := sim.Run(&sim.Config{
-							Horizon:   spec.Horizon,
-							Tasks:     rep.Tasks,
-							Source:    src,
-							Predictor: energy.NewEWMA(0.2),
-							Store:     storage.NewIdeal(500),
-							CPU:       spec.Processor(),
-							Policy:    pf(),
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						missed[policy] += res.Miss.Missed
-						released[policy] += res.Miss.Released
-					}
-				}
-			}
-			b.ReportMetric(float64(missed["lsa"])/float64(released["lsa"]), "missrate/lsa")
-			b.ReportMetric(float64(missed["ea-dvfs"])/float64(released["ea-dvfs"]), "missrate/ea")
-		})
-	}
-}
-
 func benchName(k string, v float64) string {
 	return fmt.Sprintf("%s=%g", k, v)
 }

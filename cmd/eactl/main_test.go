@@ -25,11 +25,11 @@ func TestRunSweepLocalMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiment.MissRateSweepCtx(context.Background(), spec, policies)
+	res, err := experiment.RunSweep(context.Background(), "missrate", spec, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(res)
+	want, err := json.Marshal(res.MissRate)
 	if err != nil {
 		t.Fatal(err)
 	}

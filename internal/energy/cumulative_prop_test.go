@@ -23,8 +23,8 @@ func naive(src energy.Source, t1, t2 float64) float64 {
 }
 
 // propSources returns one instance of every source shape the repo ships:
-// solar (native Cumulative), constant, two-mode, trace, scaled, summed,
-// Markov weather, and a fault-injected dropout wrapper.
+// solar (native Cumulative), constant, two-mode, trace, and a
+// fault-injected dropout wrapper.
 func propSources(t *testing.T) map[string]energy.Source {
 	t.Helper()
 	solar := energy.NewSolarModel(7)
@@ -42,7 +42,6 @@ func propSources(t *testing.T) map[string]energy.Source {
 		"constant": energy.NewConstant(2.5),
 		"two-mode": energy.NewTwoMode(5, 0.5, 24, 10),
 		"trace":    trace,
-		"markov":   energy.NewMarkovWeather(energy.NewSolarModel(3), 21, 40, 15, 0.3),
 		"faulted":  set.WrapSource(energy.NewSolarModel(5)),
 	}
 }

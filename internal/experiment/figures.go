@@ -128,16 +128,7 @@ func (m *MissRateResult) NormalizedCapacity(i int) float64 {
 // Simulations run in parallel across Parallelism workers; the pooled
 // tallies are merged in deterministic order.
 func MissRateSweep(s Spec, policyNames []string) (*MissRateResult, error) {
-	return MissRateSweepCtx(context.Background(), s, policyNames)
-}
-
-// MissRateSweepCtx is MissRateSweep under a cancellation context: an
-// aborted request (or an expired per-request timeout) stops
-// queued-but-unstarted replications at the pickup path, aborts running
-// engines at their next poll, and returns a *CancelledError — a partial
-// pooled miss rate is statistically meaningless, so none is produced.
-func MissRateSweepCtx(ctx context.Context, s Spec, policyNames []string) (*MissRateResult, error) {
-	m, err := RunSweep(ctx, "missrate", s, policyNames)
+	m, err := RunSweep(context.Background(), "missrate", s, policyNames)
 	if err != nil {
 		return nil, err
 	}

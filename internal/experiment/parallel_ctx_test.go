@@ -70,7 +70,7 @@ func TestRunParallelCtxPreCancelled(t *testing.T) {
 // hang or a silently partial pooled miss rate. A single worker plus the
 // Progress hook make the cancellation point deterministic: after the first
 // finished replication, every remaining job must be skipped at pickup.
-func TestMissRateSweepCtxCancelMidSweep(t *testing.T) {
+func TestMissRateSweepCancelMidSweep(t *testing.T) {
 	oldP := Parallelism
 	oldProg := Progress
 	defer func() { Parallelism = oldP; Progress = oldProg }()
@@ -90,10 +90,10 @@ func TestMissRateSweepCtxCancelMidSweep(t *testing.T) {
 	s.Capacities = []float64{200, 1000}
 
 	done := make(chan struct{})
-	var res *MissRateResult
+	var res *MergedSweep
 	var err error
 	go func() {
-		res, err = MissRateSweepCtx(ctx, s, []string{"lsa"})
+		res, err = RunSweep(ctx, "missrate", s, []string{"lsa"})
 		close(done)
 	}()
 	select {
@@ -106,7 +106,7 @@ func TestMissRateSweepCtxCancelMidSweep(t *testing.T) {
 	}
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
-		t.Fatalf("MissRateSweepCtx = %v, want *CancelledError", err)
+		t.Fatalf("RunSweep = %v, want *CancelledError", err)
 	}
 	if ce.Done != 1 || ce.Skipped != ce.Total-1 {
 		t.Fatalf("partial accounting %+v, want exactly 1 job done", ce)
@@ -118,7 +118,7 @@ func TestMissRateSweepCtxCancelMidSweep(t *testing.T) {
 
 // A background context must leave the sweeps bit-identical to the
 // non-context entry points (same code path, no cancellation polling).
-func TestMissRateSweepCtxBackgroundMatches(t *testing.T) {
+func TestMissRateSweepBackgroundMatches(t *testing.T) {
 	s := DefaultSpec()
 	s.Horizon = 500
 	s.Replications = 2
@@ -128,11 +128,11 @@ func TestMissRateSweepCtxBackgroundMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := MissRateSweepCtx(context.Background(), s, []string{"lsa"})
+	viaCtx, err := RunSweep(context.Background(), "missrate", s, []string{"lsa"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := viaCtx.Rates["lsa"][0], direct.Rates["lsa"][0]; got != want {
+	if got, want := viaCtx.MissRate.Rates["lsa"][0], direct.Rates["lsa"][0]; got != want {
 		t.Fatalf("ctx sweep rate %v != direct sweep rate %v", got, want)
 	}
 }

@@ -230,6 +230,9 @@ func runShard(ctx context.Context, kind string, s Spec, policyNames []string, sh
 // RunSweep runs a whole sweep on this node: the one-shard plan, computed
 // by the shard runner and merged by MergeShards, so a single-node result
 // is by construction the fleet's merged result for the same request.
+// Cancelling ctx stops queued replications at pickup, aborts running
+// engines at their next poll, and returns a *CancelledError — a partial
+// pooled result is statistically meaningless, so none is produced.
 func RunSweep(ctx context.Context, kind string, s Spec, policyNames []string) (*MergedSweep, error) {
 	whole := Shard{Count: 1, RepHi: s.Replications, CapHi: len(s.Capacities)}
 	res, agg, err := runShard(ctx, kind, s, policyNames, whole)

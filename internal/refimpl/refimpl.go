@@ -72,29 +72,6 @@ func IntervalEnergy(src energy.Source, t1, t2 float64) float64 {
 	return PrefixEnergy(src, t2) - PrefixEnergy(src, t1)
 }
 
-// WalkEnergy integrates src over [t1, t2] directly, without going through
-// zero — the textbook trapezoid (here: rectangle, sources are piecewise
-// constant) integration. It is mathematically equal to IntervalEnergy but
-// NOT bit-identical (different association order), so tests that use it
-// compare with a tolerance. Keeping both around documents the boundary
-// between the exact and the epsilon-close contract.
-func WalkEnergy(src energy.Source, t1, t2 float64) float64 {
-	if t2 < t1 {
-		panic("refimpl: WalkEnergy interval inverted")
-	}
-	total := 0.0
-	u := t1
-	for u < t2 {
-		end := math.Floor(u) + 1
-		if end > t2 {
-			end = t2
-		}
-		total += float64(src.PowerAt(u) * (end - u))
-		u = end
-	}
-	return total
-}
-
 // Oracle is the reference perfect predictor: it answers every query with
 // the naive IntervalEnergy walk over the true source — O(deadline) per
 // decision, the cost the optimized energy.Oracle's cumulative cache

@@ -4,51 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"github.com/eadvfs/eadvfs/internal/core"
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/storage"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
-
-// The engine runs against any storage.Reservoir: a hybrid store conserves
-// energy end to end and behaves sensibly versus a single store of the
-// same total size.
-func TestEngineWithHybridStorage(t *testing.T) {
-	mk := func(store storage.Reservoir) *Result {
-		src := energy.NewSolarModel(11)
-		cfg := &Config{
-			Horizon:   3000,
-			Tasks:     paperWorkload(11, 0.4, 5),
-			Source:    src,
-			Predictor: energy.NewEWMA(0.2),
-			Store:     store,
-			CPU:       cpu.XScaleScaled(10),
-			Policy:    core.NewEADVFS(),
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	hybrid := mk(storage.NewHybrid(50, 50, 250, 250, 0.8))
-	single := mk(storage.New(300, 300))
-
-	if math.Abs(hybrid.ConservationErr) > 1e-5*(1+hybrid.Meters.Harvested) {
-		t.Fatalf("hybrid conservation error %v", hybrid.ConservationErr)
-	}
-	if hybrid.Miss.Released != single.Miss.Released {
-		t.Fatal("workloads diverged")
-	}
-	// The lossy battery tier can only hurt versus an ideal single store
-	// of equal size; the difference should be bounded.
-	if hybrid.Miss.Missed < single.Miss.Missed {
-		t.Logf("note: hybrid beat ideal single store (%d vs %d) — allowed but unusual",
-			hybrid.Miss.Missed, single.Miss.Missed)
-	}
-}
 
 // Idle power drains the store while the processor waits, so a lazy policy
 // must end with less energy and (possibly) more misses.

@@ -9,8 +9,8 @@ import (
 // pipeline. Invariants, regardless of input:
 //
 //   - nothing panics;
-//   - Version and Migrate agree on acceptance (both succeed or both
-//     fail);
+//   - CheckWire (the gate every service request body goes through) and
+//     Migrate agree on acceptance (both succeed or both fail);
 //   - a successful Migrate yields a document that (a) declares the
 //     current version, (b) is idempotent under a second Migrate, and
 //     (c) keeps the digest form byte-identical to the input's —
@@ -51,15 +51,15 @@ func FuzzMigrateSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		vErr := func() error { _, err := Version(raw); return err }()
+		vErr := func() error { _, err := CheckWire(raw); return err }()
 		migrated, mErr := Migrate(raw)
 		if (vErr == nil) != (mErr == nil) {
-			t.Fatalf("Version err %v but Migrate err %v for %q", vErr, mErr, raw)
+			t.Fatalf("CheckWire err %v but Migrate err %v for %q", vErr, mErr, raw)
 		}
 		if mErr != nil {
 			return
 		}
-		v, err := Version(migrated)
+		v, err := CheckWire(migrated)
 		if err != nil {
 			t.Fatalf("migrated document rejected: %v (from %q to %q)", err, raw, migrated)
 		}

@@ -180,25 +180,6 @@ func CheckWire(raw []byte, nested ...string) (int, error) {
 	return v, nil
 }
 
-// Version reports the schema version a raw document declares (absent
-// "schema" member → 1). It validates the declaration — an unparsable
-// document, a non-integer version, a version this build doesn't know,
-// or v2-only members in a v1 document are errors.
-func Version(raw []byte) (int, error) {
-	members, err := parse(raw)
-	if err != nil {
-		return 0, err
-	}
-	v, err := versionOf(members)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkV2Keys(members, v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
 // render serializes members back to one compact JSON object in order.
 func render(members []member) []byte {
 	buf := &bytes.Buffer{}

@@ -33,13 +33,13 @@ func TestVersion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := Version([]byte(tc.doc))
+			v, err := CheckWire([]byte(tc.doc))
 			if tc.errPart == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
 				if v != tc.want {
-					t.Fatalf("Version = %d, want %d", v, tc.want)
+					t.Fatalf("CheckWire = %d, want %d", v, tc.want)
 				}
 				return
 			}
@@ -59,7 +59,7 @@ func TestMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := Version(migrated); err != nil || v != Current {
+	if v, err := CheckWire(migrated); err != nil || v != Current {
 		t.Fatalf("migrated version = %d, %v; want %d", v, err, Current)
 	}
 	// "schema" lands last so every pre-existing member keeps its offset.
@@ -87,7 +87,7 @@ func TestMigrate(t *testing.T) {
 		t.Errorf("Migrate = %s, want %s", m2, want)
 	}
 
-	// Migrate refuses what Version refuses.
+	// Migrate refuses what CheckWire refuses.
 	for _, bad := range []string{`[1]`, `{"schema":3}`, `{"policy_params":{}}`, `{"x":`} {
 		if _, err := Migrate([]byte(bad)); err == nil {
 			t.Errorf("Migrate(%s) succeeded, want error", bad)

@@ -5,35 +5,21 @@ import (
 	"math"
 )
 
-// netRate returns the store-level derivative under simultaneous constant
-// harvest power ps and load power pc, including charge/discharge
-// efficiency and leakage.
-func (s *Store) netRate(ps, pc float64) float64 {
-	return float64(ps*s.chargeEff) - pc/s.dischargeEff - s.leakRate
-}
-
 // TimeToEmpty returns how long the store can keep the load served under
-// constant harvest ps and load pc, or +Inf when the load never becomes
-// unservable: either the level is non-decreasing, or the harvest inflow
-// alone covers the load (then only leakage drains the store, and an empty
-// store simply stops leaking — the load is unaffected). A store already
-// empty with an uncoverable load returns 0.
+// constant harvest ps and load pc, or +Inf when the harvest covers the
+// load. A store already empty with an uncovered load returns 0.
 func (s *Store) TimeToEmpty(ps, pc float64) float64 {
 	checkPower(ps, pc)
-	if ps*s.chargeEff >= pc/s.dischargeEff {
+	if ps >= pc {
 		return math.Inf(1)
 	}
-	net := s.netRate(ps, pc)
-	if net >= 0 {
-		return math.Inf(1)
-	}
-	return s.level / -net
+	return s.level / (pc - ps)
 }
 
 // Flow applies simultaneous constant harvest power ps and load power pc
 // over an interval of length dt, with exact continuous semantics:
-// the level follows dE/dt = ps·ηc − pc/ηd − leak, pinned at the capacity
-// (surplus overflows and is discarded) and the load is fully served.
+// the level follows dE/dt = ps − pc, pinned at the capacity (surplus
+// overflows and is discarded) and the load is fully served.
 //
 // Precondition: the store must not empty strictly inside the interval —
 // the simulation engine schedules that crossing as an event and splits
@@ -50,35 +36,14 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	if dt == 0 {
 		return 0, 0
 	}
-	net := s.netRate(ps, pc)
+	net := ps - pc
 	end := s.level + float64(net*dt)
 
 	const tol = 1e-7
 	if end < -tol*max(1, pc*dt) {
-		inflow := float64(ps * s.chargeEff)
-		loadRate := pc / s.dischargeEff
-		if loadRate > inflow+tol {
-			// The load itself over-draws an emptying store: the caller
-			// (engine) must have split at TimeToEmpty — this is a bug.
-			panic(fmt.Sprintf("storage: Flow empties the store mid-interval (level %v, net %v, dt %v)", s.level, net, dt))
-		}
-		// Only leakage drives the level below zero while the harvest
-		// covers the load; physically the store pins at empty and stops
-		// leaking. Account the two phases exactly.
-		tc := dt
-		if net < 0 {
-			tc = min(dt, s.level/-net)
-		}
-		s.totalHarvested += float64(ps * dt)
-		delivered = float64(pc * dt)
-		s.totalDrawn += delivered
-		// Phase 1 (level > 0): full leak. Phase 2 (pinned at 0): the
-		// effective leak is the inflow surplus, inflow − loadRate < leak.
-		leaked := float64(s.leakRate*tc) + float64((inflow-loadRate)*(dt-tc))
-		s.totalLeaked += leaked
-		s.totalStored += float64(inflow * dt)
-		s.level = 0
-		return delivered, 0
+		// The load over-draws an emptying store: the caller (engine)
+		// must have split at TimeToEmpty — this is a bug.
+		panic(fmt.Sprintf("storage: Flow empties the store mid-interval (level %v, net %v, dt %v)", s.level, net, dt))
 	}
 
 	s.totalHarvested += float64(ps * dt)
@@ -94,12 +59,9 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 		overflow = end - s.capacity
 		end = s.capacity
 	}
-	stored := end - s.level + float64(pc/s.dischargeEff*dt) + float64(s.leakRate*dt)
-	// stored is the harvest energy accepted (ps·ηc·dt − overflow); meter
-	// the components consistently with Harvest/Draw/Leak.
-	s.totalStored += stored
+	// The harvest energy accepted: ps·dt − overflow.
+	s.totalStored += end - s.level + delivered
 	s.totalOverflow += overflow
-	s.totalLeaked += float64(s.leakRate * dt)
 	if end < 0 {
 		end = 0
 	}

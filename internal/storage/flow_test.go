@@ -77,18 +77,6 @@ func TestFlowZeroDt(t *testing.T) {
 	}
 }
 
-func TestFlowWithEfficiencyAndLeak(t *testing.T) {
-	s := New(100, 50, WithChargeEfficiency(0.5), WithDischargeEfficiency(0.8), WithLeakage(0.1))
-	// net = 4*0.5 - 2/0.8 - 0.1 = 2 - 2.5 - 0.1 = -0.6 per unit.
-	delivered, _ := s.Flow(4, 2, 10)
-	if delivered != 20 {
-		t.Fatalf("delivered = %v", delivered)
-	}
-	if math.Abs(s.Level()-44) > 1e-9 {
-		t.Fatalf("level = %v, want 44", s.Level())
-	}
-}
-
 func TestTimeToEmptyFull(t *testing.T) {
 	s := New(100, 30)
 	if got := s.TimeToEmpty(5, 2); !math.IsInf(got, 1) {

@@ -8,14 +8,14 @@ import (
 
 func TestNewIdealStartsFull(t *testing.T) {
 	s := NewIdeal(100)
-	if s.Level() != 100 || s.Capacity() != 100 || !s.Full() {
-		t.Fatalf("ideal store: level=%v cap=%v full=%v", s.Level(), s.Capacity(), s.Full())
+	if s.Level() != 100 || s.Capacity() != 100 {
+		t.Fatalf("ideal store: level=%v cap=%v", s.Level(), s.Capacity())
 	}
 }
 
 func TestHarvestOverflow(t *testing.T) {
 	s := New(10, 8)
-	over := s.Harvest(5)
+	_, over := s.Flow(5, 0, 1)
 	if s.Level() != 10 {
 		t.Fatalf("level = %v, want 10", s.Level())
 	}
@@ -30,7 +30,7 @@ func TestHarvestOverflow(t *testing.T) {
 
 func TestHarvestIntoFullStoreDiscardsAll(t *testing.T) {
 	s := NewIdeal(10)
-	if over := s.Harvest(4); over != 4 {
+	if _, over := s.Flow(4, 0, 1); over != 4 {
 		t.Fatalf("overflow = %v, want 4", over)
 	}
 }
@@ -41,7 +41,7 @@ func TestDrawPartialWhenEmptying(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("delivered = %v, want 3", got)
 	}
-	if !s.Empty() {
+	if s.Level() != 0 {
 		t.Fatalf("store not empty after over-draw, level %v", s.Level())
 	}
 }
@@ -58,84 +58,17 @@ func TestDrawZero(t *testing.T) {
 
 func TestInfiniteCapacity(t *testing.T) {
 	s := New(math.Inf(1), 50)
-	if over := s.Harvest(1e12); over != 0 {
+	if _, over := s.Flow(1e12, 0, 1); over != 0 {
 		t.Fatalf("infinite store overflowed %v", over)
 	}
-	if s.Full() {
-		t.Fatal("infinite store reports full")
+	if s.Level() != 50+1e12 {
+		t.Fatalf("infinite store level = %v, want %v", s.Level(), 50+1e12)
 	}
 	if got := s.Draw(1e6); got != 1e6 {
 		t.Fatalf("infinite store delivered %v", got)
 	}
-	if got := s.FillFor(1); !math.IsInf(got, 1) {
-		t.Fatalf("FillFor on infinite store = %v", got)
-	}
-}
-
-func TestRunForFillFor(t *testing.T) {
-	s := New(100, 40)
-	if got := s.RunFor(8); got != 5 {
-		t.Fatalf("RunFor = %v, want 5", got)
-	}
-	if got := s.FillFor(12); got != 5 {
-		t.Fatalf("FillFor = %v, want 5", got)
-	}
-}
-
-func TestChargeEfficiency(t *testing.T) {
-	s := New(100, 0, WithChargeEfficiency(0.5))
-	over := s.Harvest(10)
-	if s.Level() != 5 || over != 0 {
-		t.Fatalf("level = %v over = %v, want 5, 0", s.Level(), over)
-	}
-}
-
-func TestDischargeEfficiency(t *testing.T) {
-	s := New(100, 10, WithDischargeEfficiency(0.5))
-	got := s.Draw(4) // needs 8 stored
-	if got != 4 {
-		t.Fatalf("delivered = %v, want 4", got)
-	}
-	if s.Level() != 2 {
-		t.Fatalf("level = %v, want 2", s.Level())
-	}
-	// Draining the rest delivers only level*eff.
-	got = s.Draw(100)
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("final draw delivered = %v, want 1", got)
-	}
-}
-
-func TestLeakage(t *testing.T) {
-	s := New(100, 10, WithLeakage(2))
-	s.Leak(3)
-	if s.Level() != 4 {
-		t.Fatalf("level after leak = %v, want 4", s.Level())
-	}
-	s.Leak(10)
-	if s.Level() != 0 {
-		t.Fatalf("level = %v, want clamped 0", s.Level())
-	}
-	if m := s.Meters(); m.Leaked != 10 {
-		t.Fatalf("leaked meter = %v, want 10", m.Leaked)
-	}
-}
-
-func TestLeakZeroRateNoop(t *testing.T) {
-	s := New(100, 10)
-	s.Leak(50)
-	if s.Level() != 10 {
-		t.Fatalf("ideal store leaked: level %v", s.Level())
-	}
-}
-
-func TestFraction(t *testing.T) {
-	s := New(200, 50)
-	if s.Fraction() != 0.25 {
-		t.Fatalf("Fraction = %v, want 0.25", s.Fraction())
-	}
-	if f := New(math.Inf(1), 10).Fraction(); f != 0 {
-		t.Fatalf("infinite-store fraction = %v, want 0", f)
+	if got := s.ConservationError(50); got != 0 {
+		t.Fatalf("infinite store conservation error = %v, want 0", got)
 	}
 }
 
@@ -145,14 +78,8 @@ func TestValidation(t *testing.T) {
 		func() { New(10, -1) },
 		func() { New(10, 11) },
 		func() { New(10, math.NaN()) },
-		func() { New(10, 5, WithChargeEfficiency(0)) },
-		func() { New(10, 5, WithDischargeEfficiency(1.5)) },
-		func() { New(10, 5, WithLeakage(-1)) },
-		func() { New(10, 5).Harvest(-1) },
+		func() { New(10, 5).Draw(-1) },
 		func() { New(10, 5).Draw(math.NaN()) },
-		func() { New(10, 5).RunFor(0) },
-		func() { New(10, 5).FillFor(-1) },
-		func() { New(10, 5).Leak(-1) },
 	}
 	for i, f := range cases {
 		func() {
@@ -166,29 +93,34 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// Property: under any interleaving of harvest/draw/leak operations the
-// level stays within [0, C] and energy is conserved.
+// Property: under any interleaving of flows (split at the empty crossing
+// like the engine does) and instantaneous draws the level stays within
+// [0, C] and energy is conserved.
 func TestInvariantsProperty(t *testing.T) {
 	type op struct {
-		Kind uint8
-		Amt  uint16
+		Kind   uint8
+		Ps, Pc uint8
+		Amt    uint16
 	}
 	f := func(capRaw uint16, initFrac uint8, ops []op) bool {
 		capacity := 1 + float64(capRaw%5000)
 		initial := capacity * float64(initFrac) / 255
-		s := New(capacity, initial, WithChargeEfficiency(0.9), WithDischargeEfficiency(0.8), WithLeakage(0.01))
+		s := New(capacity, initial)
 		if len(ops) > 300 {
 			ops = ops[:300]
 		}
 		for _, o := range ops {
 			amt := float64(o.Amt) / 16
-			switch o.Kind % 3 {
-			case 0:
-				s.Harvest(amt)
-			case 1:
+			if o.Kind%2 == 0 {
 				s.Draw(amt)
-			case 2:
-				s.Leak(amt / 100)
+			} else {
+				ps, pc, dt := float64(o.Ps)/8, float64(o.Pc)/8, amt/64
+				if tte := s.TimeToEmpty(ps, pc); dt >= tte {
+					s.Flow(ps, pc, tte)
+					s.Flow(ps, 0, dt-tte)
+				} else {
+					s.Flow(ps, pc, dt)
+				}
 			}
 			if s.Level() < -1e-9 || s.Level() > capacity+1e-9 {
 				return false
@@ -201,14 +133,14 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: overflow + stored*(1/eff adjustments) equals offered harvest.
+// Property: a pure harvest splits exactly into stored energy and overflow.
 func TestHarvestPartitionProperty(t *testing.T) {
 	f := func(capRaw, lvlRaw, amtRaw uint16) bool {
 		capacity := 1 + float64(capRaw%1000)
 		level := math.Min(float64(lvlRaw%1000), capacity)
 		s := New(capacity, level)
 		amt := float64(amtRaw) / 8
-		over := s.Harvest(amt)
+		_, over := s.Flow(amt, 0, 1)
 		m := s.Meters()
 		return math.Abs(m.Stored+over-amt) < 1e-9 && over >= 0
 	}
@@ -219,11 +151,14 @@ func TestHarvestPartitionProperty(t *testing.T) {
 
 func TestConservationIdeal(t *testing.T) {
 	s := New(100, 60)
-	s.Harvest(30)
+	s.Flow(30, 0, 1)
 	s.Draw(45)
-	s.Harvest(80) // overflows
+	s.Flow(80, 0, 1) // overflows
 	s.Draw(10)
 	if err := s.ConservationError(60); math.Abs(err) > 1e-9 {
 		t.Fatalf("conservation error = %v", err)
+	}
+	if m := s.Meters(); m.Leaked != 0 {
+		t.Fatalf("ideal store leaked %v", m.Leaked)
 	}
 }

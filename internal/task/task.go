@@ -173,11 +173,6 @@ func (j *Job) SetOverrunWork(work float64) {
 	}
 }
 
-// Overrun returns how much outstanding actual work exceeds the
-// outstanding budgeted work (0 for a well-declared job). Before execution
-// starts this is the amount by which the job will overrun its WCET.
-func (j *Job) Overrun() float64 { return max(0, j.actual-j.remaining) }
-
 // Remaining returns the outstanding *budgeted* work at f_max — what the
 // scheduler plans with.
 func (j *Job) Remaining() float64 { return j.remaining }

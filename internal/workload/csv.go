@@ -16,9 +16,9 @@ import (
 // carry timestamps and core IDs alongside). Values may be fractions in
 // [0, 1] or percents in [0, 100]: when any value exceeds 1 the whole
 // column is taken as percent and divided by 100. Negative, NaN and
-// infinite entries are parse errors with their line number, mirroring
-// the harvest-trace reader (energy.ReadTraceCSV) — a spelled-out "NaN"
-// must surface here, not as a validation panic downstream.
+// infinite entries are parse errors with their line number — a
+// spelled-out "NaN" must surface here, not as a validation panic
+// downstream.
 func ReadSlotCSV(r io.Reader, column string) ([]float64, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true

@@ -56,7 +56,7 @@ func TestSpecCorpusGoldenDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := filepath.Base(name)
-		v, err := spec.Version(raw)
+		v, err := spec.CheckWire(raw)
 		if err != nil {
 			t.Errorf("%s: %v", base, err)
 			continue
@@ -68,7 +68,7 @@ func TestSpecCorpusGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: migrate: %v", base, err)
 		}
-		if mv, err := spec.Version(migrated); err != nil || mv != spec.Current {
+		if mv, err := spec.CheckWire(migrated); err != nil || mv != spec.Current {
 			t.Errorf("%s: migrated version = %d, %v; want %d", base, mv, err, spec.Current)
 		}
 		d1, err := spec.Digest(raw)
