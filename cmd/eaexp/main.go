@@ -466,10 +466,11 @@ func fig5(w io.Writer, spec experiment.Spec, csvDir string, width int) error {
 
 func remaining(w io.Writer, spec experiment.Spec, u float64, name, csvDir string, width int) error {
 	spec.Utilization = u
-	res, err := experiment.RemainingEnergy(context.Background(), spec, []string{"lsa", "ea-dvfs"})
+	m, err := experiment.RunSweep(context.Background(), "remaining", spec, []string{"lsa", "ea-dvfs"})
 	if err != nil {
 		return err
 	}
+	res := m.Remaining
 	lines := []plot.Line{
 		seriesLine("ea-dvfs", res.Curves["ea-dvfs"]),
 		seriesLine("lsa", res.Curves["lsa"]),

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,16 +10,16 @@ import (
 )
 
 // eventValidator is the -validate-events probe: it checks every
-// structured event and decision audit the sweep emits against the closed
-// obs tables (known kinds, known segment modes, known reason codes,
-// finite timestamps). A violation means an engine emitted vocabulary the
-// schema doesn't declare — exactly the regression the scenario-smoke CI
-// step exists to catch when a new registration lands.
+// structured event and decision audit the sweep emits with obs.CheckEvent
+// and obs.CheckDecision, the rules CheckJSONL applies to a written
+// stream. A violation means an engine emitted vocabulary the schema
+// doesn't declare — exactly the regression the scenario-smoke CI step
+// exists to catch when a new registration lands.
 //
 // The probe is shared by all parallel runs of the sweep, so it keeps no
-// per-run state: membership checks are pure, counters are atomic, and
-// only the first violation's detail is retained (under a mutex) for the
-// error message.
+// per-run state: the checks are pure, counters are atomic, and only the
+// first violation's detail is retained (under a mutex) for the error
+// message.
 type eventValidator struct {
 	events     atomic.Int64
 	decisions  atomic.Int64
@@ -30,48 +29,25 @@ type eventValidator struct {
 	first string
 }
 
-var (
-	knownKinds   = memberSet(obs.KnownEventKinds())
-	knownReasons = memberSet(obs.KnownReasons())
-	knownModes   = map[string]bool{"": true, "run": true, "idle": true, "stall": true, "sleep": true}
-)
-
-func memberSet[T comparable](members []T) map[T]bool {
-	set := make(map[T]bool, len(members))
-	for _, m := range members {
-		set[m] = true
-	}
-	return set
-}
-
-func (v *eventValidator) violate(format string, args ...any) {
+func (v *eventValidator) violate(err error) {
 	if v.violations.Add(1) == 1 {
 		v.mu.Lock()
-		v.first = fmt.Sprintf(format, args...)
+		v.first = err.Error()
 		v.mu.Unlock()
 	}
 }
 
 func (v *eventValidator) OnEvent(e obs.Event) {
 	v.events.Add(1)
-	if !knownKinds[e.Kind] {
-		v.violate("event kind %q not in obs.KnownEventKinds", e.Kind)
-	}
-	if !knownModes[e.Mode] {
-		v.violate("segment mode %q unknown", e.Mode)
-	}
-	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
-		v.violate("event %q at non-finite time %v", e.Kind, e.Time)
+	if err := obs.CheckEvent(e); err != nil {
+		v.violate(err)
 	}
 }
 
 func (v *eventValidator) OnDecision(d obs.DecisionRecord) {
 	v.decisions.Add(1)
-	if !knownReasons[d.Reason] {
-		v.violate("decision reason %q not in obs.KnownReasons", d.Reason)
-	}
-	if math.IsNaN(d.Time) || math.IsInf(d.Time, 0) {
-		v.violate("decision %q at non-finite time %v", d.Reason, d.Time)
+	if err := obs.CheckDecision(d); err != nil {
+		v.violate(err)
 	}
 }
 

@@ -58,9 +58,10 @@ type Config struct {
 	// Schema declares the JSON schema version of a serialized config:
 	// 0 or 1 mean the original unversioned v1 wire form, 2 the current
 	// one. Documents using the v2-only members (PolicyParams, TaskModel,
-	// TaskParams, Sleep) must declare 2. The member is excluded from the
-	// config's digest identity — internal/spec owns the migration and
-	// digest-stability contract (DESIGN.md §16). New fields here are
+	// TaskParams, Sleep) must declare 2 (internal/spec checks this on
+	// the wire). The member is excluded from the config's digest
+	// identity: the service zeroes it before the canonical marshal it
+	// keys its cache on (DESIGN.md §16). New fields here are
 	// omitempty and appended without reordering the originals: the
 	// canonical marshal of every v1 config, and with it every cached
 	// digest, must stay byte-stable.

@@ -73,12 +73,12 @@ func remaining(u float64) func(int) (map[string]float64, error) {
 		s.Utilization = u
 		var ea, lsa float64
 		for i := 0; i < n; i++ {
-			res, err := experiment.RemainingEnergy(context.Background(), s, []string{"lsa", "ea-dvfs"})
+			m, err := experiment.RunSweep(context.Background(), "remaining", s, []string{"lsa", "ea-dvfs"})
 			if err != nil {
 				return nil, err
 			}
-			ea = res.Curves["ea-dvfs"].Mean()
-			lsa = res.Curves["lsa"].Mean()
+			ea = m.Remaining.Curves["ea-dvfs"].Mean()
+			lsa = m.Remaining.Curves["lsa"].Mean()
 		}
 		return map[string]float64{"energy/ea-dvfs": ea, "energy/lsa": lsa}, nil
 	}

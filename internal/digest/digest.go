@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 )
 
 // Compact returns the lowercase-hex SHA-256 of the compact
@@ -31,15 +30,4 @@ func Compact(raw []byte) string {
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
-}
-
-// Of marshals v and returns Compact of the resulting bytes. json.Marshal
-// already emits compact JSON with deterministic struct-field order, so two
-// equal values of the same type always digest identically.
-func Of(v any) (string, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return "", fmt.Errorf("digest: %w", err)
-	}
-	return Compact(raw), nil
 }

@@ -52,34 +52,3 @@ func TestCompactMatchesRawSHA256(t *testing.T) {
 		t.Fatalf("Compact = %s, want %s", got, want)
 	}
 }
-
-func TestOf(t *testing.T) {
-	type cfg struct {
-		Policy string
-		Seed   int
-	}
-	d1, err := digest.Of(cfg{Policy: "lsa", Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := digest.Of(cfg{Policy: "lsa", Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("equal values digest differently: %s vs %s", d1, d2)
-	}
-	d3, err := digest.Of(cfg{Policy: "lsa", Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 == d3 {
-		t.Fatalf("different values share digest %s", d1)
-	}
-	if len(d1) != 64 {
-		t.Fatalf("digest length %d, want 64 hex chars", len(d1))
-	}
-	if _, err := digest.Of(make(chan int)); err == nil {
-		t.Fatal("Of(chan) succeeded, want marshal error")
-	}
-}

@@ -178,10 +178,11 @@ func TestSourceTraceShape(t *testing.T) {
 
 func TestRemainingEnergyCurves(t *testing.T) {
 	s := testSpec()
-	res, err := RemainingEnergy(context.Background(), s, []string{"lsa", "ea-dvfs"})
+	m, err := RunSweep(context.Background(), "remaining", s, []string{"lsa", "ea-dvfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := m.Remaining
 	for name, curve := range res.Curves {
 		if curve.Len() != int(s.Horizon)+1 {
 			t.Fatalf("%s: curve length %d", name, curve.Len())

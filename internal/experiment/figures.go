@@ -30,20 +30,6 @@ type RemainingEnergyResult struct {
 	Curves map[string]*metrics.Series
 }
 
-// RemainingEnergy regenerates Figure 6 (spec.Utilization = 0.4) or
-// Figure 7 (0.8) for the named policies. Simulations run in parallel
-// across Parallelism workers; the result is deterministic. Cancelling ctx
-// stops queued replications at pickup, aborts running engines mid-flight,
-// and surfaces as a *CancelledError instead of a partial (and therefore
-// wrong) average.
-func RemainingEnergy(ctx context.Context, s Spec, policyNames []string) (*RemainingEnergyResult, error) {
-	m, err := RunSweep(ctx, "remaining", s, policyNames)
-	if err != nil {
-		return nil, err
-	}
-	return m.Remaining, nil
-}
-
 // repEnergyCurves folds one replication's (capacity, policy) block of
 // energy series — block[ci*np+pi], covering the full capacity sweep — into
 // np normalized partial curves: curve[pi][k] = Σ_ci EC(t_k)/C_ci, summed

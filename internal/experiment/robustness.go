@@ -27,21 +27,6 @@ type RobustnessSpec struct {
 	Capacity    float64   // storage capacity for every run
 }
 
-// DefaultRobustnessSpec returns a CI-friendly sweep: the default workload,
-// the paper's three headline policies, five intensity steps at a mid-range
-// capacity.
-func DefaultRobustnessSpec() RobustnessSpec {
-	base := DefaultSpec()
-	base.Replications = 20
-	return RobustnessSpec{
-		Base:        base,
-		Policies:    []string{"edf", "lsa", "ea-dvfs"},
-		Intensities: []float64{0, 0.25, 0.5, 0.75, 1},
-		FaultSeed:   1,
-		Capacity:    1000,
-	}
-}
-
 // Validate checks the sweep parameters.
 func (rs RobustnessSpec) Validate() error {
 	base := rs.Base

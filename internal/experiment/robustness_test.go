@@ -6,18 +6,30 @@ import (
 )
 
 func testRobustnessSpec() RobustnessSpec {
-	rs := DefaultRobustnessSpec()
-	rs.Base = testSpec()
-	rs.Base.Horizon = 1500
-	rs.Base.Replications = 3
-	rs.Intensities = []float64{0, 0.5, 1}
-	rs.Capacity = 400
-	return rs
+	base := testSpec()
+	base.Horizon = 1500
+	base.Replications = 3
+	return RobustnessSpec{
+		Base:        base,
+		Policies:    []string{"edf", "lsa", "ea-dvfs"},
+		Intensities: []float64{0, 0.5, 1},
+		FaultSeed:   1,
+		Capacity:    400,
+	}
 }
 
 func TestRobustnessSpecValidate(t *testing.T) {
-	if err := DefaultRobustnessSpec().Validate(); err != nil {
-		t.Fatalf("default robustness spec invalid: %v", err)
+	base := DefaultSpec()
+	base.Replications = 20
+	valid := RobustnessSpec{
+		Base:        base,
+		Policies:    []string{"edf", "lsa", "ea-dvfs"},
+		Intensities: []float64{0, 0.25, 0.5, 0.75, 1},
+		FaultSeed:   1,
+		Capacity:    1000,
+	}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("robustness spec over the default workload invalid: %v", err)
 	}
 	bad := []func(*RobustnessSpec){
 		func(rs *RobustnessSpec) { rs.Capacity = 0 },
@@ -29,7 +41,7 @@ func TestRobustnessSpecValidate(t *testing.T) {
 		func(rs *RobustnessSpec) { rs.Policies = []string{"nope"} },
 	}
 	for i, mutate := range bad {
-		rs := DefaultRobustnessSpec()
+		rs := valid
 		mutate(&rs)
 		if err := rs.Validate(); err == nil {
 			if _, err2 := RobustnessSweep(rs); err2 == nil {

@@ -21,6 +21,8 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"github.com/eadvfs/eadvfs/internal/metrics"
@@ -33,12 +35,11 @@ func SweepKinds() []string { return []string{"missrate", "remaining"} }
 
 // ValidateSweepKind rejects unknown sweep kinds.
 func ValidateSweepKind(kind string) error {
-	switch kind {
-	case "missrate", "remaining":
+	kinds := SweepKinds()
+	if slices.Contains(kinds, kind) {
 		return nil
-	default:
-		return fmt.Errorf("experiment: unknown sweep kind %q (want missrate or remaining)", kind)
 	}
+	return fmt.Errorf("experiment: unknown sweep kind %q (want %s)", kind, strings.Join(kinds, " or "))
 }
 
 // Shard names one disjoint slice of a sweep's (replication × capacity)

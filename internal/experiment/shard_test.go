@@ -105,8 +105,14 @@ func TestShardValidate(t *testing.T) {
 	if err := part.Validate(s, "missrate"); err != nil {
 		t.Errorf("missrate shard with partial capacity window rejected: %v", err)
 	}
-	if err := ok.Validate(s, "nope"); err == nil {
-		t.Error("unknown kind accepted")
+	err := ok.Validate(s, "nope")
+	if want := `experiment: unknown sweep kind "nope" (want missrate or remaining)`; err == nil || err.Error() != want {
+		t.Errorf("unknown kind: err %v, want %s", err, want)
+	}
+	for _, kind := range SweepKinds() {
+		if err := ValidateSweepKind(kind); err != nil {
+			t.Errorf("listed kind %q rejected: %v", kind, err)
+		}
 	}
 }
 
@@ -156,11 +162,11 @@ func checkMergeByteIdentical(t *testing.T, s Spec, pinnedMiss, pinnedRem string)
 	if got := sha256Hex(wantMiss); got != pinnedMiss {
 		t.Fatalf("single-node missrate digest %s, pinned %s", got, pinnedMiss)
 	}
-	wholeRem, err := RemainingEnergy(context.Background(), s, policies)
+	wholeRem, err := RunSweep(context.Background(), "remaining", s, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRem := mustJSON(t, wholeRem)
+	wantRem := mustJSON(t, wholeRem.Remaining)
 	if got := sha256Hex(wantRem); got != pinnedRem {
 		t.Fatalf("single-node remaining digest %s, pinned %s", got, pinnedRem)
 	}

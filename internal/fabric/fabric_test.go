@@ -52,7 +52,10 @@ func singleNodeJSON(t *testing.T, kind string, s experiment.Spec, policies []str
 	case "missrate":
 		v, err = experiment.MissRateSweep(s, policies)
 	case "remaining":
-		v, err = experiment.RemainingEnergy(context.Background(), s, policies)
+		var m *experiment.MergedSweep
+		if m, err = experiment.RunSweep(context.Background(), "remaining", s, policies); err == nil {
+			v = m.Remaining
+		}
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -26,27 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += float64(d * (x - w.mean))
 }
 
-// Merge folds another accumulator into w as if every observation behind o
-// had been Added to w (Chan et al.'s parallel combination). Merging an
-// empty accumulator is a no-op; merging into an empty one copies. The
-// result is order-independent in the usual parallel-reduction sense but,
-// like Add, not bit-identical to any particular Add order.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	nw, no := float64(w.n), float64(o.n)
-	n := nw + no
-	d := o.mean - w.mean
-	w.mean += d * no / n
-	w.m2 += o.m2 + d*d*nw*no/n
-	w.n += o.n
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int { return w.n }
 
@@ -105,30 +84,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// MeanSeries averages several equally shaped series pointwise — the
-// paper's "weighted average of normalized remaining energy for each
-// capacity … each normalized remaining energy having the same weight"
-// (§5.2). Shapes must match.
-func MeanSeries(series []*Series) *Series {
-	if len(series) == 0 {
-		panic("metrics: MeanSeries of nothing")
-	}
-	first := series[0]
-	out := NewSeries(first.Start, first.Step, first.Len())
-	for _, s := range series {
-		if s.Len() != first.Len() || s.Start != first.Start || s.Step != first.Step {
-			panic("metrics: MeanSeries shape mismatch")
-		}
-		for i, v := range s.Values {
-			out.Values[i] += v
-		}
-	}
-	for i := range out.Values {
-		out.Values[i] /= float64(len(series))
-	}
-	return out
 }
 
 // MissStats tallies deadline outcomes.
@@ -237,24 +192,3 @@ func (h *Histogram) Add(x float64) {
 
 // Count returns total observations.
 func (h *Histogram) Count() int { return h.count }
-
-// Quantile returns the q-quantile (0 <= q <= 1) as the midpoint of the
-// bucket containing it; 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v outside [0,1]", q))
-	}
-	if h.count == 0 {
-		return 0
-	}
-	target := q * float64(h.count)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		cum += float64(c)
-		if cum >= target {
-			return h.Lo + float64((float64(i)+0.5)*width) // rounded as in Welford.Add
-		}
-	}
-	return h.Hi - float64(width/2)
-}

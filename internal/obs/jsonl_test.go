@@ -91,6 +91,7 @@ func TestCheckJSONLRejections(t *testing.T) {
 		{"wrong version", `{"v":2,"type":"event","t":1,"kind":"arrival","task":0,"seq":0}`},
 		{"unknown type", `{"v":1,"type":"metric","t":1}`},
 		{"unknown kind", `{"v":1,"type":"event","t":1,"kind":"teleport","task":0,"seq":0}`},
+		{"unknown mode", `{"v":1,"type":"event","t":1,"kind":"segment","task":-1,"seq":-1,"level":0,"start":0,"mode":"bogus"}`},
 		{"unknown reason", `{"v":1,"type":"decision","t":1,"policy":"p","task":0,"seq":0,"deadline":1,"slack":1,"stored":1,"predicted":0,"available":1,"s1":0,"s2":0,"level":0,"speed":1,"reason":"vibes"}`},
 		{"missing policy", `{"v":1,"type":"decision","t":1,"task":0,"seq":0,"deadline":1,"slack":1,"stored":1,"predicted":0,"available":1,"s1":0,"s2":0,"level":0,"speed":1,"reason":"idle:no-job"}`},
 		{"extra field", `{"v":1,"type":"event","t":1,"kind":"arrival","task":0,"seq":0,"surprise":true}`},
@@ -101,6 +102,42 @@ func TestCheckJSONLRejections(t *testing.T) {
 				t.Fatalf("line %s must fail validation", tc.line)
 			}
 		})
+	}
+}
+
+// CheckEvent and CheckDecision hold rules a JSONL line cannot break
+// (JSON has no NaN), so they are checked on records directly.
+func TestCheckEventAndDecision(t *testing.T) {
+	seg := Event{Time: 1, Kind: KindSegment, TaskID: -1, Seq: -1, Mode: "run"}
+	if err := CheckEvent(seg); err != nil {
+		t.Fatalf("valid segment rejected: %v", err)
+	}
+	for name, e := range map[string]Event{
+		"unknown kind":    {Time: 1, Kind: "teleport"},
+		"unknown mode":    {Time: 1, Kind: KindSegment, Mode: "bogus"},
+		"non-finite time": {Time: math.Inf(1), Kind: KindArrival},
+	} {
+		if CheckEvent(e) == nil {
+			t.Errorf("%s: event %+v accepted", name, e)
+		}
+	}
+	dec := DecisionRecord{Time: 1, Policy: "ea-dvfs", Slack: 2, Stored: 3, Available: 4, Until: math.Inf(1), Reason: ReasonIdleNoJob}
+	if err := CheckDecision(dec); err != nil {
+		t.Fatalf("valid decision rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*DecisionRecord){
+		"unknown reason":       func(d *DecisionRecord) { d.Reason = "vibes" },
+		"missing policy":       func(d *DecisionRecord) { d.Policy = "" },
+		"non-finite time":      func(d *DecisionRecord) { d.Time = math.NaN() },
+		"non-finite slack":     func(d *DecisionRecord) { d.Slack = math.Inf(-1) },
+		"non-finite stored":    func(d *DecisionRecord) { d.Stored = math.NaN() },
+		"non-finite available": func(d *DecisionRecord) { d.Available = math.Inf(1) },
+	} {
+		d := dec
+		mutate(&d)
+		if CheckDecision(d) == nil {
+			t.Errorf("%s: decision %+v accepted", name, d)
+		}
 	}
 }
 

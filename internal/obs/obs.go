@@ -61,6 +61,11 @@ func KnownEventKinds() []EventKind {
 	}
 }
 
+// KnownModes lists every segment activity a KindSegment event may name,
+// in a stable order: the names of sim.Mode. Events of other kinds carry
+// no mode.
+func KnownModes() []string { return []string{"idle", "run", "stall", "sleep"} }
+
 // Event is one engine occurrence. TaskID/Seq are -1 when no job is
 // attached. Start is meaningful only for KindSegment (the segment's left
 // edge); Level only for KindDispatch, KindSegment and KindFault.

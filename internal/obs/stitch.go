@@ -2,13 +2,10 @@ package obs
 
 // Span-tree stitching: reassembling the spans of one distributed sweep —
 // coordinator spans plus the worker spans shipped back in X-Trace-Spans
-// headers — into printable trees (DESIGN.md §15).
+// headers — into trees (DESIGN.md §15).
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -115,41 +112,4 @@ func (t *SpanTree) Walk(fn func(n *SpanNode, depth int)) {
 	for _, r := range t.Roots {
 		rec(r, 0)
 	}
-}
-
-// Format renders the forest as an indented text tree, one span per line:
-//
-//	easerve request:sweep 240ms [outcome=... worker=...]
-//	  easerve cache 1ms [outcome=miss]
-//
-// Orphans are tagged, as is any detected clock skew.
-func (t *SpanTree) Format(w io.Writer) {
-	t.Walk(func(n *SpanNode, depth int) {
-		sp := n.Span
-		var b strings.Builder
-		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s %s %s", sp.Service, sp.Name, sp.Duration.Round(time.Microsecond))
-		if len(sp.Attrs) > 0 {
-			keys := make([]string, 0, len(sp.Attrs))
-			for k := range sp.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			b.WriteString(" [")
-			for i, k := range keys {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				fmt.Fprintf(&b, "%s=%s", k, sp.Attrs[k])
-			}
-			b.WriteByte(']')
-		}
-		if n.Orphan {
-			fmt.Fprintf(&b, " (orphan: parent %s missing)", sp.Parent)
-		}
-		if n.Skew > 0 {
-			fmt.Fprintf(&b, " (clock skew ≥ %s)", n.Skew.Round(time.Microsecond))
-		}
-		fmt.Fprintln(w, b.String())
-	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -56,13 +55,13 @@ func TestStitchSpansOrphans(t *testing.T) {
 			found = r
 		}
 	}
-	if found == nil || !found.Orphan {
+	if found == nil || !found.Orphan || found.Span.Parent != lost {
 		t.Fatalf("orphan span not promoted to flagged root: %+v", tree.Roots)
 	}
-	var out strings.Builder
-	tree.Format(&out)
-	if !strings.Contains(out.String(), "orphan: parent "+lost.String()+" missing") {
-		t.Fatalf("formatted tree does not tag the orphan:\n%s", out.String())
+	for _, r := range tree.Roots {
+		if r.Span.ID == root.ID && (r.Orphan || r.Skew != 0) {
+			t.Fatalf("true root flagged: orphan %v, skew %s", r.Orphan, r.Skew)
+		}
 	}
 }
 
@@ -80,13 +79,11 @@ func TestStitchSpansClockSkew(t *testing.T) {
 		t.Fatalf("skewed child detached from parent: %+v", tree.Roots)
 	}
 	n := tree.Roots[0].Children[0]
-	if n.Skew != 2*time.Second {
-		t.Fatalf("skew = %s, want 2s", n.Skew)
+	if n.Skew != 2*time.Second || n.Orphan {
+		t.Fatalf("skewed child: skew %s, orphan %v; want 2s, false", n.Skew, n.Orphan)
 	}
-	var out strings.Builder
-	tree.Format(&out)
-	if !strings.Contains(out.String(), "clock skew") {
-		t.Fatalf("formatted tree does not flag skew:\n%s", out.String())
+	if tree.Roots[0].Skew != 0 {
+		t.Fatalf("root carries skew %s", tree.Roots[0].Skew)
 	}
 }
 

@@ -532,7 +532,7 @@ func (s *Server) updateHitRatio() {
 // schema-v1 event log instead of returning a (cached) result.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request, cfg eadvfs.Config) {
 	// The schema declaration is wire metadata, not simulation identity:
-	// zero it before the canonical marshal so a migrated (v2) spec keys
+	// zero it before the canonical marshal so a "schema": 2 spelling keys
 	// the same cache entry — and the same fleet affinity route — as its
 	// v1 spelling (DESIGN.md §16).
 	cfg.Schema = 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,5 +215,24 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 		resPlain.Miss != resProbed.Miss ||
 		resPlain.BusyTime != resProbed.BusyTime {
 		t.Fatalf("probe changed the run: %+v vs %+v", resPlain, resProbed)
+	}
+}
+
+// TestModeNamesInObsVocabulary pins the segment modes the engine names
+// to the closed list the event checkers accept, in both directions.
+func TestModeNamesInObsVocabulary(t *testing.T) {
+	known := map[string]bool{}
+	for _, m := range obs.KnownModes() {
+		known[m] = true
+	}
+	named := 0
+	for m := Mode(0); m.String() != fmt.Sprintf("mode(%d)", int(m)); m++ {
+		if !known[m.String()] {
+			t.Errorf("sim mode %q missing from obs.KnownModes", m)
+		}
+		named++
+	}
+	if named != len(known) {
+		t.Errorf("sim names %d modes, obs.KnownModes lists %v", named, obs.KnownModes())
 	}
 }

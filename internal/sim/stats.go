@@ -23,31 +23,6 @@ type TaskStats struct {
 	resp metrics.Welford
 }
 
-// Merge folds another run's stats for the same task into t — the
-// aggregation step when replicating a configuration across seeds. It
-// relies on the internal response accumulator, so it is only meaningful
-// for TaskStats produced by this package's engine (a hand-built TaskStats
-// with ResponseMean set but no observations contributes nothing to the
-// merged mean).
-func (t *TaskStats) Merge(o *TaskStats) {
-	t.Released += o.Released
-	t.Finished += o.Finished
-	t.Missed += o.Missed
-	if o.ResponseMax > t.ResponseMax {
-		t.ResponseMax = o.ResponseMax
-	}
-	t.resp.Merge(o.resp)
-	t.ResponseMean = t.resp.Mean()
-}
-
-// MissRate returns the task's own deadline miss rate.
-func (t *TaskStats) MissRate() float64 {
-	if t.Released == 0 {
-		return 0
-	}
-	return float64(t.Missed) / float64(t.Released)
-}
-
 // taskTable accumulates per-task statistics during a run, in a slice kept
 // sorted by task ID. An entry is inserted the first time its task is seen,
 // so the table holds exactly the tasks the run touched.

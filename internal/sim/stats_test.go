@@ -39,8 +39,8 @@ func TestPerTaskBreakdownSumsToAggregate(t *testing.T) {
 		rel += s.Released
 		fin += s.Finished
 		mis += s.Missed
-		if s.MissRate() < 0 || s.MissRate() > 1 {
-			t.Fatalf("task %d miss rate %v", s.TaskID, s.MissRate())
+		if s.Missed < 0 || s.Missed > s.Released {
+			t.Fatalf("task %d missed %d of %d released jobs", s.TaskID, s.Missed, s.Released)
 		}
 	}
 	if rel != res.Miss.Released || fin != res.Miss.Finished || mis != res.Miss.Missed {

@@ -1,26 +1,26 @@
 package spec
 
 import (
-	"bytes"
+	"encoding/json"
 	"testing"
 )
 
-// FuzzMigrateSpec drives arbitrary bytes through the version/migrate
-// pipeline. Invariants, regardless of input:
+// FuzzCheckWire drives arbitrary bytes through the wire-version gate
+// every service request body goes through. Invariants, regardless of
+// input:
 //
 //   - nothing panics;
-//   - CheckWire (the gate every service request body goes through) and
-//     Migrate agree on acceptance (both succeed or both fail);
-//   - a successful Migrate yields a document that (a) declares the
-//     current version, (b) is idempotent under a second Migrate, and
-//     (c) keeps the digest form byte-identical to the input's —
-//     migration must NEVER silently change what a cache key hashes.
+//   - an accepted document declares a version in [1, Current];
+//   - a document accepted as v1 has no V2Keys member at top level;
+//   - the nested walk only adds rejections: a document accepted with
+//     "spec" checked one level down is accepted, at the same version,
+//     without it.
 //
-// The committed seed corpus (testdata/fuzz/FuzzMigrateSpec/) covers
+// The committed seed corpus (testdata/fuzz/FuzzCheckWire/) covers
 // malformed versions, unknown fields, duplicate keys and mixed v1/v2
 // member sets so `go test` exercises the interesting branches even
 // without -fuzz.
-func FuzzMigrateSpec(f *testing.F) {
+func FuzzCheckWire(f *testing.F) {
 	seeds := []string{
 		`{}`,
 		`{"Policy":"ea-dvfs","Capacity":500}`,
@@ -51,38 +51,27 @@ func FuzzMigrateSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		vErr := func() error { _, err := CheckWire(raw); return err }()
-		migrated, mErr := Migrate(raw)
-		if (vErr == nil) != (mErr == nil) {
-			t.Fatalf("CheckWire err %v but Migrate err %v for %q", vErr, mErr, raw)
+		v, err := CheckWire(raw)
+		if nv, nerr := CheckWire(raw, "spec"); nerr == nil && (err != nil || nv != v) {
+			t.Fatalf("nested check accepted %q at version %d, top-level check gave %d, %v", raw, nv, v, err)
 		}
-		if mErr != nil {
+		if err != nil {
 			return
 		}
-		v, err := CheckWire(migrated)
-		if err != nil {
-			t.Fatalf("migrated document rejected: %v (from %q to %q)", err, raw, migrated)
+		if v < 1 || v > Current {
+			t.Fatalf("accepted %q at version %d outside [1, %d]", raw, v, Current)
 		}
-		if v != Current {
-			t.Fatalf("migrated version = %d, want %d", v, Current)
+		if v != 1 {
+			return
 		}
-		again, err := Migrate(migrated)
-		if err != nil {
-			t.Fatalf("re-migration failed: %v", err)
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &top); err != nil {
+			t.Fatalf("accepted %q, which is not a JSON object: %v", raw, err)
 		}
-		if !bytes.Equal(again, migrated) {
-			t.Fatalf("Migrate not idempotent: %q then %q", migrated, again)
-		}
-		d1, err := Digest(raw)
-		if err != nil {
-			t.Fatalf("Digest(original) failed after successful Migrate: %v", err)
-		}
-		d2, err := Digest(migrated)
-		if err != nil {
-			t.Fatalf("Digest(migrated) failed: %v", err)
-		}
-		if d1 != d2 {
-			t.Fatalf("migration changed the digest of %q: %s != %s", raw, d1, d2)
+		for _, k := range V2Keys {
+			if _, ok := top[k]; ok {
+				t.Fatalf("accepted %q as v1 with v2 member %q", raw, k)
+			}
 		}
 	})
 }

@@ -21,6 +21,7 @@ func TestVersion(t *testing.T) {
 		{"scalar document", `42`, 0, "not a JSON object"},
 		{"malformed", `{"Policy":`, 0, "invalid JSON"},
 		{"trailing data", `{"schema":2}{"x":1}`, 0, "trailing data"},
+		{"trailing close brace", `{"schema":2}}`, 0, "trailing data"},
 		{"duplicate schema", `{"schema":2,"schema":2}`, 0, "duplicate"},
 		{"string version", `{"schema":"2"}`, 0, "not a number"},
 		{"fractional version", `{"schema":1.5}`, 0, "not an integer"},
@@ -50,97 +51,6 @@ func TestVersion(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.errPart)
 			}
 		})
-	}
-}
-
-func TestMigrate(t *testing.T) {
-	v1 := []byte(`{"Policy":"static-dvfs","Utilization":0.6,"Horizon":1200}`)
-	migrated, err := Migrate(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := CheckWire(migrated); err != nil || v != Current {
-		t.Fatalf("migrated version = %d, %v; want %d", v, err, Current)
-	}
-	// "schema" lands last so every pre-existing member keeps its offset.
-	want := `{"Policy":"static-dvfs","Utilization":0.6,"Horizon":1200,"schema":2}`
-	if string(migrated) != want {
-		t.Errorf("Migrate = %s, want %s", migrated, want)
-	}
-
-	// Idempotence: migrating the output returns identical bytes.
-	again, err := Migrate(migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(migrated) {
-		t.Errorf("Migrate not idempotent: %s then %s", migrated, again)
-	}
-
-	// An interior "schema" member is lifted to the end, not duplicated.
-	interior := []byte(`{"schema":1,"Policy":"edf"}`)
-	m2, err := Migrate(interior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"Policy":"edf","schema":2}`; string(m2) != want {
-		t.Errorf("Migrate = %s, want %s", m2, want)
-	}
-
-	// Migrate refuses what CheckWire refuses.
-	for _, bad := range []string{`[1]`, `{"schema":3}`, `{"policy_params":{}}`, `{"x":`} {
-		if _, err := Migrate([]byte(bad)); err == nil {
-			t.Errorf("Migrate(%s) succeeded, want error", bad)
-		}
-	}
-}
-
-// TestDigestStability is the cache-warmth contract in miniature: the
-// digest form excludes "schema", so migration never changes a digest.
-func TestDigestStability(t *testing.T) {
-	docs := [][]byte{
-		[]byte(`{"Policy":"ea-dvfs","Capacity":500,"NumTasks":4,"Seed":7}`),
-		[]byte(`{"Policy":"lsa","HarvestTrace":[1,2,3],"Faults":{"MTBF":100}}`),
-		[]byte(`{}`),
-	}
-	for _, doc := range docs {
-		migrated, err := Migrate(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1, err := Strip(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Strip(migrated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(s1) != string(s2) {
-			t.Errorf("Strip changed across migration:\n  v1: %s\n  v2: %s", s1, s2)
-		}
-		d1, err := Digest(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := Digest(migrated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d1 != d2 {
-			t.Errorf("digest changed across migration of %s: %s != %s", doc, d1, d2)
-		}
-	}
-}
-
-func TestStripPreservesOtherMembers(t *testing.T) {
-	doc := []byte(`{"B":2,"schema":2,"A":1,"C":{"nested":true}}`)
-	got, err := Strip(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"B":2,"A":1,"C":{"nested":true}}`; string(got) != want {
-		t.Errorf("Strip = %s, want %s", got, want)
 	}
 }
 

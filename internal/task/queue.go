@@ -129,27 +129,3 @@ func (q *ReadyQueue) down(i0, n int) bool {
 	j.heapIndex = i
 	return i > i0
 }
-
-// Jobs returns the queued jobs in no particular order (a copy).
-func (q *ReadyQueue) Jobs() []*Job {
-	return q.AppendJobs(nil)
-}
-
-// AppendJobs appends the queued jobs (no particular order) to dst and
-// returns the extended slice — the allocation-free variant of Jobs for
-// callers that keep a scratch slice.
-func (q *ReadyQueue) AppendJobs(dst []*Job) []*Job {
-	return append(dst, q.h...)
-}
-
-// AppendExpiredBefore appends to dst (without removing them) all queued,
-// unfinished jobs with absolute deadline <= t — candidates for miss
-// accounting — and returns the extended slice.
-func (q *ReadyQueue) AppendExpiredBefore(dst []*Job, t float64) []*Job {
-	for _, j := range q.h {
-		if j.Abs <= t && !j.Done() {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}

@@ -76,37 +76,6 @@ func TestQueuePushNilPanics(t *testing.T) {
 	NewReadyQueue().Push(nil)
 }
 
-func TestExpiredBefore(t *testing.T) {
-	q := NewReadyQueue()
-	j1 := NewJob(0, 0, 0, 5, 1)  // abs 5
-	j2 := NewJob(1, 0, 0, 15, 1) // abs 15
-	q.Push(j1)
-	q.Push(j2)
-	exp := q.AppendExpiredBefore(nil, 10)
-	if len(exp) != 1 || exp[0] != j1 {
-		t.Fatalf("AppendExpiredBefore(nil, 10) = %d jobs", len(exp))
-	}
-	// Jobs are appended after dst's contents.
-	if got := q.AppendExpiredBefore([]*Job{j2}, 10); len(got) != 2 || got[0] != j2 || got[1] != j1 {
-		t.Fatalf("AppendExpiredBefore([j2], 10) = %v", got)
-	}
-	// Finished jobs are never expired.
-	j1.Progress(1)
-	if got := q.AppendExpiredBefore(nil, 10); len(got) != 0 {
-		t.Fatalf("finished job reported expired")
-	}
-}
-
-func TestJobsReturnsCopy(t *testing.T) {
-	q := NewReadyQueue()
-	q.Push(NewJob(0, 0, 0, 10, 1))
-	js := q.Jobs()
-	js[0] = nil
-	if q.Peek() == nil {
-		t.Fatal("mutating Jobs() result corrupted the queue")
-	}
-}
-
 // TestQueueRemoveHeadTailMiddle removes from every heap position class
 // and checks the head invariant each time; a removed job can be pushed
 // back (its recorded position is reset on removal).

@@ -43,11 +43,28 @@ func corpusFiles(t *testing.T) []string {
 	return names
 }
 
-// TestSpecCorpusGoldenDigests is the upgrade-compatibility contract: every
-// committed v1 document migrates to schema 2 with a byte-identical compact
-// digest, and the digests match the committed golden file — so the service
-// LRU, the fabric worker caches and the fleet affinity ring all stay warm
-// across the v1→v2 upgrade.
+// withSchema2 spells a v1 corpus document as schema 2: the same bytes
+// with a leading "schema":2 member. It is how a client upgrading to the
+// v2 wire form would send the same configuration.
+func withSchema2(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	body, ok := bytes.CutPrefix(bytes.TrimSpace(raw), []byte("{"))
+	if !ok {
+		t.Fatalf("corpus document is not a JSON object: %.40q", raw)
+	}
+	sep := ","
+	if bytes.HasPrefix(bytes.TrimSpace(body), []byte("}")) {
+		sep = ""
+	}
+	return append([]byte(`{"schema":2`+sep), body...)
+}
+
+// TestSpecCorpusGoldenDigests pins the bytes of the corpus itself: every
+// committed document is unversioned v1, and the digest.Compact of each
+// file matches testdata/specs/digests.golden, so an edit to a corpus
+// file shows here before it moves any result. It pins the documents, not
+// the service's cache keys: those are the config_digest inside each
+// response, pinned by results.golden (TestSpecCorpusGoldenResults).
 func TestSpecCorpusGoldenDigests(t *testing.T) {
 	var lines []string
 	for _, name := range corpusFiles(t) {
@@ -64,25 +81,10 @@ func TestSpecCorpusGoldenDigests(t *testing.T) {
 		if v != 1 {
 			t.Errorf("%s: corpus document declares schema %d, want unversioned v1", base, v)
 		}
-		migrated, err := spec.Migrate(raw)
-		if err != nil {
-			t.Fatalf("%s: migrate: %v", base, err)
+		if v2, err := spec.CheckWire(withSchema2(t, raw)); err != nil || v2 != spec.Current {
+			t.Errorf("%s: schema-2 spelling checks as %d, %v; want %d", base, v2, err, spec.Current)
 		}
-		if mv, err := spec.CheckWire(migrated); err != nil || mv != spec.Current {
-			t.Errorf("%s: migrated version = %d, %v; want %d", base, mv, err, spec.Current)
-		}
-		d1, err := spec.Digest(raw)
-		if err != nil {
-			t.Fatalf("%s: digest: %v", base, err)
-		}
-		d2, err := spec.Digest(migrated)
-		if err != nil {
-			t.Fatalf("%s: digest(migrated): %v", base, err)
-		}
-		if d1 != d2 {
-			t.Errorf("%s: migration changed the digest: %s != %s", base, d1, d2)
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", base, d1))
+		lines = append(lines, fmt.Sprintf("%s %s", base, digest.Compact(raw)))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
@@ -98,15 +100,15 @@ func TestSpecCorpusGoldenDigests(t *testing.T) {
 		t.Fatalf("missing golden file (run `go test -run TestSpecCorpusGoldenDigests -update .`): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("corpus digests drifted from %s — a v1 cache key changed.\ngot:\n%swant:\n%s",
+		t.Errorf("corpus digests drifted from %s — a corpus document's bytes changed (the cache keys are pinned by results.golden's config_digest).\ngot:\n%swant:\n%s",
 			goldenPath, got, want)
 	}
 }
 
-// TestSpecCorpusStructDigests re-checks digest stability at the struct
-// layer: decoding a v1 document and its migrated form into the typed
-// config and re-marshaling canonically (Schema zeroed, exactly what the
-// service hashes) must produce identical bytes.
+// TestSpecCorpusStructDigests checks the cache-key contract at the
+// struct layer: decoding a v1 document and its schema-2 spelling into the
+// typed config and re-marshaling canonically (Schema zeroed, exactly what
+// the service hashes) must produce identical bytes.
 func TestSpecCorpusStructDigests(t *testing.T) {
 	for _, name := range corpusFiles(t) {
 		base := filepath.Base(name)
@@ -115,10 +117,7 @@ func TestSpecCorpusStructDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			migrated, err := spec.Migrate(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v2 := withSchema2(t, raw)
 			canon := func(doc []byte) []byte {
 				t.Helper()
 				if strings.HasPrefix(base, "sweep_") {
@@ -148,21 +147,21 @@ func TestSpecCorpusStructDigests(t *testing.T) {
 				}
 				return out
 			}
-			c1, c2 := canon(raw), canon(migrated)
+			c1, c2 := canon(raw), canon(v2)
 			if !bytes.Equal(c1, c2) {
-				t.Errorf("canonical forms differ across migration:\n  v1: %s\n  v2: %s", c1, c2)
+				t.Errorf("canonical forms differ between the v1 and schema-2 spellings:\n  v1: %s\n  v2: %s", c1, c2)
 			}
 			if digest.Compact(c1) != digest.Compact(c2) {
-				t.Errorf("struct-level digest changed across migration")
+				t.Errorf("struct-level digest differs between the v1 and schema-2 spellings")
 			}
 		})
 	}
 }
 
 // TestSpecCorpusServiceCacheWarm drives the full wire path: POST each v1
-// document, then its migrated v2 form, against a live service. The second
-// request must be an X-Cache hit with a byte-identical body — proof the
-// upgrade never cold-starts a cache.
+// document, then its schema-2 spelling, against a live service. The
+// second request must be an X-Cache hit with a byte-identical body —
+// proof the upgrade never cold-starts a cache.
 func TestSpecCorpusServiceCacheWarm(t *testing.T) {
 	srv := httptest.NewServer(service.New(service.Options{Workers: 2}).Handler())
 	defer srv.Close()
@@ -174,10 +173,7 @@ func TestSpecCorpusServiceCacheWarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			migrated, err := spec.Migrate(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v2 := withSchema2(t, raw)
 			endpoint := srv.URL + "/v1/sim"
 			if strings.HasPrefix(base, "sweep_") {
 				endpoint = srv.URL + "/v1/sweep"
@@ -202,12 +198,12 @@ func TestSpecCorpusServiceCacheWarm(t *testing.T) {
 			if cache1 != "miss" {
 				t.Errorf("first (v1) request: X-Cache = %q, want miss", cache1)
 			}
-			cache2, body2 := post(migrated)
+			cache2, body2 := post(v2)
 			if cache2 != "hit" {
-				t.Errorf("migrated (v2) request: X-Cache = %q, want hit — upgrade cold-started the cache", cache2)
+				t.Errorf("schema-2 request: X-Cache = %q, want hit — upgrade cold-started the cache", cache2)
 			}
 			if !bytes.Equal(body1, body2) {
-				t.Errorf("v1 and migrated v2 responses differ:\n  v1: %s\n  v2: %s", body1, body2)
+				t.Errorf("v1 and schema-2 responses differ:\n  v1: %s\n  v2: %s", body1, body2)
 			}
 		})
 	}
