@@ -29,11 +29,7 @@ func propSources(t *testing.T) map[string]energy.Source {
 	t.Helper()
 	solar := energy.NewSolarModel(7)
 	trace := energy.NewTrace("tr", []float64{0, 1.5, 3, 0.25, 2, 0, 0, 4})
-	set, err := fault.New(fault.Spec{
-		Seed:       11,
-		Dropout:    fault.WindowSpec{MeanGap: 13, MeanLen: 5},
-		DropFactor: 0.25,
-	})
+	set, err := fault.New(fault.Spec{Seed: 11, Intensity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@ import (
 )
 
 // RobustnessSpec drives a fault-intensity sweep: each policy is simulated
-// at every intensity of the canonical mixed-fault model
-// (fault.AtIntensity), at a single storage capacity. Within a replication
-// every policy and every intensity sees the same task set, solar sample
-// path and fault seed — the paired-comparison discipline of §5.2 extended
-// to the fault dimension, so miss-rate differences are attributable to the
-// policies, not to fault-schedule luck.
+// at every intensity of the mixed-fault model (fault.Spec), at a single
+// storage capacity. Within a replication every policy and every intensity
+// sees the same task set, solar sample path and fault seed — the
+// paired-comparison discipline of §5.2 extended to the fault dimension,
+// so miss-rate differences are attributable to the policies, not to
+// fault-schedule luck.
 type RobustnessSpec struct {
 	Base        Spec      // workload parameters; Capacities is ignored
 	Policies    []string  // policies to compare (see Policy)
@@ -104,9 +104,7 @@ func RobustnessSweep(rs RobustnessSpec) (*RobustnessResult, error) {
 			return metrics.MissStats{}, err
 		}
 		cfg := runner.config(ctx, rs.Capacity, pf, false)
-		if fspec := fault.AtIntensity(rs.faultSeed(rep.Index), rs.Intensities[ii]); fspec.Enabled() {
-			cfg.Faults = &fspec
-		}
+		cfg.Faults = fault.Spec{Seed: rs.faultSeed(rep.Index), Intensity: rs.Intensities[ii]}
 		res, err := runner.run(cfg)
 		if err == nil {
 			degs[slot] = res.Degradation

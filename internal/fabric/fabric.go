@@ -77,8 +77,6 @@ type Options struct {
 	// AllowPartial degrades to a partial merge with Incomplete accounting
 	// when shards exhaust their attempts, instead of failing the sweep.
 	AllowPartial bool
-	// Seed drives the deterministic backoff jitter (default 1).
-	Seed uint64
 	// Registry receives fabric metrics (default: a private registry).
 	Registry *obs.Registry
 	// Trace, when non-nil, receives the coordinator's spans — one root
@@ -123,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
 	}
@@ -165,7 +160,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts:    o,
 		workers: append([]string(nil), o.Workers...),
 		ring:    newRing(o.Workers),
-		jitter:  rng.New(o.Seed),
+		jitter:  rng.New(1),
 	}
 	reg := o.Registry
 	c.retries = reg.Counter("fabric_retries_total", "shard attempts beyond the first (excluding hedges)")
@@ -602,7 +597,8 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 
 // jitterDelay spreads d to [0.5d, 1.5d) with the coordinator's
 // deterministic jitter stream, decorrelating retry storms across shards
-// while keeping runs reproducible for a fixed Options.Seed.
+// while keeping a coordinator's backoff schedule reproducible: the stream
+// is seeded with 1.
 func (c *Coordinator) jitterDelay(d time.Duration) time.Duration {
 	c.jmu.Lock()
 	f := 0.5 + c.jitter.Float64()

@@ -23,151 +23,25 @@ import (
 	"github.com/eadvfs/eadvfs/internal/rng"
 )
 
-// WindowSpec describes a recurring fault-window process: windows open
-// after an exponentially distributed gap of mean MeanGap time units and
-// stay open for an exponentially distributed duration of mean MeanLen.
-// Both are quantized up to whole units (minimum 1). The zero value
-// disables the process.
-type WindowSpec struct {
-	MeanGap float64
-	MeanLen float64
-}
-
-// Enabled reports whether the window process generates any windows.
-func (w WindowSpec) Enabled() bool { return w.MeanGap > 0 && w.MeanLen > 0 }
-
-func (w WindowSpec) validate(name string) error {
-	bad := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
-	if bad(w.MeanGap) || bad(w.MeanLen) {
-		return fmt.Errorf("fault: %s window spec (gap %v, len %v) invalid", name, w.MeanGap, w.MeanLen)
-	}
-	if (w.MeanGap > 0) != (w.MeanLen > 0) {
-		return fmt.Errorf("fault: %s window spec (gap %v, len %v) half-enabled", name, w.MeanGap, w.MeanLen)
-	}
-	return nil
-}
-
-// DutyCycle returns the long-run fraction of time a window is open.
-func (w WindowSpec) DutyCycle() float64 {
-	if !w.Enabled() {
-		return 0
-	}
-	return w.MeanLen / (w.MeanGap + w.MeanLen)
-}
-
-// Spec declares which faults to inject and how hard. The zero value
-// injects nothing; sim.Run with a zero (or nil) Spec is bit-identical to a
+// Spec declares a run's fault model: one intensity and one seed. The zero
+// value injects nothing; sim.Run with a zero Spec is bit-identical to a
 // fault-free run.
 type Spec struct {
-	// Seed selects the fault RNG stream (default 1). All injectors derive
+	// Seed selects the fault RNG stream (0 means 1). All injectors derive
 	// child streams from it, so one seed pins the whole fault schedule.
 	Seed uint64
 
-	// Dropout opens harvester fault windows during which the source
-	// output is multiplied by DropFactor: 0 is a full dropout, values in
-	// (0, 1) are brown-outs. Windows are unit-aligned, so the source stays
-	// piecewise-constant per unit interval.
-	Dropout    WindowSpec
-	DropFactor float64
-
-	// FadeRate shrinks the storage capacity linearly by this fraction of
-	// the original capacity per time unit, down to at most FadeLimit
-	// (fraction of capacity lost, default 0.5 when fading is on). Stored
-	// energy above the faded capacity is lost.
-	FadeRate  float64
-	FadeLimit float64
-
-	// LeakSpike opens windows during which the store self-discharges at
-	// an extra LeakSpikeRate energy per time unit.
-	LeakSpike     WindowSpec
-	LeakSpikeRate float64
-
-	// DVFSStuck opens windows during which requested operating-point
-	// changes are ignored: the processor stays at its current point
-	// (stuck frequency / failed transition).
-	DVFSStuck WindowSpec
-
-	// Blackout opens windows during which predictor observations are
-	// dropped, so forecasts go stale.
-	Blackout WindowSpec
-
-	// Each job independently overruns its declared WCET with probability
-	// OverrunProb; the actual work is scaled by 1 + U(0, OverrunMax].
-	// Draws are per (task, seq), independent of event order.
-	OverrunProb float64
-	OverrunMax  float64
+	// Intensity, in [0, 1], scales every injector together: window duty
+	// cycles and magnitudes grow with it. 0 injects nothing; 1 is a
+	// hostile substrate: frequent multi-unit harvester blackouts, half
+	// the storage capacity fading away, leakage spikes comparable to the
+	// processor's mid-range draw, sticky DVFS, a blind predictor and one
+	// job in three overrunning its WCET by up to 50%.
+	Intensity float64
 }
 
-// Enabled reports whether the spec injects any fault at all.
-func (s Spec) Enabled() bool {
-	return s.Dropout.Enabled() || s.FadeRate > 0 || (s.LeakSpike.Enabled() && s.LeakSpikeRate > 0) ||
-		s.DVFSStuck.Enabled() || s.Blackout.Enabled() || s.OverrunProb > 0
-}
-
-// Validate checks the spec for structural errors (NaNs, negative rates,
-// out-of-range fractions) so CLI-sourced values fail cleanly.
-func (s Spec) Validate() error {
-	for _, w := range []struct {
-		name string
-		spec WindowSpec
-	}{
-		{"dropout", s.Dropout}, {"leak-spike", s.LeakSpike},
-		{"dvfs-stuck", s.DVFSStuck}, {"blackout", s.Blackout},
-	} {
-		if err := w.spec.validate(w.name); err != nil {
-			return err
-		}
-	}
-	switch {
-	case s.DropFactor < 0 || s.DropFactor >= 1 || math.IsNaN(s.DropFactor):
-		return fmt.Errorf("fault: drop factor %v outside [0, 1)", s.DropFactor)
-	case s.FadeRate < 0 || math.IsNaN(s.FadeRate) || math.IsInf(s.FadeRate, 0):
-		return fmt.Errorf("fault: invalid fade rate %v", s.FadeRate)
-	case s.FadeLimit < 0 || s.FadeLimit >= 1 || math.IsNaN(s.FadeLimit):
-		return fmt.Errorf("fault: fade limit %v outside [0, 1)", s.FadeLimit)
-	case s.LeakSpikeRate < 0 || math.IsNaN(s.LeakSpikeRate) || math.IsInf(s.LeakSpikeRate, 0):
-		return fmt.Errorf("fault: invalid leak spike rate %v", s.LeakSpikeRate)
-	case s.OverrunProb < 0 || s.OverrunProb > 1 || math.IsNaN(s.OverrunProb):
-		return fmt.Errorf("fault: overrun probability %v outside [0, 1]", s.OverrunProb)
-	case s.OverrunMax < 0 || math.IsNaN(s.OverrunMax) || math.IsInf(s.OverrunMax, 0):
-		return fmt.Errorf("fault: invalid overrun max %v", s.OverrunMax)
-	case s.OverrunProb > 0 && s.OverrunMax == 0:
-		return fmt.Errorf("fault: overrun probability %v with zero overrun max", s.OverrunProb)
-	}
-	return nil
-}
-
-// AtIntensity returns the canonical mixed-fault spec at intensity x in
-// [0, 1]: every injector enabled, with window duty cycles and magnitudes
-// scaling together. Intensity 0 is the zero spec (no faults); intensity 1
-// is a hostile substrate: frequent multi-unit harvester blackouts, half
-// the storage capacity fading away, leakage spikes comparable to the
-// processor's mid-range draw, sticky DVFS, a blind predictor and one job
-// in three overrunning its WCET by up to 50%.
-func AtIntensity(seed uint64, x float64) Spec {
-	if x <= 0 {
-		return Spec{}
-	}
-	if x > 1 {
-		x = 1
-	}
-	return Spec{
-		Seed:          seed,
-		Dropout:       WindowSpec{MeanGap: 200 / x, MeanLen: 2 + float64(18*x)},
-		DropFactor:    0.2 * (1 - x),
-		FadeRate:      5e-5 * x,
-		FadeLimit:     0.5 * x,
-		LeakSpike:     WindowSpec{MeanGap: 150 / x, MeanLen: 4 + float64(12*x)},
-		LeakSpikeRate: 2 * x,
-		DVFSStuck:     WindowSpec{MeanGap: 250 / x, MeanLen: 5 + float64(20*x)},
-		Blackout:      WindowSpec{MeanGap: 100 / x, MeanLen: 3 + float64(12*x)},
-		OverrunProb:   0.3 * x,
-		OverrunMax:    0.5 * x,
-	}
-}
-
-// RNG stream indices for the injectors, fixed so a spec's fault schedule
-// never depends on which injectors are enabled.
+// RNG stream indices for the injectors, fixed so each injector's schedule
+// is a function of the seed alone.
 const (
 	streamDropout = iota + 1
 	streamLeakSpike
@@ -176,70 +50,91 @@ const (
 	streamOverrun
 )
 
-// Set is the per-run materialization of a Spec: the generated fault
-// schedules plus the degradation counters they feed. A Set is stateful
-// and single-run, like a Store or Predictor: construct a fresh one per
-// simulation (sim.Run does this from Config.Faults). All methods are safe
-// on a nil *Set and degrade to pass-through.
+// Set is the per-run materialization of a Spec: the injector parameters
+// derived from the intensity, the generated fault schedules and the
+// degradation counters they feed. A Set is stateful and single-run, like
+// a Store or Predictor: construct a fresh one per simulation (sim.Run
+// does this from Config.Faults). All methods are safe on a nil *Set and
+// degrade to pass-through.
 type Set struct {
-	spec     Spec
 	counters metrics.Degradation
 
-	dropout   *windows
-	leakSpike *windows
+	// Harvester dropout windows multiply the source output by dropFactor:
+	// 0 is a full dropout, values in (0, 1) are brown-outs.
+	dropout    *windows
+	dropFactor float64
+
+	// Storage capacity fades linearly by fadeRate of the original
+	// capacity per time unit, down to at most fadeLimit of it lost;
+	// stored energy above the faded capacity is lost.
+	fadeRate, fadeLimit float64
+
+	// Leak-spike windows add leakSpikeRate energy per time unit of
+	// self-discharge.
+	leakSpike     *windows
+	leakSpikeRate float64
+
+	// DVFS-stuck windows ignore requested operating-point changes, and
+	// blackout windows drop predictor observations.
 	dvfsStuck *windows
 	blackout  *windows
-	overrun   *rng.RNG
+
+	// Each job independently overruns its declared WCET with probability
+	// overrunProb, its work scaled by 1 + U(0, overrunMax]. Draws are per
+	// (task, seq), independent of event order.
+	overrun     *rng.RNG
+	overrunProb float64
+	overrunMax  float64
 }
 
-// New validates spec and materializes its injectors. A disabled spec
-// returns (nil, nil): the nil Set is the documented "no faults" value.
+// New checks spec and derives its injectors from the intensity x; every
+// injector is on at any x in (0, 1]. Intensity 0 returns (nil, nil), the
+// documented "no faults" value. The smallest positive intensities are
+// refused: their mean window gaps (up to 250/x) overflow.
 func New(spec Spec) (*Set, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if !spec.Enabled() {
+	x := spec.Intensity
+	switch {
+	case !(x >= 0 && x <= 1):
+		return nil, fmt.Errorf("fault: intensity %v outside [0, 1]", x)
+	case x == 0:
 		return nil, nil
+	case math.IsInf(250/x, 1):
+		return nil, fmt.Errorf("fault: intensity %v too small: its mean window gaps overflow", x)
 	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 1
 	}
-	if spec.FadeRate > 0 && spec.FadeLimit == 0 {
-		spec.FadeLimit = 0.5
-	}
-	r := rng.New(spec.Seed)
+	r := rng.New(seed)
 	return &Set{
-		spec:      spec,
-		dropout:   newWindows(spec.Dropout, r.Child(streamDropout)),
-		leakSpike: newWindows(spec.LeakSpike, r.Child(streamLeakSpike)),
-		dvfsStuck: newWindows(spec.DVFSStuck, r.Child(streamDVFSStuck)),
-		blackout:  newWindows(spec.Blackout, r.Child(streamBlackout)),
-		overrun:   r.Child(streamOverrun),
+		dropout:       newWindows(200/x, 2+float64(18*x), r.Child(streamDropout)),
+		dropFactor:    0.2 * (1 - x),
+		fadeRate:      5e-5 * x,
+		fadeLimit:     0.5 * x,
+		leakSpike:     newWindows(150/x, 4+float64(12*x), r.Child(streamLeakSpike)),
+		leakSpikeRate: 2 * x,
+		dvfsStuck:     newWindows(250/x, 5+float64(20*x), r.Child(streamDVFSStuck)),
+		blackout:      newWindows(100/x, 3+float64(12*x), r.Child(streamBlackout)),
+		overrun:       r.Child(streamOverrun),
+		overrunProb:   0.3 * x,
+		overrunMax:    0.5 * x,
 	}, nil
 }
 
-// Spec returns the (normalized) spec the set was built from.
-func (s *Set) Spec() Spec {
-	if s == nil {
-		return Spec{}
-	}
-	return s.spec
-}
-
 // OverrunFactor returns the deterministic per-(task, seq) work multiplier:
-// 1 for no overrun, otherwise in (1, 1+OverrunMax]. Counted as a
+// 1 for no overrun, otherwise in (1, 1+overrunMax]. Counted as a
 // degradation when > 1.
 func (s *Set) OverrunFactor(taskID, seq int) float64 {
-	if s == nil || s.spec.OverrunProb <= 0 {
+	if s == nil {
 		return 1
 	}
 	r := s.overrun.Child(uint64(taskID)<<32 ^ uint64(seq))
-	if r.Float64() >= s.spec.OverrunProb {
+	if r.Float64() >= s.overrunProb {
 		return 1
 	}
 	s.counters.Overruns++
 	// 1 - Float64() is in (0, 1], so the overrun is strictly positive.
-	return 1 + float64(s.spec.OverrunMax*(1-r.Float64()))
+	return 1 + float64(s.overrunMax*(1-r.Float64()))
 }
 
 // AddOverrunWork accumulates work executed beyond declared WCETs (the
@@ -285,28 +180,31 @@ func (s *Set) Counters() metrics.Degradation {
 type span struct{ start, end float64 }
 
 // windows is a lazily generated, memoized schedule of disjoint unit-aligned
-// fault windows. Generation is a pure function of the seed: queries at any
-// time (including out of order — the oracle predictor looks ahead) always
+// fault windows: each opens after an exponentially distributed gap of mean
+// meanGap time units and stays open for an exponentially distributed
+// duration of mean meanLen, both quantized up to whole units (minimum 1).
+// Generation is a pure function of the seed: queries at any time
+// (including out of order — the oracle predictor looks ahead) always
 // observe the same schedule.
 type windows struct {
-	spec  WindowSpec
-	r     *rng.RNG
-	spans []span
-	next  float64 // schedule generated for [0, next)
+	meanGap, meanLen float64
+	r                *rng.RNG
+	spans            []span
+	next             float64 // schedule generated for [0, next)
 }
 
-func newWindows(spec WindowSpec, r *rng.RNG) *windows {
-	return &windows{spec: spec, r: r}
+func newWindows(meanGap, meanLen float64, r *rng.RNG) *windows {
+	return &windows{meanGap: meanGap, meanLen: meanLen, r: r}
 }
+
+// dutyCycle returns the long-run fraction of time a window is open.
+func (w *windows) dutyCycle() float64 { return w.meanLen / (w.meanGap + w.meanLen) }
 
 // ensure extends the generated schedule to cover time t.
 func (w *windows) ensure(t float64) {
-	if !w.spec.Enabled() {
-		return
-	}
 	for w.next <= t {
-		gap := math.Max(1, math.Ceil(w.r.Exponential(1/w.spec.MeanGap)))
-		length := math.Max(1, math.Ceil(w.r.Exponential(1/w.spec.MeanLen)))
+		gap := math.Max(1, math.Ceil(w.r.Exponential(1/w.meanGap)))
+		length := math.Max(1, math.Ceil(w.r.Exponential(1/w.meanLen)))
 		start := w.next + gap
 		w.spans = append(w.spans, span{start: start, end: start + length})
 		w.next = start + length
@@ -315,7 +213,7 @@ func (w *windows) ensure(t float64) {
 
 // active reports whether a fault window is open at time t.
 func (w *windows) active(t float64) bool {
-	if w == nil || !w.spec.Enabled() || t < 0 {
+	if t < 0 {
 		return false
 	}
 	w.ensure(t)
@@ -334,7 +232,7 @@ func (w *windows) active(t float64) bool {
 
 // overlap returns the total window time inside [t1, t2].
 func (w *windows) overlap(t1, t2 float64) float64 {
-	if w == nil || !w.spec.Enabled() || t2 <= t1 {
+	if t2 <= t1 {
 		return 0
 	}
 	w.ensure(t2)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,23 +10,9 @@ import (
 	"github.com/eadvfs/eadvfs/internal/storage"
 )
 
-// denseSpec enables every injector with windows frequent enough to hit a
-// short test horizon many times.
-func denseSpec(seed uint64) Spec {
-	return Spec{
-		Seed:          seed,
-		Dropout:       WindowSpec{MeanGap: 10, MeanLen: 3},
-		DropFactor:    0.25,
-		FadeRate:      1e-3,
-		FadeLimit:     0.4,
-		LeakSpike:     WindowSpec{MeanGap: 12, MeanLen: 4},
-		LeakSpikeRate: 1.5,
-		DVFSStuck:     WindowSpec{MeanGap: 15, MeanLen: 5},
-		Blackout:      WindowSpec{MeanGap: 8, MeanLen: 3},
-		OverrunProb:   0.5,
-		OverrunMax:    0.5,
-	}
-}
+// hostile is the intensity-1 spec: the densest windows and the largest
+// magnitudes, so every injector strikes a short test horizon many times.
+func hostile(seed uint64) Spec { return Spec{Seed: seed, Intensity: 1} }
 
 func mustSet(t *testing.T, spec Spec) *Set {
 	t.Helper()
@@ -34,44 +21,39 @@ func mustSet(t *testing.T, spec Spec) *Set {
 		t.Fatal(err)
 	}
 	if s == nil {
-		t.Fatal("enabled spec produced nil set")
+		t.Fatal("positive intensity produced nil set")
 	}
 	return s
 }
 
+// New refuses an intensity outside [0, 1], NaN, and a positive intensity
+// so small that its mean window gaps overflow; every other intensity
+// builds a set with every injector on.
 func TestSpecValidate(t *testing.T) {
-	if err := denseSpec(1).Validate(); err != nil {
-		t.Fatal(err)
+	for _, x := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1), math.Inf(-1), 1e-310} {
+		if s, err := New(Spec{Seed: 1, Intensity: x}); err == nil || s != nil {
+			t.Fatalf("intensity %v: got (%v, %v), want an error", x, s, err)
+		}
 	}
-	if err := (Spec{}).Validate(); err != nil {
-		t.Fatalf("zero spec must validate: %v", err)
-	}
-	bad := []func(*Spec){
-		func(s *Spec) { s.Dropout.MeanGap = -1 },
-		func(s *Spec) { s.Dropout = WindowSpec{MeanGap: 10} }, // half-enabled
-		func(s *Spec) { s.DropFactor = 1 },
-		func(s *Spec) { s.DropFactor = math.NaN() },
-		func(s *Spec) { s.FadeRate = -0.1 },
-		func(s *Spec) { s.FadeLimit = 1 },
-		func(s *Spec) { s.LeakSpikeRate = math.Inf(1) },
-		func(s *Spec) { s.OverrunProb = 1.1 },
-		func(s *Spec) { s.OverrunMax = -1 },
-		func(s *Spec) { s.OverrunProb = 0.5; s.OverrunMax = 0 },
-	}
-	for i, mutate := range bad {
-		s := denseSpec(1)
-		mutate(&s)
-		if err := s.Validate(); err == nil {
-			t.Fatalf("mutation %d accepted", i)
+	for _, x := range []float64{1e-300, 0.05, 0.5, 1} {
+		s := mustSet(t, Spec{Seed: 1, Intensity: x})
+		if !(s.fadeRate > 0 && s.leakSpikeRate > 0 && s.overrunProb > 0 && s.overrunMax > 0) {
+			t.Fatalf("intensity %v: an injector is off: %+v", x, s)
+		}
+		if !(s.dropFactor >= 0 && s.dropFactor < 1 && s.fadeLimit < 1 && s.overrunProb <= 1) {
+			t.Fatalf("intensity %v: a fraction is out of range: %+v", x, s)
 		}
 	}
 }
 
 func TestDisabledSpecIsNilSet(t *testing.T) {
-	s, err := New(Spec{})
-	if err != nil || s != nil {
-		t.Fatalf("New(zero) = (%v, %v), want (nil, nil)", s, err)
+	for _, spec := range []Spec{{}, {Seed: 99}} {
+		s, err := New(spec)
+		if err != nil || s != nil {
+			t.Fatalf("New(%+v) = (%v, %v), want (nil, nil)", spec, s, err)
+		}
 	}
+	var s *Set
 	// nil-Set methods must all pass through.
 	if f := s.OverrunFactor(3, 7); f != 1 {
 		t.Fatalf("nil set overrun factor %v", f)
@@ -87,6 +69,10 @@ func TestDisabledSpecIsNilSet(t *testing.T) {
 	if got := s.WrapStore(st); got != storage.Reservoir(st) {
 		t.Fatal("nil set wrapped the store")
 	}
+	pred := energy.NewLastValue()
+	if got := s.WrapPredictor(pred); got != energy.Predictor(pred) {
+		t.Fatal("nil set wrapped the predictor")
+	}
 	if d := s.Counters(); d.Any() {
 		t.Fatalf("nil set counters %+v", d)
 	}
@@ -94,26 +80,57 @@ func TestDisabledSpecIsNilSet(t *testing.T) {
 	s.AddOverrunWork(1)
 }
 
-func TestAtIntensity(t *testing.T) {
-	if sp := AtIntensity(7, 0); sp.Enabled() {
-		t.Fatalf("intensity 0 spec enabled: %+v", sp)
-	}
-	for _, x := range []float64{0.1, 0.5, 1, 2 /* clamped */} {
-		sp := AtIntensity(7, x)
-		if err := sp.Validate(); err != nil {
-			t.Fatalf("AtIntensity(%g): %v", x, err)
+// Severity scales with intensity: duty cycles and magnitudes grow, and
+// the brown-out factor falls to a full dropout at intensity 1.
+func TestIntensityScalesSeverity(t *testing.T) {
+	lo, hi := mustSet(t, Spec{Seed: 7, Intensity: 0.2}), mustSet(t, Spec{Seed: 7, Intensity: 0.9})
+	for _, w := range []struct {
+		name   string
+		lo, hi *windows
+	}{
+		{"dropout", lo.dropout, hi.dropout}, {"leak-spike", lo.leakSpike, hi.leakSpike},
+		{"dvfs-stuck", lo.dvfsStuck, hi.dvfsStuck}, {"blackout", lo.blackout, hi.blackout},
+	} {
+		if w.lo.dutyCycle() >= w.hi.dutyCycle() {
+			t.Fatalf("%s duty cycle not increasing in intensity", w.name)
 		}
-		if !sp.Enabled() {
-			t.Fatalf("AtIntensity(%g) disabled", x)
-		}
 	}
-	// Severity scales with intensity: duty cycles and magnitudes grow.
-	lo, hi := AtIntensity(7, 0.2), AtIntensity(7, 0.9)
-	if lo.Dropout.DutyCycle() >= hi.Dropout.DutyCycle() {
-		t.Fatal("dropout duty cycle not increasing in intensity")
-	}
-	if lo.OverrunProb >= hi.OverrunProb || lo.LeakSpikeRate >= hi.LeakSpikeRate {
+	if lo.overrunProb >= hi.overrunProb || lo.overrunMax >= hi.overrunMax ||
+		lo.leakSpikeRate >= hi.leakSpikeRate || lo.fadeRate >= hi.fadeRate || lo.fadeLimit >= hi.fadeLimit {
 		t.Fatal("fault magnitudes not increasing in intensity")
+	}
+	if lo.dropFactor <= hi.dropFactor || mustSet(t, hostile(7)).dropFactor != 0 {
+		t.Fatal("drop factor not falling to a full dropout")
+	}
+}
+
+// Every injector parameter is pinned bit for bit at nine intensities, in
+// the order dropout gap and length, drop factor, fade rate and limit,
+// leak-spike gap, length and rate, DVFS-stuck gap and length, blackout
+// gap and length, overrun probability and maximum. A change in how they
+// derive from the intensity, down to one rounding step, fails here even
+// where a run's outcome absorbs it.
+func TestDerivationPinned(t *testing.T) {
+	for x, want := range map[float64]string{
+		0.05: "[0x1.f4p+11 0x1.7333333333333p+01 0x1.851eb851eb852p-03 0x1.4f8b588e368f1p-19 0x1.999999999999ap-06 0x1.77p+11 0x1.2666666666666p+02 0x1.999999999999ap-04 0x1.388p+12 0x1.8p+02 0x1.f4p+10 0x1.ccccccccccccdp+01 0x1.eb851eb851eb8p-07 0x1.999999999999ap-06]",
+		0.1:  "[0x1.f4p+10 0x1.e666666666666p+01 0x1.70a3d70a3d70bp-03 0x1.4f8b588e368f1p-18 0x1.999999999999ap-05 0x1.77p+10 0x1.4cccccccccccdp+02 0x1.999999999999ap-03 0x1.388p+11 0x1.cp+02 0x1.f4p+09 0x1.0cccccccccccdp+02 0x1.eb851eb851eb8p-06 0x1.999999999999ap-05]",
+		0.25: "[0x1.9p+09 0x1.ap+02 0x1.3333333333334p-03 0x1.a36e2eb1c432dp-17 0x1p-03 0x1.2cp+09 0x1.cp+02 0x1p-01 0x1.f4p+09 0x1.4p+03 0x1.9p+08 0x1.8p+02 0x1.3333333333333p-04 0x1p-03]",
+		0.3:  "[0x1.4d55555555556p+09 0x1.d999999999999p+02 0x1.1eb851eb851ebp-03 0x1.f75104d551d69p-17 0x1.3333333333333p-03 0x1.f4p+08 0x1.e666666666666p+02 0x1.3333333333333p-01 0x1.a0aaaaaaaaaabp+09 0x1.6p+03 0x1.4d55555555556p+08 0x1.a666666666666p+02 0x1.70a3d70a3d70ap-04 0x1.3333333333333p-03]",
+		0.5:  "[0x1.9p+08 0x1.6p+03 0x1.999999999999ap-04 0x1.a36e2eb1c432dp-16 0x1p-02 0x1.2cp+08 0x1.4p+03 0x1p+00 0x1.f4p+08 0x1.ep+03 0x1.9p+07 0x1.2p+03 0x1.3333333333333p-03 0x1p-02]",
+		0.7:  "[0x1.1db6db6db6db7p+08 0x1.d333333333333p+03 0x1.eb851eb851ebap-05 0x1.2599ed7c6fbd2p-15 0x1.6666666666666p-02 0x1.ac92492492493p+07 0x1.8ccccccccccccp+03 0x1.6666666666666p+00 0x1.6524924924925p+08 0x1.3p+04 0x1.1db6db6db6db7p+07 0x1.6ccccccccccccp+03 0x1.ae147ae147ae1p-03 0x1.6666666666666p-02]",
+		0.75: "[0x1.0aaaaaaaaaaabp+08 0x1.fp+03 0x1.999999999999ap-05 0x1.3a92a30553262p-15 0x1.8p-02 0x1.9p+07 0x1.ap+03 0x1.8p+00 0x1.4d55555555555p+08 0x1.4p+04 0x1.0aaaaaaaaaaabp+07 0x1.8p+03 0x1.cccccccccccccp-03 0x1.8p-02]",
+		0.9:  "[0x1.bc71c71c71c72p+07 0x1.2333333333333p+04 0x1.47ae147ae147ap-06 0x1.797cc39ffd60fp-15 0x1.ccccccccccccdp-02 0x1.4d55555555555p+07 0x1.d99999999999ap+03 0x1.ccccccccccccdp+00 0x1.15c71c71c71c7p+08 0x1.7p+04 0x1.bc71c71c71c72p+06 0x1.b99999999999ap+03 0x1.147ae147ae148p-02 0x1.ccccccccccccdp-02]",
+		1:    "[0x1.9p+07 0x1.4p+04 0x0p+00 0x1.a36e2eb1c432dp-15 0x1p-01 0x1.2cp+07 0x1p+04 0x1p+01 0x1.f4p+07 0x1.9p+04 0x1.9p+06 0x1.ep+03 0x1.3333333333333p-02 0x1p-01]",
+	} {
+		s := mustSet(t, Spec{Seed: 1, Intensity: x})
+		got := fmt.Sprintf("%x", []float64{
+			s.dropout.meanGap, s.dropout.meanLen, s.dropFactor, s.fadeRate, s.fadeLimit,
+			s.leakSpike.meanGap, s.leakSpike.meanLen, s.leakSpikeRate,
+			s.dvfsStuck.meanGap, s.dvfsStuck.meanLen, s.blackout.meanGap, s.blackout.meanLen,
+			s.overrunProb, s.overrunMax})
+		if got != want {
+			t.Errorf("intensity %v:\n got %s\nwant %s", x, got, want)
+		}
 	}
 }
 
@@ -130,12 +147,12 @@ func TestWindowScheduleDeterminism(t *testing.T) {
 		}
 	}
 	const horizon = 2000.0
-	for name := range pick(mustSet(t, denseSpec(1))) {
+	for name := range pick(mustSet(t, hostile(1))) {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			a := pick(mustSet(t, denseSpec(42)))[name]
-			b := pick(mustSet(t, denseSpec(42)))[name]
-			c := pick(mustSet(t, denseSpec(43)))[name]
+			a := pick(mustSet(t, hostile(42)))[name]
+			b := pick(mustSet(t, hostile(42)))[name]
+			c := pick(mustSet(t, hostile(43)))[name]
 
 			// a queried sequentially, b queried out of order first.
 			b.active(horizon / 2)
@@ -180,8 +197,8 @@ func TestWindowScheduleDeterminism(t *testing.T) {
 // the order jobs arrive in, which is what keeps faulted runs seed-stable
 // across scheduling differences.
 func TestOverrunDeterminism(t *testing.T) {
-	a := mustSet(t, denseSpec(42))
-	b := mustSet(t, denseSpec(42))
+	a := mustSet(t, hostile(42))
+	b := mustSet(t, hostile(42))
 
 	type key struct{ task, seq int }
 	got := map[key]float64{}
@@ -198,8 +215,8 @@ func TestOverrunDeterminism(t *testing.T) {
 			if f != got[key{task, seq}] {
 				t.Fatalf("task %d seq %d: %v vs %v (order-dependent draw)", task, seq, f, got[key{task, seq}])
 			}
-			if f < 1 || f > 1+b.spec.OverrunMax {
-				t.Fatalf("factor %v outside [1, %v]", f, 1+b.spec.OverrunMax)
+			if f < 1 || f > 1+b.overrunMax {
+				t.Fatalf("factor %v outside [1, %v]", f, 1+b.overrunMax)
 			}
 			if f > 1 {
 				overruns++
@@ -215,17 +232,17 @@ func TestOverrunDeterminism(t *testing.T) {
 }
 
 func TestFlakySourceDropout(t *testing.T) {
-	spec := denseSpec(42)
+	spec := Spec{Seed: 42, Intensity: 0.5} // a brown-out, not a full dropout
 	set := mustSet(t, spec)
 	inner := energy.NewConstant(4)
 	src := set.WrapSource(inner)
 
 	in, out := 0, 0
-	for k := 0.0; k < 500; k++ {
+	for k := 0.0; k < 2000; k++ {
 		p := src.PowerAt(k)
 		if set.dropout.active(k) {
 			in++
-			if want := 4 * spec.DropFactor; p != want {
+			if want := 4 * set.dropFactor; p != want {
 				t.Fatalf("t=%g: dropout power %v, want %v", k, p, want)
 			}
 		} else {
@@ -243,7 +260,7 @@ func TestFlakySourceDropout(t *testing.T) {
 	}
 	// Same seed, same wrapped trace.
 	again := mustSet(t, spec).WrapSource(energy.NewConstant(4))
-	for k := 0.0; k < 500; k++ {
+	for k := 0.0; k < 2000; k++ {
 		if src.PowerAt(k) != again.PowerAt(k) {
 			t.Fatalf("t=%g: wrapped trace not reproducible", k)
 		}
@@ -253,13 +270,13 @@ func TestFlakySourceDropout(t *testing.T) {
 // The degraded store loses energy to spikes and fade, meters every loss
 // through the inner draw path, and therefore conserves energy exactly.
 func TestDegradedStoreConservesEnergy(t *testing.T) {
-	spec := denseSpec(42)
+	spec := hostile(42)
 	set := mustSet(t, spec)
 	inner := storage.New(200, 200)
 	st := set.WrapStore(inner)
 
 	const initial = 200.0
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 2000; i++ {
 		st.Flow(1.0, 0.8, 1.0)
 	}
 	d := set.Counters()
@@ -272,7 +289,7 @@ func TestDegradedStoreConservesEnergy(t *testing.T) {
 	if st.Capacity() >= 200 {
 		t.Fatalf("capacity %v did not fade", st.Capacity())
 	}
-	if floor := 200 * (1 - spec.FadeLimit); st.Capacity() < floor-1e-9 {
+	if floor := 200 * (1 - set.fadeLimit); st.Capacity() < floor-1e-9 {
 		t.Fatalf("capacity %v faded past the limit %v", st.Capacity(), floor)
 	}
 }
@@ -281,12 +298,11 @@ func TestDegradedStoreConservesEnergy(t *testing.T) {
 // hold, and TimeToEmpty must stay conservative (never later than the
 // inner store's own estimate under the extra drains).
 func TestDegradedStoreFadeShedsExcess(t *testing.T) {
-	spec := Spec{Seed: 9, FadeRate: 1e-2, FadeLimit: 0.5}
-	set := mustSet(t, spec)
+	set := mustSet(t, hostile(9))
 	st := set.WrapStore(storage.New(100, 100))
 
 	// Hold the store full; fade forces the level down with the capacity.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 200; i++ {
 		st.Flow(5, 0, 1) // surplus keeps it pinned at capacity
 	}
 	if lvl, cap := st.Level(), st.Capacity(); lvl > cap+1e-9 {
@@ -301,13 +317,13 @@ func TestDegradedStoreFadeShedsExcess(t *testing.T) {
 }
 
 func TestBlackoutPredictorDropsObservations(t *testing.T) {
-	spec := denseSpec(42)
+	spec := hostile(42)
 	set := mustSet(t, spec)
 	inner := energy.NewLastValue()
 	pred := set.WrapPredictor(inner)
 
 	dropped := 0
-	for k := 0.0; k < 300; k++ {
+	for k := 0.0; k < 1000; k++ {
 		pred.Observe(k, k+1) // strictly increasing signal
 		if set.blackout.active(k) {
 			dropped++
@@ -320,14 +336,14 @@ func TestBlackoutPredictorDropsObservations(t *testing.T) {
 		t.Fatalf("StaleForecasts %d, want %d", got, dropped)
 	}
 	// The inner predictor must have missed the blacked-out observations:
-	// its last value is the last non-blackout sample, not 300.
-	if p := pred.PredictEnergy(300, 301); p == 300 && set.blackout.active(299) {
+	// its last value is the last non-blackout sample, not 1000.
+	if p := pred.PredictEnergy(1000, 1001); p == 1000 && set.blackout.active(999) {
 		t.Fatal("blackout failed to drop the final observation")
 	}
 }
 
 func TestDVFSLevelStuck(t *testing.T) {
-	set := mustSet(t, denseSpec(42))
+	set := mustSet(t, hostile(42))
 	// Find one stuck window.
 	var tIn, tOut float64 = -1, -1
 	for k := 0.0; k < 2000; k++ {

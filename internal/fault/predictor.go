@@ -13,10 +13,10 @@ type blackoutPredictor struct {
 	set   *Set
 }
 
-// WrapPredictor returns p with the spec's blackout fault applied, or p
-// unchanged when the blackout injector is disabled.
+// WrapPredictor returns p with the blackout fault applied, or p unchanged
+// on a nil set.
 func (s *Set) WrapPredictor(p energy.Predictor) energy.Predictor {
-	if s == nil || !s.spec.Blackout.Enabled() {
+	if s == nil {
 		return p
 	}
 	return &blackoutPredictor{inner: p, set: s}

@@ -5,7 +5,7 @@ import (
 )
 
 // flakySource wraps an energy.Source with dropout/brown-out windows:
-// during a window the output is multiplied by the spec's DropFactor.
+// during a window the output is multiplied by the set's drop factor.
 // Windows are unit-aligned, so the wrapped source keeps the
 // piecewise-constant-per-unit contract the engine's exact integration
 // depends on, and PowerAt remains a pure function of t for a given pair
@@ -15,10 +15,10 @@ type flakySource struct {
 	set *Set
 }
 
-// WrapSource returns src with the spec's harvester faults applied, or src
-// unchanged when the dropout injector is disabled.
+// WrapSource returns src with the harvester faults applied, or src
+// unchanged on a nil set.
 func (s *Set) WrapSource(src energy.Source) energy.Source {
-	if s == nil || !s.spec.Dropout.Enabled() {
+	if s == nil {
 		return src
 	}
 	return &flakySource{src: src, set: s}
@@ -28,7 +28,7 @@ func (s *Set) WrapSource(src energy.Source) energy.Source {
 func (f *flakySource) PowerAt(t float64) float64 {
 	p := f.src.PowerAt(t)
 	if f.set.dropout.active(t) {
-		return p * f.set.spec.DropFactor
+		return p * f.set.dropFactor
 	}
 	return p
 }
@@ -36,8 +36,8 @@ func (f *flakySource) PowerAt(t float64) float64 {
 // MeanPower implements energy.Source: the nominal mean scaled by the
 // expected fault duty cycle.
 func (f *flakySource) MeanPower() float64 {
-	duty := f.set.spec.Dropout.DutyCycle()
-	return f.src.MeanPower() * (1 - float64(duty*(1-f.set.spec.DropFactor)))
+	duty := f.set.dropout.dutyCycle()
+	return f.src.MeanPower() * (1 - float64(duty*(1-f.set.dropFactor)))
 }
 
 // Name implements energy.Source.

@@ -23,10 +23,10 @@ type degradedStore struct {
 	now     float64
 }
 
-// WrapStore returns st with the spec's storage faults applied, or st
-// unchanged when no storage fault is enabled.
+// WrapStore returns st with the storage faults applied, or st unchanged on
+// a nil set.
 func (s *Set) WrapStore(st storage.Reservoir) storage.Reservoir {
-	if s == nil || (s.spec.FadeRate <= 0 && !(s.spec.LeakSpike.Enabled() && s.spec.LeakSpikeRate > 0)) {
+	if s == nil {
 		return st
 	}
 	return &degradedStore{inner: st, set: s, baseCap: st.Capacity()}
@@ -34,18 +34,14 @@ func (s *Set) WrapStore(st storage.Reservoir) storage.Reservoir {
 
 // fadedCapacity returns the capacity after fade at time t.
 func (d *degradedStore) fadedCapacity(t float64) float64 {
-	sp := d.set.spec
-	if sp.FadeRate <= 0 || math.IsInf(d.baseCap, 1) {
-		return d.baseCap
-	}
-	lost := math.Min(sp.FadeRate*t, sp.FadeLimit)
+	lost := math.Min(d.set.fadeRate*t, d.set.fadeLimit)
 	return d.baseCap * (1 - lost)
 }
 
 // spikeRateAt returns the extra self-discharge rate at time t.
 func (d *degradedStore) spikeRateAt(t float64) float64 {
-	if d.set.spec.LeakSpikeRate > 0 && d.set.leakSpike.active(t) {
-		return d.set.spec.LeakSpikeRate
+	if d.set.leakSpike.active(t) {
+		return d.set.leakSpikeRate
 	}
 	return 0
 }
@@ -66,8 +62,8 @@ func (d *degradedStore) Level() float64 { return d.inner.Level() }
 // Flow's no-mid-interval-empty precondition.
 func (d *degradedStore) TimeToEmpty(ps, pc float64) float64 {
 	extra := d.spikeRateAt(d.now)
-	if d.set.spec.FadeRate > 0 && !math.IsInf(d.baseCap, 1) && d.inner.Level() >= d.fadedCapacity(d.now) {
-		extra += float64(d.set.spec.FadeRate * d.baseCap)
+	if !math.IsInf(d.baseCap, 1) && d.inner.Level() >= d.fadedCapacity(d.now) {
+		extra += float64(d.set.fadeRate * d.baseCap)
 	}
 	return d.inner.TimeToEmpty(ps, pc+extra)
 }
@@ -81,8 +77,8 @@ func (d *degradedStore) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	delivered, overflow = d.inner.Flow(ps, pc, dt)
 	start := d.now
 	d.now += dt
-	if ov := d.set.leakSpike.overlap(start, d.now); ov > 0 && d.set.spec.LeakSpikeRate > 0 {
-		lost := d.inner.Draw(d.set.spec.LeakSpikeRate * ov)
+	if ov := d.set.leakSpike.overlap(start, d.now); ov > 0 {
+		lost := d.inner.Draw(d.set.leakSpikeRate * ov)
 		d.set.counters.LeakSpikeEnergy += lost
 	}
 	if cap := d.fadedCapacity(d.now); d.inner.Level() > cap {

@@ -182,19 +182,16 @@ func Run(cfg *sim.Config) (*sim.Result, error) {
 		return nil, err
 	}
 
-	var faults *fault.Set
-	if cfg.Faults != nil {
-		var err error
-		if faults, err = fault.New(*cfg.Faults); err != nil {
-			return nil, err
-		}
-		if faults != nil {
-			runCfg := *cfg
-			runCfg.Source = faults.WrapSource(cfg.Source)
-			runCfg.Store = faults.WrapStore(cfg.Store)
-			runCfg.Predictor = faults.WrapPredictor(cfg.Predictor)
-			cfg = &runCfg
-		}
+	faults, err := fault.New(cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	if faults != nil {
+		runCfg := *cfg
+		runCfg.Source = faults.WrapSource(cfg.Source)
+		runCfg.Store = faults.WrapStore(cfg.Store)
+		runCfg.Predictor = faults.WrapPredictor(cfg.Predictor)
+		cfg = &runCfg
 	}
 
 	e := &engine{
@@ -509,11 +506,9 @@ func (e *engine) onDeadline(now float64, j *task.Job) {
 	e.res.Miss.Missed++
 	e.task(j.TaskID).missed++
 	e.emit(now, obs.KindMiss, j)
-	if !e.cfg.ContinueAfterDeadline {
-		e.ready.remove(j)
-		if e.running == j {
-			e.setActivity(now, sim.ModeIdle, nil, 0)
-		}
+	e.ready.remove(j)
+	if e.running == j {
+		e.setActivity(now, sim.ModeIdle, nil, 0)
 	}
 	e.requestDecide(now)
 }
@@ -546,10 +541,8 @@ func (e *engine) finishIfDone(now float64) {
 	}
 	if j.Done() {
 		e.ready.remove(j)
-		if !j.Missed() {
-			e.res.Miss.Finished++
-			e.finishStats(j, now)
-		}
+		e.res.Miss.Finished++
+		e.finishStats(j, now)
 		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		e.setActivity(now, sim.ModeIdle, nil, 0)

@@ -38,7 +38,7 @@ func FuzzRunSpec(f *testing.F) {
 		f.Add(blob)
 	}
 	// Seeds whose documents between them cover every source kind, sleep
-	// states, faults, both jitter flavors and continue-after-deadline.
+	// states, faults and both jitter flavors.
 	for _, seed := range []uint64{1, 4, 7, 10, 11, 40} {
 		s := verify.RandomSpec(seed)
 		s.Horizon = fuzzCheckHorizon

@@ -99,12 +99,10 @@ type Spec struct {
 	BCWCRatio float64 `json:"bcwc_ratio,omitempty"`
 	ExecSeed  uint64  `json:"exec_seed,omitempty"`
 
-	// FaultIntensity, in [0, 1], scales the canonical mixed-fault model
-	// (fault.AtIntensity); 0 injects nothing. FaultSeed pins its schedule.
+	// FaultIntensity, in [0, 1], scales the mixed-fault model
+	// (fault.Spec); 0 injects nothing. FaultSeed pins its schedule.
 	FaultIntensity float64 `json:"fault_intensity,omitempty"`
 	FaultSeed      uint64  `json:"fault_seed,omitempty"`
-
-	ContinueAfterDeadline bool `json:"continue_after_deadline,omitempty"`
 
 	// CPU selects the processor preset; empty means "xscale". PMax 0
 	// keeps the preset's own power table; a positive PMax rescales the
@@ -240,11 +238,6 @@ func (s *Spec) Compile(ref bool) (*sim.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faults *fault.Spec
-	if s.FaultIntensity != 0 {
-		f := fault.AtIntensity(s.FaultSeed, s.FaultIntensity)
-		faults = &f
-	}
 	uniform := task.UniformExec(s.BCWCRatio)
 	tasks := make([]task.Task, len(s.Tasks))
 	copy(tasks, s.Tasks)
@@ -254,16 +247,15 @@ func (s *Spec) Compile(ref bool) (*sim.Config, error) {
 		}
 	}
 	return &sim.Config{
-		Horizon:               s.Horizon,
-		Tasks:                 tasks,
-		Source:                src,
-		Predictor:             pred,
-		Store:                 storage.New(s.Capacity, s.Initial),
-		CPU:                   proc,
-		Policy:                pol,
-		ContinueAfterDeadline: s.ContinueAfterDeadline,
-		ExecSeed:              s.ExecSeed,
-		Faults:                faults,
-		MaxEvents:             s.MaxEvents,
+		Horizon:   s.Horizon,
+		Tasks:     tasks,
+		Source:    src,
+		Predictor: pred,
+		Store:     storage.New(s.Capacity, s.Initial),
+		CPU:       proc,
+		Policy:    pol,
+		ExecSeed:  s.ExecSeed,
+		Faults:    fault.Spec{Seed: s.FaultSeed, Intensity: s.FaultIntensity},
+		MaxEvents: s.MaxEvents,
 	}, nil
 }

@@ -92,22 +92,19 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 	}
 
 	// Materialize the per-run fault set and interpose its wrappers on a
-	// shallow copy, leaving the caller's Config untouched. A disabled (or
-	// nil) fault spec yields a nil set: every path below degrades to the
-	// exact fault-free behaviour, bit for bit.
-	var faults *fault.Set
-	if cfg.Faults != nil {
-		var err error
-		if faults, err = fault.New(*cfg.Faults); err != nil {
-			return nil, err
-		}
-		if faults != nil {
-			runCfg := *cfg
-			runCfg.Source = faults.WrapSource(cfg.Source)
-			runCfg.Store = faults.WrapStore(cfg.Store)
-			runCfg.Predictor = faults.WrapPredictor(cfg.Predictor)
-			cfg = &runCfg
-		}
+	// shallow copy, leaving the caller's Config untouched. Intensity 0
+	// yields a nil set: every path below degrades to the exact fault-free
+	// behaviour, bit for bit.
+	faults, err := fault.New(cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	if faults != nil {
+		runCfg := *cfg
+		runCfg.Source = faults.WrapSource(cfg.Source)
+		runCfg.Store = faults.WrapStore(cfg.Store)
+		runCfg.Predictor = faults.WrapPredictor(cfg.Predictor)
+		cfg = &runCfg
 	}
 
 	// Reset the pooled state up front (not on exit): a panicking run can

@@ -85,11 +85,6 @@ type Config struct {
 	CPU       *cpu.Processor
 	Policy    sched.Policy
 
-	// ContinueAfterDeadline keeps a job in the ready queue after it
-	// misses its deadline instead of dropping it (the default drops, which
-	// is what makes the paper's per-job miss rate well-defined).
-	ContinueAfterDeadline bool
-
 	// StopAtFirstMiss ends the run immediately after the first deadline
 	// miss is tallied, finalizing all accounting at the miss instant
 	// instead of the horizon. The Result is then a valid prefix of the
@@ -121,14 +116,14 @@ type Config struct {
 	// BENCH_baseline.json).
 	Probe obs.Probe
 
-	// Faults, when non-nil and enabled, injects the declared substrate
+	// Faults, at a positive intensity, injects the declared substrate
 	// faults into the run: the source, store and predictor are wrapped,
 	// DVFS decisions pass through the stuck-frequency fault, and jobs may
 	// overrun their WCET. The engine degrades gracefully — stalls, misses
 	// and clamped operating points are tallied in Result.Degradation,
 	// never fatal. A fresh fault.Set is materialized per run, so the
-	// Config stays reusable.
-	Faults *fault.Spec
+	// Config stays reusable. The zero Spec (intensity 0) injects nothing.
+	Faults fault.Spec
 
 	// CheckInvariants enables the runtime self-checker: store bounds
 	// after every flow, energy conservation at unit boundaries and run
@@ -174,11 +169,6 @@ func (c *Config) Validate() error {
 			if u.ID == t.ID {
 				return fmt.Errorf("sim: duplicate task ID %d", t.ID)
 			}
-		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	return nil
@@ -649,11 +639,9 @@ func (e *engine) onDeadline(now float64, j *task.Job) {
 		// this handler returns and the run finalizes at simNow.
 		e.stopped = true
 	}
-	if !e.cfg.ContinueAfterDeadline {
-		e.queue.Remove(j)
-		if e.running == j {
-			e.setActivity(now, ModeIdle, nil, 0)
-		}
+	e.queue.Remove(j)
+	if e.running == j {
+		e.setActivity(now, ModeIdle, nil, 0)
 	}
 	e.requestDecide(now)
 }
@@ -714,13 +702,8 @@ func (e *engine) finishIfDone(now float64) {
 	}
 	if j.Done() {
 		e.queue.Remove(j)
-		if !j.Missed() {
-			// Finished counts on-time completions only; under
-			// ContinueAfterDeadline a job can complete after its miss was
-			// already tallied.
-			e.res.Miss.Finished++
-			e.tasks.finished(j, now)
-		}
+		e.res.Miss.Finished++
+		e.tasks.finished(j, now)
 		e.emit(now, obs.KindCompletion, j)
 		e.noteReclaimed(now, j)
 		e.setActivity(now, ModeIdle, nil, 0)

@@ -383,40 +383,8 @@ func TestPreemption(t *testing.T) {
 	}
 }
 
-// ContinueAfterDeadline keeps the job running past the miss.
-func TestContinueAfterDeadline(t *testing.T) {
-	src := energy.NewConstant(0)
-	// Two simultaneous jobs that cannot both fit before their deadlines:
-	// τ2 (abs 3.9) runs first under EDF, τ1 misses at 4 with work left.
-	cfg := &Config{
-		Horizon:               30,
-		Tasks:                 []task.Task{oneShot(1, 0, 4, 3), oneShot(2, 0, 3.9, 3)},
-		Source:                src,
-		Predictor:             energy.NewOracle(src),
-		Store:                 storage.New(1e6, 1e5),
-		CPU:                   cpu.XScale(),
-		Policy:                sched.EDF{},
-		ContinueAfterDeadline: true,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Miss.Missed != 1 {
-		t.Fatalf("miss not recorded: %+v", res.Miss)
-	}
-	// Finished counts on-time completions only; the late job still ran to
-	// completion, visible as busy time: 3 (τ2) + 3 (τ1, one unit late).
-	if res.Miss.Finished != 1 {
-		t.Fatalf("on-time completions = %+v", res.Miss)
-	}
-	if math.Abs(res.BusyTime-6) > 1e-6 {
-		t.Fatalf("busy = %v, want 6 (late job ran to completion)", res.BusyTime)
-	}
-}
-
-// Dropped-at-deadline is the default: the job stops consuming processor
-// time after its miss.
+// A job is dropped at its deadline: it stops consuming processor time
+// after its miss.
 func TestDropAtDeadlineDefault(t *testing.T) {
 	src := energy.NewConstant(0)
 	cfg := &Config{

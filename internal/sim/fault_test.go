@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/eadvfs/eadvfs/internal/core"
@@ -36,108 +37,62 @@ func faultTestConfig() *Config {
 	}
 }
 
-// Each fault type, injected alone, must complete without panic, with
-// clean invariants (the fault layer degrades the run, it does not break
-// the physics) and with its own degradation counters moving.
+// Every intensity must complete without panic and with clean invariants
+// (the fault layer degrades the run, it does not break the physics). At
+// intensity 1 each fault type's own degradation counters must move.
 func TestEachFaultTypeDegradesGracefully(t *testing.T) {
-	dense := fault.WindowSpec{MeanGap: 15, MeanLen: 5}
-	cases := []struct {
-		name  string
-		spec  fault.Spec
-		check func(t *testing.T, d metrics.Degradation)
-	}{
-		{
-			name: "harvester-dropout",
-			spec: fault.Spec{Seed: 3, Dropout: dense, DropFactor: 0.1},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.SourceFaultTime <= 0 {
-					t.Fatalf("no dropout time: %+v", d)
-				}
-			},
-		},
-		{
-			name: "storage-fade",
-			spec: fault.Spec{Seed: 3, FadeRate: 2e-3, FadeLimit: 0.5},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.FadeEnergy <= 0 {
-					t.Fatalf("no fade loss: %+v", d)
-				}
-			},
-		},
-		{
-			name: "leakage-spike",
-			spec: fault.Spec{Seed: 3, LeakSpike: dense, LeakSpikeRate: 1.5},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.LeakSpikeTime <= 0 || d.LeakSpikeEnergy <= 0 {
-					t.Fatalf("no spike loss: %+v", d)
-				}
-			},
-		},
-		{
-			name: "dvfs-stuck",
-			spec: fault.Spec{Seed: 3, DVFSStuck: dense},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.DVFSStuckTime <= 0 {
-					t.Fatalf("no stuck time: %+v", d)
-				}
-			},
-		},
-		{
-			name: "predictor-blackout",
-			spec: fault.Spec{Seed: 3, Blackout: dense},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.BlackoutTime <= 0 || d.StaleForecasts <= 0 {
-					t.Fatalf("no blackout effect: %+v", d)
-				}
-			},
-		},
-		{
-			name: "job-overrun",
-			spec: fault.Spec{Seed: 3, OverrunProb: 0.6, OverrunMax: 0.5},
-			check: func(t *testing.T, d metrics.Degradation) {
-				if d.Overruns <= 0 || d.OverrunWork <= 0 {
-					t.Fatalf("no overruns: %+v", d)
-				}
-			},
-		},
-		{
-			name: "all-at-intensity-1",
-			spec: fault.AtIntensity(3, 1),
-			check: func(t *testing.T, d metrics.Degradation) {
-				if !d.Any() {
-					t.Fatalf("hostile substrate recorded nothing: %+v", d)
-				}
-			},
-		},
+	var hostile metrics.Degradation
+	for _, x := range []float64{0.05, 0.25, 0.5, 0.75, 1} {
+		cfg := faultTestConfig()
+		cfg.Horizon = 3000 // several windows of the sparsest process (mean gap 250)
+		cfg.Faults = fault.Spec{Seed: 3, Intensity: x}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("intensity %g: faulted run not clean: %v", x, err)
+		}
+		if res.Miss.Released == 0 {
+			t.Fatalf("intensity %g: no jobs released", x)
+		}
+		hostile = res.Degradation
 	}
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range []struct {
+		name  string
+		moved bool
+	}{
+		{"harvester-dropout", hostile.SourceFaultTime > 0},
+		{"storage-fade", hostile.FadeEnergy > 0},
+		{"leakage-spike", hostile.LeakSpikeTime > 0 && hostile.LeakSpikeEnergy > 0},
+		{"dvfs-stuck", hostile.DVFSStuckTime > 0 && hostile.DVFSClamps > 0},
+		{"predictor-blackout", hostile.BlackoutTime > 0 && hostile.StaleForecasts > 0},
+		{"job-overrun", hostile.Overruns > 0 && hostile.OverrunWork > 0},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := faultTestConfig()
-			cfg.Faults = &tc.spec
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("faulted run not clean: %v", err)
+			if !tc.moved {
+				t.Fatalf("counters did not move at intensity 1: %+v", hostile)
 			}
-			if res.Miss.Released == 0 {
-				t.Fatal("no jobs released")
-			}
-			tc.check(t, res.Degradation)
 		})
 	}
+	t.Run("all-at-intensity-1", func(t *testing.T) {
+		v := reflect.ValueOf(hostile)
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("%s did not move: %+v", v.Type().Field(i).Name, hostile)
+			}
+		}
+	})
 }
 
-// A nil fault spec and a zero fault spec must both be bit-identical to the
-// fault-free run — the fault layer is inert until explicitly enabled.
+// A zero fault spec and a seeded intensity-0 spec must both be
+// bit-identical to the fault-free run: the fault layer is inert until the
+// intensity is positive.
 func TestZeroFaultSpecBitIdentical(t *testing.T) {
 	base, err := Run(faultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []fault.Spec{{}, fault.AtIntensity(99, 0)} {
-		spec := spec
+	for _, spec := range []fault.Spec{{}, {Seed: 99}} {
 		cfg := faultTestConfig()
-		cfg.Faults = &spec
+		cfg.Faults = spec
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -157,8 +112,7 @@ func TestZeroFaultSpecBitIdentical(t *testing.T) {
 func TestFaultedRunReproducible(t *testing.T) {
 	run := func() *Result {
 		cfg := faultTestConfig()
-		spec := fault.AtIntensity(5, 0.8)
-		cfg.Faults = &spec
+		cfg.Faults = fault.Spec{Seed: 5, Intensity: 0.8}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -320,4 +274,51 @@ func TestEventBudgetPending(t *testing.T) {
 	if be.Events != 4 || be.Time != 1 {
 		t.Fatalf("watchdog fired after %d events at t=%g, want 4 at t=1", be.Events, be.Time)
 	}
+}
+
+// FuzzFaultedRun drives faultTestConfig's workload under an arbitrary
+// fault seed and intensity, store capacity and policy. An intensity
+// outside [0, 1], or NaN, must come back as an error, never a panic; any
+// other run must end without an invariant violation; and intensity 0
+// must be bit-identical to the fault-free run.
+func FuzzFaultedRun(f *testing.F) {
+	for i, x := range []float64{0, 0.5, 1, math.NaN(), -0.1, 1.5} {
+		f.Add(uint64(3+i), x, 300.0, uint8(i))
+	}
+	policies := []func() sched.Policy{
+		func() sched.Policy { return core.NewEADVFS() },
+		func() sched.Policy { return sched.EDF{} },
+		func() sched.Policy { return sched.LSA{} },
+		func() sched.Policy { return sched.GreedyStretch{} },
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, x, capacity float64, policy uint8) {
+		if !(capacity >= 0 && capacity <= 1e6) {
+			t.Skip("capacity outside the fuzzing bound")
+		}
+		run := func(spec fault.Spec) (*Result, error) {
+			cfg := faultTestConfig()
+			cfg.Store = storage.New(capacity, capacity)
+			cfg.Policy = policies[int(policy)%len(policies)]()
+			cfg.Faults = spec
+			return Run(cfg)
+		}
+		res, err := run(fault.Spec{Seed: seed, Intensity: x})
+		if !(x >= 0 && x <= 1) {
+			if err == nil {
+				t.Fatalf("intensity %v accepted", x)
+			}
+			return
+		}
+		var ie *InvariantError
+		if errors.As(err, &ie) {
+			t.Fatalf("seed %d intensity %v: %v", seed, x, err)
+		}
+		if x != 0 {
+			return
+		}
+		base, baseErr := run(fault.Spec{})
+		if (err == nil) != (baseErr == nil) || !reflect.DeepEqual(res, base) {
+			t.Fatalf("intensity 0 diverged from the fault-free run: %v vs %v", err, baseErr)
+		}
+	})
 }

@@ -100,35 +100,3 @@ func TestPerTaskResponseUnderInterference(t *testing.T) {
 		t.Fatalf("task 1 response %v, want 5 (2 blocked + 3 run)", res.PerTask[1].ResponseMean)
 	}
 }
-
-func TestPerTaskLateCompletionNotCountedAsResponse(t *testing.T) {
-	src := energy.NewConstant(0)
-	cfg := &Config{
-		Horizon: 30,
-		Tasks: []task.Task{
-			{ID: 1, Period: 1e9, Deadline: 4, WCET: 3},
-			{ID: 2, Period: 1e9, Deadline: 3.9, WCET: 3},
-		},
-		Source:                src,
-		Predictor:             energy.NewOracle(src),
-		Store:                 storage.New(1e6, 1e5),
-		CPU:                   cpu.XScale(),
-		Policy:                sched.EDF{},
-		ContinueAfterDeadline: true,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Task 1 misses, then completes late: no response recorded for it.
-	for _, s := range res.PerTask {
-		if s.TaskID == 1 {
-			if s.Missed != 1 || s.Finished != 0 {
-				t.Fatalf("task 1 stats = %+v", s)
-			}
-			if s.ResponseMean != 0 {
-				t.Fatalf("late completion recorded a response: %v", s.ResponseMean)
-			}
-		}
-	}
-}

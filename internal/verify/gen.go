@@ -76,7 +76,6 @@ func RandomSpec(seed uint64) *Spec {
 		s.FaultIntensity = r.Uniform(0.05, 0.6)
 		s.FaultSeed = r.Uint64()
 	}
-	s.ContinueAfterDeadline = r.Intn(5) == 0
 
 	// Watchdog: a differential pair that loops forever should fail with a
 	// matching pair of EventBudgetErrors, not hang CI.

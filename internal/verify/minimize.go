@@ -100,13 +100,6 @@ func shrinkCandidates(s *Spec) []*Spec {
 		c.FaultIntensity = 0
 		return true
 	})
-	add(func(c *Spec) bool {
-		if !c.ContinueAfterDeadline {
-			return false
-		}
-		c.ContinueAfterDeadline = false
-		return true
-	})
 	add(func(c *Spec) bool { // flatten the source to its mean
 		if c.Source.Kind == "constant" {
 			return false
