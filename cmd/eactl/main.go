@@ -184,7 +184,6 @@ func runSweep(ctx context.Context, local bool, workersFlag, kind string, spec ex
 			RequestTimeout:  fc.timeout,
 			HedgeAfter:      fc.hedgeAfter,
 			AllowPartial:    fc.allowPartial,
-			Registry:        obs.NewRegistry(),
 			Trace:           recorder,
 		}
 		if fc.verbose {

@@ -31,72 +31,87 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/eadvfs/eadvfs"
-	"github.com/eadvfs/eadvfs/internal/analysis"
 	"github.com/eadvfs/eadvfs/internal/buildinfo"
-	"github.com/eadvfs/eadvfs/internal/energy"
-	"github.com/eadvfs/eadvfs/internal/experiment"
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/profiling"
 )
 
 func main() {
-	var (
-		policy     = flag.String("policy", "ea-dvfs", "scheduling policy: "+strings.Join(eadvfs.Policies(), ", "))
-		predictor  = flag.String("predictor", "ewma", "harvest predictor: "+strings.Join(eadvfs.Predictors(), ", "))
-		u          = flag.Float64("u", 0.4, "target utilization of the generated task set")
-		numTasks   = flag.Int("tasks", 5, "number of periodic tasks")
-		capacity   = flag.Float64("capacity", 1000, "energy storage capacity")
-		horizon    = flag.Float64("horizon", 10000, "simulated time units")
-		seed       = flag.Uint64("seed", 1, "master seed (workload + solar sample path)")
-		pmax       = flag.Float64("pmax", 10, "processor maximum power (XScale table scaled)")
-		energyF    = flag.Bool("energy", false, "print the stored-energy trace statistics")
-		analyze    = flag.Bool("analyze", false, "print the analytic feasibility report for the workload")
-		jsonF      = flag.Bool("json", false, "emit the result as JSON")
-		faultX     = flag.Float64("fault-intensity", 0, "mixed-fault model intensity in (0, 1]; 0 disables")
-		faultSeed  = flag.Uint64("fault-seed", 1, "fault schedule seed")
-		check      = flag.Bool("check", false, "arm the runtime invariant checker")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		events      = flag.Bool("events", false, "stream the structured event log (JSONL schema v1) to stdout instead of the summary")
-		eventsOut   = flag.String("events-out", "", "write the structured event log to this file")
-		metricsOut  = flag.String("metrics-out", "", "write a Prometheus text-format metrics snapshot to this file")
-		manifestOut = flag.String("manifest-out", "", "write the run manifest (build, seeds, config digest) to this file")
-		replay      = flag.String("replay", "", "re-run the configuration embedded in this manifest instead of the flags")
-		validate    = flag.String("validate-events", "", "validate a JSONL event stream against the schema and exit")
-		version     = flag.Bool("version", false, "print the build version and exit")
+// run is main with its environment made explicit, so the CLI is testable
+// without spawning a process. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("easim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		policy     = fs.String("policy", "ea-dvfs", "scheduling policy: "+strings.Join(eadvfs.Policies(), ", "))
+		predictor  = fs.String("predictor", "ewma", "harvest predictor: "+strings.Join(eadvfs.Predictors(), ", "))
+		u          = fs.Float64("u", 0.4, "target utilization of the generated task set")
+		numTasks   = fs.Int("tasks", 5, "number of periodic tasks")
+		capacity   = fs.Float64("capacity", 1000, "energy storage capacity")
+		horizon    = fs.Float64("horizon", 10000, "simulated time units")
+		seed       = fs.Uint64("seed", 1, "master seed (workload + solar sample path)")
+		pmax       = fs.Float64("pmax", 10, "processor maximum power (XScale table scaled)")
+		energyF    = fs.Bool("energy", false, "print the stored-energy trace statistics")
+		analyze    = fs.Bool("analyze", false, "print the analytic feasibility report for the workload")
+		jsonF      = fs.Bool("json", false, "emit the result as JSON")
+		faultX     = fs.Float64("fault-intensity", 0, "mixed-fault model intensity in (0, 1]; 0 disables")
+		faultSeed  = fs.Uint64("fault-seed", 1, "fault schedule seed")
+		check      = fs.Bool("check", false, "arm the runtime invariant checker")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
+
+		events      = fs.Bool("events", false, "stream the structured event log (JSONL schema v1) to stdout instead of the summary")
+		eventsOut   = fs.String("events-out", "", "write the structured event log to this file")
+		metricsOut  = fs.String("metrics-out", "", "write a Prometheus text-format metrics snapshot to this file")
+		manifestOut = fs.String("manifest-out", "", "write the run manifest (build, seeds, config digest) to this file")
+		replay      = fs.String("replay", "", "re-run the configuration embedded in this manifest instead of the flags")
+		validate    = fs.String("validate-events", "", "validate a JSONL event stream against the schema and exit")
+		version     = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "easim:", err)
+		return 1
+	}
 
 	if *version {
-		fmt.Println(buildinfo.Line("easim"))
-		return
+		fmt.Fprintln(stdout, buildinfo.Line("easim"))
+		return 0
 	}
 	if *validate != "" {
-		validateEvents(*validate)
-		return
+		return validateEvents(*validate, stdout, stderr)
 	}
 	if *events && *jsonF {
-		fatal(fmt.Errorf("-events and -json both claim stdout; use -events-out with -json"))
+		return fail(fmt.Errorf("-events and -json both claim stdout; use -events-out with -json"))
 	}
 	if *events && *eventsOut != "" {
-		fatal(fmt.Errorf("-events and -events-out are mutually exclusive"))
+		return fail(fmt.Errorf("-events and -events-out are mutually exclusive"))
 	}
 
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer stopCPU()
 	defer func() {
 		if err := profiling.WriteHeap(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "easim:", err)
+			fmt.Fprintln(stderr, "easim:", err)
 		}
 	}()
 
@@ -104,13 +119,13 @@ func main() {
 	if *replay != "" {
 		m, err := obs.ReadManifest(*replay)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if m.Tool != "easim" {
-			fatal(fmt.Errorf("manifest %s was written by %q, not easim", *replay, m.Tool))
+			return fail(fmt.Errorf("manifest %s was written by %q, not easim", *replay, m.Tool))
 		}
 		if err := m.DecodeConfig(&cfg); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		cfg = eadvfs.Config{
@@ -135,11 +150,11 @@ func main() {
 	var eventsW *obs.JSONLWriter
 	switch {
 	case *events:
-		eventsW = obs.NewJSONLWriter(os.Stdout)
+		eventsW = obs.NewJSONLWriter(stdout)
 	case *eventsOut != "":
 		f, err := os.Create(*eventsOut)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		eventsW = obs.NewJSONLWriter(f)
@@ -158,34 +173,27 @@ func main() {
 		m, err := obs.NewManifest("easim", cfg.Policy,
 			map[string]uint64{"seed": cfg.Seed, "fault-seed": cfg.FaultSeed}, cfg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := m.WriteFile(*manifestOut); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	res, err := eadvfs.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if eventsW != nil {
 		if err := eventsW.Flush(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if reg != nil {
 		reg.RecordRun(runOutcome(res))
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reg.WritePrometheus(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := writeMetrics(*metricsOut, reg); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -193,39 +201,54 @@ func main() {
 	case *events:
 		// The event stream owns stdout; the summary is suppressed.
 	case *jsonF:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	default:
-		printSummary(res, cfg.Capacity, *energyF)
+		printSummary(stdout, res, cfg.Capacity, *energyF)
 	}
 
 	if *analyze && !*events {
-		printAnalysis(cfg, *horizon)
+		report, err := eadvfs.Analyze(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		printAnalysis(stdout, report)
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "easim:", err)
-	os.Exit(1)
+// writeMetrics writes a Prometheus text-format snapshot of reg to path.
+func writeMetrics(path string, reg *obs.Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.WritePrometheus(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // validateEvents runs the schema checker over a JSONL stream and reports
 // the verdict (exit 0 valid, 1 not).
-func validateEvents(path string) {
+func validateEvents(path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "easim:", err)
+		return 1
 	}
 	defer f.Close()
 	n, err := obs.CheckJSONL(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "easim: %s: %v (after %d valid lines)\n", path, err, n)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "easim: %s: %v (after %d valid lines)\n", path, err, n)
+		return 1
 	}
-	fmt.Printf("%s: %d lines, schema v%d OK\n", path, n, obs.JSONLSchemaVersion)
+	fmt.Fprintf(stdout, "%s: %d lines, schema v%d OK\n", path, n, obs.JSONLSchemaVersion)
+	return 0
 }
 
 // runOutcome is the run's aggregate outcome in the form the eadvfs_run_*
@@ -245,30 +268,30 @@ func runOutcome(res *eadvfs.Result) obs.RunOutcome {
 	}
 }
 
-func printSummary(res *eadvfs.Result, capacity float64, energyF bool) {
-	fmt.Printf("policy            %s\n", res.Policy)
-	fmt.Printf("jobs released     %d\n", res.Released)
-	fmt.Printf("jobs finished     %d\n", res.Finished)
-	fmt.Printf("deadline misses   %d\n", res.Missed)
-	fmt.Printf("miss rate         %.4f\n", res.MissRate)
-	fmt.Printf("busy / idle / stall  %.1f / %.1f / %.1f\n", res.BusyTime, res.IdleTime, res.StallTime)
-	fmt.Printf("cpu energy        %.1f\n", res.CPUEnergy)
-	fmt.Printf("harvested         %.1f (overflowed %.1f)\n", res.HarvestedEnergy, res.OverflowEnergy)
-	fmt.Printf("final stored      %.1f / %.0f\n", res.FinalStored, capacity)
-	fmt.Printf("level residency   ")
+func printSummary(w io.Writer, res *eadvfs.Result, capacity float64, energyF bool) {
+	fmt.Fprintf(w, "policy            %s\n", res.Policy)
+	fmt.Fprintf(w, "jobs released     %d\n", res.Released)
+	fmt.Fprintf(w, "jobs finished     %d\n", res.Finished)
+	fmt.Fprintf(w, "deadline misses   %d\n", res.Missed)
+	fmt.Fprintf(w, "miss rate         %.4f\n", res.MissRate)
+	fmt.Fprintf(w, "busy / idle / stall  %.1f / %.1f / %.1f\n", res.BusyTime, res.IdleTime, res.StallTime)
+	fmt.Fprintf(w, "cpu energy        %.1f\n", res.CPUEnergy)
+	fmt.Fprintf(w, "harvested         %.1f (overflowed %.1f)\n", res.HarvestedEnergy, res.OverflowEnergy)
+	fmt.Fprintf(w, "final stored      %.1f / %.0f\n", res.FinalStored, capacity)
+	fmt.Fprintf(w, "level residency   ")
 	for i, lt := range res.LevelTime {
 		if i > 0 {
-			fmt.Printf(" / ")
+			fmt.Fprintf(w, " / ")
 		}
-		fmt.Printf("%.1f", lt)
+		fmt.Fprintf(w, "%.1f", lt)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	if d := res.Degradation; d != (eadvfs.Degradation{}) {
-		fmt.Printf("degradation       dropout %.0f, spike %.0f (%.1f lost), stuck %.0f (%d clamps), blackout %.0f (%d stale)\n",
+		fmt.Fprintf(w, "degradation       dropout %.0f, spike %.0f (%.1f lost), stuck %.0f (%d clamps), blackout %.0f (%d stale)\n",
 			d.SourceFaultTime, d.LeakSpikeTime, d.LeakSpikeEnergy,
 			d.DVFSStuckTime, d.DVFSClamps, d.BlackoutTime, d.StaleForecasts)
-		fmt.Printf("                  fade %.1f lost, %d overruns (+%.1f work)\n",
+		fmt.Fprintf(w, "                  fade %.1f lost, %d overruns (+%.1f work)\n",
 			d.FadeEnergy, d.Overruns, d.OverrunWork)
 	}
 
@@ -283,34 +306,22 @@ func printSummary(res *eadvfs.Result, capacity float64, energyF bool) {
 			}
 			sum += v
 		}
-		fmt.Printf("stored energy     min %.1f  mean %.1f  max %.1f\n",
+		fmt.Fprintf(w, "stored energy     min %.1f  mean %.1f  max %.1f\n",
 			minV, sum/float64(len(res.StoredEnergy)), maxV)
 	}
 }
 
-func printAnalysis(cfg eadvfs.Config, horizon float64) {
-	spec := experiment.DefaultSpec()
-	spec.Utilization = cfg.Utilization
-	spec.NumTasks = cfg.NumTasks
-	spec.Seed = cfg.Seed
-	spec.PMax = cfg.PMax
-	rep, err := experiment.Replicate(spec, 0)
-	if err != nil {
-		fatal(err)
-	}
-	src := energy.NewSolarModel(rep.SourceSeed)
-	report, err := analysis.Analyze(rep.Tasks, spec.Processor(), src, horizon)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println()
-	fmt.Printf("analysis: U = %.3f, density = %.3f, EDF schedulable = %v\n",
+// printAnalysis prints the closed-form feasibility report of the run's
+// workload (eadvfs.Analyze).
+func printAnalysis(w io.Writer, report eadvfs.Analysis) {
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "analysis: U = %.3f, density = %.3f, EDF schedulable = %v\n",
 		report.Utilization, report.Density, report.EDFSchedulable)
-	fmt.Printf("  full-speed demand   %.2f vs mean supply %.2f (margin %+.0f%%, miss floor %.2f)\n",
+	fmt.Fprintf(w, "  full-speed demand   %.2f vs mean supply %.2f (margin %+.0f%%, miss floor %.2f)\n",
 		report.FullSpeed.Demand, report.FullSpeed.MeanSupply,
 		100*report.FullSpeed.Margin, report.FullSpeed.MissFloor)
-	fmt.Printf("  min-feasible demand %.2f (margin %+.0f%%, miss floor %.2f)\n",
+	fmt.Fprintf(w, "  min-feasible demand %.2f (margin %+.0f%%, miss floor %.2f)\n",
 		report.MinFeasible.Demand, 100*report.MinFeasible.Margin, report.MinFeasible.MissFloor)
-	fmt.Printf("  ride-through bound  %.0f (full speed) / %.0f (stretched)\n",
+	fmt.Fprintf(w, "  ride-through bound  %.0f (full speed) / %.0f (stretched)\n",
 		report.RideThroughFull, report.RideThroughMin)
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	eaverify [-n 200] [-seed 1] [-quick] [-spec spec.json] [-no-minimize]
+//	eaverify [-n 200] [-seed 1] [-spec spec.json] [-no-minimize]
 //	         [-spec-out min.json]
 //	         [-inject-bias 0] [-inject-after 0] [-version]
 //
@@ -14,8 +14,7 @@
 // (internal/registry) and sweeps n random configurations per registered
 // policy starting at the given seed — the same generator the
 // `go test ./internal/verify` sweep uses, so a seed printed by a failing
-// test reproduces here verbatim. -quick caps the sweep at a CI-friendly
-// size. With -spec, it replays one configuration from a JSON file (the
+// test reproduces here verbatim. With -spec, it replays one configuration from a JSON file (the
 // format it writes with -spec-out).
 //
 // -inject-bias perturbs the optimized side's energy predictions by the
@@ -43,7 +42,7 @@ import (
 
 	"github.com/eadvfs/eadvfs/internal/buildinfo"
 	"github.com/eadvfs/eadvfs/internal/registry"
-	"github.com/eadvfs/eadvfs/internal/runspec"
+	"github.com/eadvfs/eadvfs/internal/spec"
 	"github.com/eadvfs/eadvfs/internal/verify"
 )
 
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		n           = fs.Int("n", 200, "number of random configurations to sweep per registered policy")
-		quick       = fs.Bool("quick", false, "CI-sized sweep (forces -n 25)")
 		seed        = fs.Uint64("seed", 1, "first generator seed of the sweep")
 		specPath    = fs.String("spec", "", "replay one configuration from a JSON spec file instead of sweeping")
 		specOut     = fs.String("spec-out", "", "write the (minimized, if diverging) spec to this JSON file")
@@ -88,14 +86,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// or linked in from an out-of-tree scenario package — is swept
 		// against the reference engine with the same per-seed scenario
 		// material, so a new registration cannot land uncovered.
-		perPolicy := *n
-		if *quick {
-			perPolicy = 25
-		}
 		policies := registry.PolicyNames()
 		fmt.Fprintf(stdout, "sweeping %d registered policies: %s\n",
 			len(policies), strings.Join(policies, ", "))
-		for i := 0; i < perPolicy; i++ {
+		for i := 0; i < *n; i++ {
 			for _, policy := range policies {
 				specs = append(specs, verify.RandomSpecForPolicy(*seed+uint64(i), policy))
 			}
@@ -155,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// readSpec decodes a spec file strictly (runspec.Decode).
+// readSpec decodes a spec file strictly (spec.Decode).
 func readSpec(path string) (*verify.Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -163,7 +157,7 @@ func readSpec(path string) (*verify.Spec, error) {
 	}
 	defer f.Close()
 	var s verify.Spec
-	if err := runspec.Decode(f, &s); err != nil {
+	if err := spec.Decode(f, &s); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return &s, nil

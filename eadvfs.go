@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/eadvfs/eadvfs/internal/analysis"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/experiment"
 	"github.com/eadvfs/eadvfs/internal/obs"
@@ -258,6 +259,64 @@ func Run(userCfg Config) (*Result, error) {
 // timeouts and client disconnects into running engines;
 // context.Background() reproduces Run exactly.
 func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
+	simCfg, err := compile(userCfg)
+	if err != nil {
+		return nil, err
+	}
+	if ctx != nil && ctx != context.Background() {
+		simCfg.Context = ctx
+	}
+	res, err := sim.Run(simCfg)
+	if err != nil {
+		return nil, err
+	}
+
+	out := &Result{
+		Policy:          res.Policy,
+		Released:        res.Miss.Released,
+		Finished:        res.Miss.Finished,
+		Missed:          res.Miss.Missed,
+		MissRate:        res.Miss.Rate(),
+		HarvestedEnergy: res.Meters.Harvested,
+		OverflowEnergy:  res.Meters.Overflow,
+		CPUEnergy:       res.CPUEnergy,
+		FinalStored:     res.FinalLevel,
+		BusyTime:        res.BusyTime,
+		IdleTime:        res.IdleTime,
+		StallTime:       res.StallTime,
+		LevelTime:       res.LevelTime,
+		Degradation:     Degradation(res.Degradation),
+	}
+	out.SleepTime = res.SleepTime
+	out.Wakeups = res.Wakeups
+	out.DPMOverhead = res.DPMOverhead
+	out.DrawnJobs = res.Slack.DrawnJobs
+	out.EarlyCompletions = res.Slack.EarlyCompletions
+	out.ReclaimedWork = res.Slack.ReclaimedWork
+	if res.EnergySeries != nil {
+		out.StoredEnergy = res.EnergySeries.Values
+	}
+	return out, nil
+}
+
+// Analysis is the closed-form feasibility report of a run's workload
+// (internal/analysis): EDF schedulability, long-run energy demand
+// against the source's mean supply, and ride-through storage bounds.
+type Analysis = analysis.Report
+
+// Analyze returns the feasibility report of the task set, processor and
+// harvest source that Run would simulate for cfg, over its horizon.
+func Analyze(cfg Config) (Analysis, error) {
+	simCfg, err := compile(cfg)
+	if err != nil {
+		return Analysis{}, err
+	}
+	return analysis.Analyze(simCfg.Tasks, simCfg.CPU, simCfg.Source, simCfg.Horizon)
+}
+
+// compile validates a facade config and lowers it, through a run
+// document, into the engine configuration Run and Analyze share.
+func compile(userCfg Config) (*sim.Config, error) {
 	cfg := userCfg.withDefaults()
 
 	if cfg.Schema < 0 || cfg.Schema > spec.Current {
@@ -327,40 +386,7 @@ func RunContext(ctx context.Context, userCfg Config) (*Result, error) {
 	simCfg.RecordEnergy = cfg.RecordEnergy
 	simCfg.CheckInvariants = cfg.CheckInvariants
 	simCfg.Probe = cfg.Probe
-	if ctx != nil && ctx != context.Background() {
-		simCfg.Context = ctx
-	}
-	res, err := sim.Run(simCfg)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Result{
-		Policy:          res.Policy,
-		Released:        res.Miss.Released,
-		Finished:        res.Miss.Finished,
-		Missed:          res.Miss.Missed,
-		MissRate:        res.Miss.Rate(),
-		HarvestedEnergy: res.Meters.Harvested,
-		OverflowEnergy:  res.Meters.Overflow,
-		CPUEnergy:       res.CPUEnergy,
-		FinalStored:     res.FinalLevel,
-		BusyTime:        res.BusyTime,
-		IdleTime:        res.IdleTime,
-		StallTime:       res.StallTime,
-		LevelTime:       res.LevelTime,
-		Degradation:     Degradation(res.Degradation),
-	}
-	out.SleepTime = res.SleepTime
-	out.Wakeups = res.Wakeups
-	out.DPMOverhead = res.DPMOverhead
-	out.DrawnJobs = res.Slack.DrawnJobs
-	out.EarlyCompletions = res.Slack.EarlyCompletions
-	out.ReclaimedWork = res.Slack.ReclaimedWork
-	if res.EnergySeries != nil {
-		out.StoredEnergy = res.EnergySeries.Values
-	}
-	return out, nil
+	return simCfg, nil
 }
 
 // buildTasks returns the configured task list, or generates one sized to

@@ -67,7 +67,7 @@ func main() {
 			var src energy.Source
 			if bursty {
 				// Same mean power 1.2, delivered 6.0 one fifth of the time.
-				src = energy.NewTrace("bursty", []float64{6, 0, 0, 0, 0})
+				src = energy.NewTrace([]float64{6, 0, 0, 0, 0})
 			} else {
 				src = energy.NewConstant(recharge)
 			}

@@ -40,7 +40,7 @@ func solarDay(seed uint64) energy.Source {
 		}
 		samples[i] = base.PowerAt(float64(i)) * cloud
 	}
-	return energy.NewTrace("solar-day", samples)
+	return energy.NewTrace(samples)
 }
 
 func main() {

@@ -124,7 +124,7 @@ func TestComputePlanNegativeRemainingPanics(t *testing.T) {
 // Invariant from DESIGN.md §2.1: P_n <= P_max ⇒ sr_n >= sr_max ⇒ s1 <= s2,
 // for any input state.
 func TestS1NeverAfterS2Property(t *testing.T) {
-	procs := []*cpu.Processor{cpu.XScale(), cpu.TwoSpeed(8), cpu.Fig3(), cpu.Cubic("c", 7, 1000, 3.2, 0.05)}
+	procs := []*cpu.Processor{cpu.XScale(), cpu.TwoSpeed(8), cpu.Fig3(), cpu.Cubic(7, 1000, 3.2, 0.05)}
 	f := func(availRaw, nowRaw, winRaw, remRaw uint16, procIdx uint8) bool {
 		proc := procs[int(procIdx)%len(procs)]
 		available := float64(availRaw) / 3

@@ -15,7 +15,7 @@ func FuzzComputePlan(f *testing.F) {
 	f.Add(uint16(0), uint16(100), uint16(1), uint16(1), byte(0))
 	f.Add(uint16(65535), uint16(7), uint16(50), uint16(400), byte(1))
 	procs := []*cpu.Processor{
-		cpu.XScale(), cpu.TwoSpeed(8), cpu.Fig3(), cpu.Cubic("c", 9, 1000, 12, 0.1),
+		cpu.XScale(), cpu.TwoSpeed(8), cpu.Fig3(), cpu.Cubic(9, 1000, 12, 0.1),
 	}
 	f.Fuzz(func(t *testing.T, availRaw, nowRaw, winRaw, remRaw uint16, procIdx byte) {
 		proc := procs[int(procIdx)%len(procs)]

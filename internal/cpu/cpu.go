@@ -20,7 +20,6 @@ type OperatingPoint struct {
 // Processor is an immutable DVFS processor description. Construct with New
 // or a preset.
 type Processor struct {
-	name   string
 	points []OperatingPoint // ascending frequency
 	speeds []float64        // points[i].FreqMHz / fmax
 
@@ -73,7 +72,7 @@ func WithIdlePower(p float64) Option {
 // frequency; frequencies must be positive and distinct, powers positive and
 // strictly increasing with frequency (a dominated point — slower *and*
 // hungrier — would never be selected and indicates a spec error).
-func New(name string, points []OperatingPoint, opts ...Option) *Processor {
+func New(points []OperatingPoint, opts ...Option) *Processor {
 	if len(points) == 0 {
 		panic("cpu: no operating points")
 	}
@@ -100,7 +99,7 @@ func New(name string, points []OperatingPoint, opts ...Option) *Processor {
 	for i, p := range pts {
 		speeds[i] = p.FreqMHz / fmax
 	}
-	c := &Processor{name: name, points: pts, speeds: speeds}
+	c := &Processor{points: pts, speeds: speeds}
 	for _, o := range opts {
 		o(c)
 	}
@@ -132,7 +131,7 @@ func New(name string, points []OperatingPoint, opts ...Option) *Processor {
 // power unit (DESIGN.md §5.3), i.e. divided by 1000 so that the eq. (13)
 // source (mean ≈ 4.0) can sustain the processor (P_max = 3.2).
 func XScale() *Processor {
-	return New("xscale", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 150, Power: 0.08},
 		{FreqMHz: 400, Power: 0.4},
 		{FreqMHz: 600, Power: 1.0},
@@ -156,13 +155,13 @@ func XScaleScaled(pmax float64) *Processor {
 	for i := range base {
 		pts[i] = OperatingPoint{FreqMHz: freqs[i], Power: base[i] / 3200 * pmax}
 	}
-	return New("xscale", pts)
+	return New(pts)
 }
 
 // XScaleMilliwatts returns the same processor with powers in the paper's
 // literal milliwatt figures, for users who work in mW/mJ units throughout.
 func XScaleMilliwatts() *Processor {
-	return New("xscale-mw", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 150, Power: 80},
 		{FreqMHz: 400, Power: 400},
 		{FreqMHz: 600, Power: 1000},
@@ -179,7 +178,7 @@ func TwoSpeed(pmax float64) *Processor {
 	if pmax <= 0 {
 		panic("cpu: non-positive pmax")
 	}
-	return New("two-speed", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 500, Power: pmax / 3},
 		{FreqMHz: 1000, Power: pmax},
 	})
@@ -189,7 +188,7 @@ func TwoSpeed(pmax float64) *Processor {
 // with P_n = 1 and P_max = 8 (intermediate points filled per a cubic-ish
 // spec are unnecessary — the example only exercises these two points).
 func Fig3() *Processor {
-	return New("fig3", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 250, Power: 1},
 		{FreqMHz: 1000, Power: 8},
 	})
@@ -200,7 +199,7 @@ func Fig3() *Processor {
 // part, in watts. Useful for checking that results do not hinge on the
 // XScale table's particular shape.
 func PXA270() *Processor {
-	return New("pxa270", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 104, Power: 0.116},
 		{FreqMHz: 208, Power: 0.250},
 		{FreqMHz: 312, Power: 0.420},
@@ -215,7 +214,7 @@ func PXA270() *Processor {
 // platform class of the paper's motivating deployments (Heliomote,
 // Prometheus). Powers in milliwatts.
 func SensorNodeMCU() *Processor {
-	return New("sensor-mcu", []OperatingPoint{
+	return New([]OperatingPoint{
 		{FreqMHz: 4, Power: 3},
 		{FreqMHz: 8, Power: 8},
 	})
@@ -224,7 +223,7 @@ func SensorNodeMCU() *Processor {
 // Cubic generates an n-point processor whose power follows the classic
 // CMOS model P = k·f³ + staticPower, evenly spaced from fmax/n to fmax.
 // Useful for sensitivity studies on the number of DVFS levels.
-func Cubic(name string, n int, fmaxMHz, pmax, static float64) *Processor {
+func Cubic(n int, fmaxMHz, pmax, static float64) *Processor {
 	if n <= 0 {
 		panic("cpu: non-positive point count")
 	}
@@ -238,11 +237,8 @@ func Cubic(name string, n int, fmaxMHz, pmax, static float64) *Processor {
 		// float64(...) rounds the product: no fused multiply-add on any GOARCH.
 		pts[i] = OperatingPoint{FreqMHz: f, Power: static + float64(k*math.Pow(f, 3))}
 	}
-	return New(name, pts)
+	return New(pts)
 }
-
-// Name returns the processor's identifier.
-func (c *Processor) Name() string { return c.name }
 
 // Levels returns the number of operating points N.
 func (c *Processor) Levels() int { return len(c.points) }
@@ -433,7 +429,7 @@ func (c *Processor) WithSleepPreset(name string) (*Processor, error) {
 	if idle == 0 && len(states) == 0 {
 		return c, nil
 	}
-	return New(c.name, c.points,
+	return New(c.points,
 		WithIdlePower(idle),
 		WithSleepStates(states...)), nil
 }

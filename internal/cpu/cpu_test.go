@@ -37,7 +37,7 @@ func TestXScaleMilliwattsMatchesPaper(t *testing.T) {
 }
 
 func TestSortingOnConstruction(t *testing.T) {
-	c := New("p", []OperatingPoint{
+	c := New([]OperatingPoint{
 		{FreqMHz: 1000, Power: 10},
 		{FreqMHz: 250, Power: 1},
 		{FreqMHz: 500, Power: 3},
@@ -49,16 +49,16 @@ func TestSortingOnConstruction(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	cases := []func(){
-		func() { New("x", nil) },
-		func() { New("x", []OperatingPoint{{FreqMHz: 0, Power: 1}}) },
-		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 0}}) },
-		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 1}, {FreqMHz: 100, Power: 2}}) },
+		func() { New(nil) },
+		func() { New([]OperatingPoint{{FreqMHz: 0, Power: 1}}) },
+		func() { New([]OperatingPoint{{FreqMHz: 100, Power: 0}}) },
+		func() { New([]OperatingPoint{{FreqMHz: 100, Power: 1}, {FreqMHz: 100, Power: 2}}) },
 		// dominated point: faster but cheaper would make slow point useless
-		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 5}, {FreqMHz: 200, Power: 3}}) },
-		func() { New("x", []OperatingPoint{{FreqMHz: 100, Power: 1}}, WithIdlePower(-1)) },
+		func() { New([]OperatingPoint{{FreqMHz: 100, Power: 5}, {FreqMHz: 200, Power: 3}}) },
+		func() { New([]OperatingPoint{{FreqMHz: 100, Power: 1}}, WithIdlePower(-1)) },
 		func() { TwoSpeed(0) },
-		func() { Cubic("c", 0, 1000, 3, 0) },
-		func() { Cubic("c", 4, 1000, 1, 2) },
+		func() { Cubic(0, 1000, 3, 0) },
+		func() { Cubic(4, 1000, 1, 2) },
 	}
 	for i, f := range cases {
 		func() {
@@ -178,7 +178,7 @@ func TestFig3Processor(t *testing.T) {
 }
 
 func TestCubicModel(t *testing.T) {
-	c := Cubic("c", 4, 1000, 3.2, 0.1)
+	c := Cubic(4, 1000, 3.2, 0.1)
 	if c.Levels() != 4 {
 		t.Fatalf("levels = %d", c.Levels())
 	}
@@ -194,7 +194,7 @@ func TestCubicModel(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	c := New("o", []OperatingPoint{{FreqMHz: 100, Power: 1}},
+	c := New([]OperatingPoint{{FreqMHz: 100, Power: 1}},
 		WithIdlePower(0.05))
 	if c.IdlePower() != 0.05 {
 		t.Fatalf("idle = %v", c.IdlePower())

@@ -78,7 +78,7 @@ func (c *Cached) ensure(k int) {
 		// walk from 0 passes, so the table is bit-identical to it.
 		p := c.Src.PowerAt(float64(i))
 		if p < 0 || math.IsNaN(p) {
-			panic(fmt.Sprintf("energy: source %q returned invalid power %v at t=%d", c.Src.Name(), p, i))
+			panic(fmt.Sprintf("energy: source %T returned invalid power %v at t=%d", c.Src, p, i))
 		}
 		c.power = append(c.power, p)
 		c.cum = append(c.cum, c.cum[i]+p)
@@ -111,6 +111,3 @@ func (c *Cached) CumulativeEnergy(t float64) float64 {
 
 // MeanPower implements Source by delegation.
 func (c *Cached) MeanPower() float64 { return c.Src.MeanPower() }
-
-// Name implements Source; the cache is transparent in reports.
-func (c *Cached) Name() string { return c.Src.Name() }

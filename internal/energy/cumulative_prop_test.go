@@ -28,7 +28,7 @@ func naive(src energy.Source, t1, t2 float64) float64 {
 func propSources(t *testing.T) map[string]energy.Source {
 	t.Helper()
 	solar := energy.NewSolarModel(7)
-	trace := energy.NewTrace("tr", []float64{0, 1.5, 3, 0.25, 2, 0, 0, 4})
+	trace := energy.NewTrace([]float64{0, 1.5, 3, 0.25, 2, 0, 0, 4})
 	set, err := fault.New(fault.Spec{Seed: 11, Intensity: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,6 @@ type Predictor interface {
 	Observe(t, p float64)
 	// PredictEnergy estimates the harvested energy over [t1, t2], t1 <= t2.
 	PredictEnergy(t1, t2 float64) float64
-	// Name identifies the predictor in reports.
-	Name() string
 }
 
 // Oracle predicts with perfect knowledge of the source — the upper bound on
@@ -48,8 +46,6 @@ func (o *Oracle) PredictEnergy(t1, t2 float64) float64 {
 	}
 	return Energy(o.cum, t1, t2)
 }
-
-func (o *Oracle) Name() string { return "oracle" }
 
 // EWMA is a recency-weighted predictor: it tracks an exponentially weighted
 // moving average of the observed power and extrapolates it as constant over
@@ -93,8 +89,6 @@ func (e *EWMA) PredictEnergy(t1, t2 float64) float64 {
 	checkInterval(t1, t2)
 	return e.avg * (t2 - t1)
 }
-
-func (e *EWMA) Name() string { return "ewma" }
 
 // SlotEWMA is the Kansal-style profile predictor [6,9]: the source period
 // is divided into equal slots and an independent EWMA is maintained per
@@ -228,8 +222,6 @@ func (s *SlotEWMA) PredictEnergy(t1, t2 float64) float64 {
 	return total
 }
 
-func (s *SlotEWMA) Name() string { return "slot-ewma" }
-
 // MovingAverage predicts with the arithmetic mean of the last Window
 // observations, extrapolated as constant.
 type MovingAverage struct {
@@ -279,8 +271,6 @@ func (m *MovingAverage) PredictEnergy(t1, t2 float64) float64 {
 	return m.sum / float64(m.filled) * (t2 - t1)
 }
 
-func (m *MovingAverage) Name() string { return "moving-average" }
-
 // LastValue extrapolates the most recent observation — the cheapest
 // possible tracer of the profile.
 type LastValue struct {
@@ -297,8 +287,6 @@ func (l *LastValue) PredictEnergy(t1, t2 float64) float64 {
 	return l.last * (t2 - t1)
 }
 
-func (l *LastValue) Name() string { return "last-value" }
-
 // Zero predicts no future harvest — the maximally pessimistic estimator.
 // Under Zero, LSA and EA-DVFS budget only the stored energy.
 type Zero struct{}
@@ -309,8 +297,6 @@ func (Zero) PredictEnergy(t1, t2 float64) float64 {
 	checkInterval(t1, t2)
 	return 0
 }
-
-func (Zero) Name() string { return "zero" }
 
 func checkInterval(t1, t2 float64) {
 	if t2 < t1 || math.IsNaN(t1) || math.IsNaN(t2) {

@@ -174,7 +174,7 @@ func TestPredictEnergyPanicsOnInvertedInterval(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s did not panic on inverted interval", pr.Name())
+					t.Fatalf("%T did not panic on inverted interval", pr)
 				}
 			}()
 			pr.PredictEnergy(5, 1)

@@ -28,8 +28,6 @@ type Source interface {
 	// MeanPower returns the long-run average output power. The task-set
 	// generator (§5.1) sizes worst-case energies from this value.
 	MeanPower() float64
-	// Name identifies the source in reports.
-	Name() string
 }
 
 // Energy integrates src over [t1, t2] exactly, exploiting the
@@ -302,9 +300,6 @@ func (s *SolarModel) MeanPower() float64 {
 	return s.Amplitude * math.Sqrt(2/math.Pi) / 2
 }
 
-// Name implements Source.
-func (s *SolarModel) Name() string { return "solar-eq13" }
-
 // Constant is the constant-power source assumed by Allavena & Mossé [4] —
 // the assumption the paper calls "unpractical" but that remains useful for
 // unit tests and sanity baselines.
@@ -332,7 +327,6 @@ func NewConstantChecked(p float64) (Constant, error) {
 
 func (c Constant) PowerAt(t float64) float64 { return c.P }
 func (c Constant) MeanPower() float64        { return c.P }
-func (c Constant) Name() string              { return "constant" }
 
 // TwoMode is the coarse day/night solar model of Rusu et al. [5]: DayPower
 // during the first DayLen units of every Period, NightPower for the rest.
@@ -378,21 +372,18 @@ func (m TwoMode) MeanPower() float64 {
 	return (float64(m.DayPower*m.DayLen) + float64(m.NightPower*(m.Period-m.DayLen))) / m.Period
 }
 
-func (m TwoMode) Name() string { return "two-mode" }
-
 // Trace replays a recorded power profile: sample k applies on [k, k+1).
 // Beyond the last sample the trace wraps around, modelling a repeating
 // measured day. An empty trace is invalid.
 type Trace struct {
 	Samples []float64
-	name    string
 }
 
 // NewTrace validates and returns a trace source, panicking on invalid
 // input; NewTraceChecked returns an error instead (traces usually come
 // from files, so prefer the checked variant in CLI paths).
-func NewTrace(name string, samples []float64) *Trace {
-	tr, err := NewTraceChecked(name, samples)
+func NewTrace(samples []float64) *Trace {
+	tr, err := NewTraceChecked(samples)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -400,7 +391,7 @@ func NewTrace(name string, samples []float64) *Trace {
 }
 
 // NewTraceChecked is the error-returning variant of NewTrace.
-func NewTraceChecked(name string, samples []float64) (*Trace, error) {
+func NewTraceChecked(samples []float64) (*Trace, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("energy: empty trace")
 	}
@@ -409,7 +400,7 @@ func NewTraceChecked(name string, samples []float64) (*Trace, error) {
 			return nil, fmt.Errorf("energy: invalid trace sample %v at %d", s, i)
 		}
 	}
-	return &Trace{Samples: samples, name: name}, nil
+	return &Trace{Samples: samples}, nil
 }
 
 func (tr *Trace) PowerAt(t float64) float64 {
@@ -426,11 +417,4 @@ func (tr *Trace) MeanPower() float64 {
 		sum += s
 	}
 	return sum / float64(len(tr.Samples))
-}
-
-func (tr *Trace) Name() string {
-	if tr.name == "" {
-		return "trace"
-	}
-	return tr.name
 }

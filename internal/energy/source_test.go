@@ -89,7 +89,7 @@ func TestEnergyIntegratesExactly(t *testing.T) {
 }
 
 func TestEnergyPiecewiseConstant(t *testing.T) {
-	tr := NewTrace("t", []float64{1, 2, 3, 4})
+	tr := NewTrace([]float64{1, 2, 3, 4})
 	// [0.5, 2.5]: 0.5 of sample 1 + 1.0 of sample 2 + 0.5 of sample 3.
 	got := Energy(tr, 0.5, 2.5)
 	want := 0.5*1 + 1.0*2 + 0.5*3
@@ -163,7 +163,7 @@ func TestTwoModeValidation(t *testing.T) {
 }
 
 func TestTraceWraps(t *testing.T) {
-	tr := NewTrace("x", []float64{5, 6})
+	tr := NewTrace([]float64{5, 6})
 	if tr.PowerAt(0.5) != 5 || tr.PowerAt(1.5) != 6 || tr.PowerAt(2.5) != 5 {
 		t.Fatal("trace does not wrap around")
 	}
@@ -180,7 +180,7 @@ func TestTraceValidation(t *testing.T) {
 					t.Fatalf("trace case %d did not panic", i)
 				}
 			}()
-			NewTrace("bad", samples)
+			NewTrace(samples)
 		}()
 	}
 }

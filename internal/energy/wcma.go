@@ -219,6 +219,3 @@ func (w *WCMA) PredictEnergy(t1, t2 float64) float64 {
 	}
 	return total
 }
-
-// Name implements Predictor.
-func (w *WCMA) Name() string { return "wcma" }

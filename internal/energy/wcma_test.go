@@ -137,12 +137,6 @@ func TestWCMABeatsSlotEWMAOnConditionedDays(t *testing.T) {
 	}
 }
 
-func TestWCMAName(t *testing.T) {
-	if NewWCMA(10, 5, 3, 4).Name() != "wcma" {
-		t.Fatal("name changed")
-	}
-}
-
 func TestWCMAInvertedIntervalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

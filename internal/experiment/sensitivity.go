@@ -83,7 +83,7 @@ func LevelCountSweep(s Spec, counts []float64, policyNames []string) (*Sensitivi
 			// cpu.Cubic's math.Pow(f, 3) takes Go's integer-exponent
 			// path, which only multiplies: no Exp or Log rounding
 			// reaches the operating points.
-			if cfg.CPU, err = cpu.Cubic("cubic", n, 1000, s.PMax, s.PMax*0.02).WithSleepPreset(s.Sleep); err != nil {
+			if cfg.CPU, err = cpu.Cubic(n, 1000, s.PMax, s.PMax*0.02).WithSleepPreset(s.Sleep); err != nil {
 				return nil, err
 			}
 			return r.run(cfg)

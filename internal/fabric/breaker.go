@@ -50,12 +50,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *breaker {
-	if threshold < 1 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	if now == nil {
 		now = time.Now
 	}

@@ -56,29 +56,14 @@ type Options struct {
 	// MaxAttempts bounds tries per shard, first attempt included
 	// (default 4).
 	MaxAttempts int
-	// BaseBackoff is the first retry delay (default 100ms); it doubles
-	// per retry up to MaxBackoff (default 5s), with ±50% deterministic
-	// jitter. A worker's Retry-After hint floors the delay.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// HedgeAfter launches a racing attempt on another worker when a shard
 	// has been in flight this long (default 2s; negative disables).
 	HedgeAfter time.Duration
 	// RequestTimeout bounds each attempt (default 120s).
 	RequestTimeout time.Duration
-	// BreakerThreshold consecutive failures open a worker's breaker
-	// (default 3); BreakerCooldown later it half-opens for one trial
-	// (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ProbeInterval paces background /healthz probes that feed the
-	// breakers (default 1s; negative disables).
-	ProbeInterval time.Duration
 	// AllowPartial degrades to a partial merge with Incomplete accounting
 	// when shards exhaust their attempts, instead of failing the sweep.
 	AllowPartial bool
-	// Registry receives fabric metrics (default: a private registry).
-	Registry *obs.Registry
 	// Trace, when non-nil, receives the coordinator's spans — one root
 	// per sweep, one child per shard, one grandchild per attempt — plus
 	// the worker-side spans shipped back in X-Trace-Spans headers, all
@@ -100,31 +85,39 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
 	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 2 * time.Second
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 120 * time.Second
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
-	}
 	return o
+}
+
+// The failure ladder's fixed timings (DESIGN.md §13.3).
+const (
+	// baseBackoff is the first retry delay; it doubles per retry up to
+	// maxBackoff, with ±50% deterministic jitter. A worker's Retry-After
+	// hint floors the delay.
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+	// breakerThreshold consecutive failures open a worker's breaker;
+	// breakerCooldown later it half-opens for one trial.
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+	// probeInterval paces the background /healthz probes that feed the
+	// breakers.
+	probeInterval = time.Second
+)
+
+// ladder carries the failure ladder's timings into a Coordinator. New
+// uses the constants above; the package's tests shrink them to
+// milliseconds through newCoordinator.
+type ladder struct {
+	baseBackoff, maxBackoff time.Duration
+	threshold               int
+	cooldown                time.Duration
+	probe                   time.Duration // <= 0 disables the probes
 }
 
 // Coordinator fans sweeps out to the worker pool. Create with New; safe
@@ -132,6 +125,8 @@ func (o Options) withDefaults() Options {
 // it should be — they describe the workers, not the sweep).
 type Coordinator struct {
 	opts     Options
+	ladder   ladder
+	reg      *obs.Registry
 	workers  []string
 	ring     *ring
 	breakers []*breaker
@@ -152,17 +147,23 @@ type Coordinator struct {
 
 // New builds a Coordinator over the given worker pool.
 func New(opts Options) (*Coordinator, error) {
+	return newCoordinator(opts, ladder{baseBackoff, maxBackoff, breakerThreshold, breakerCooldown, probeInterval})
+}
+
+func newCoordinator(opts Options, l ladder) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("fabric: no workers configured")
 	}
 	o := opts.withDefaults()
+	reg := obs.NewRegistry()
 	c := &Coordinator{
 		opts:    o,
+		ladder:  l,
+		reg:     reg,
 		workers: append([]string(nil), o.Workers...),
 		ring:    newRing(o.Workers),
 		jitter:  rng.New(1),
 	}
-	reg := o.Registry
 	c.retries = reg.Counter("fabric_retries_total", "shard attempts beyond the first (excluding hedges)")
 	c.hedges = reg.Counter("fabric_hedges_total", "racing attempts launched for straggler shards")
 	const shardsHelp = "shards by final outcome"
@@ -175,7 +176,7 @@ func New(opts Options) (*Coordinator, error) {
 	c.breakers = make([]*breaker, len(c.workers))
 	c.breakerGauge = make([]*obs.Gauge, len(c.workers))
 	for i, w := range c.workers {
-		c.breakers[i] = newBreaker(o.BreakerThreshold, o.BreakerCooldown, nil)
+		c.breakers[i] = newBreaker(l.threshold, l.cooldown, nil)
 		c.breakerGauge[i] = reg.Gauge(obs.Labeled("fabric_breaker_state", "worker", w),
 			"breaker state per worker: 0 closed, 1 open, 2 half-open")
 	}
@@ -183,7 +184,7 @@ func New(opts Options) (*Coordinator, error) {
 }
 
 // Registry returns the coordinator's metrics registry.
-func (c *Coordinator) Registry() *obs.Registry { return c.opts.Registry }
+func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
 // ShardOutcome records how one shard fared: who finally served it, how
 // many attempts (stalls with no admitting worker included) it cost,
@@ -244,7 +245,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, spec experiment
 
 	pctx, stopProbes := context.WithCancel(ctx)
 	defer stopProbes()
-	if c.opts.ProbeInterval > 0 {
+	if c.ladder.probe > 0 {
 		go c.probeLoop(pctx)
 	}
 
@@ -377,7 +378,7 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, parent obs.Span
 		return false
 	}
 
-	backoff := c.opts.BaseBackoff
+	backoff := c.ladder.baseBackoff
 	// nextBackoff sleeps the jittered current delay (flooring at min) and
 	// doubles it; false on context cancellation.
 	nextBackoff := func(min time.Duration) bool {
@@ -385,8 +386,8 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, parent obs.Span
 		if d < min {
 			d = min
 		}
-		if backoff *= 2; backoff > c.opts.MaxBackoff {
-			backoff = c.opts.MaxBackoff
+		if backoff *= 2; backoff > c.ladder.maxBackoff {
+			backoff = c.ladder.maxBackoff
 		}
 		backoffTotal += d
 		return sleepCtx(ctx, d)
@@ -569,7 +570,7 @@ func (c *Coordinator) noteFailure(w int) {
 // burning sweep attempts), a passing probe lets an open breaker skip the
 // rest of its cooldown.
 func (c *Coordinator) probeLoop(ctx context.Context) {
-	t := time.NewTicker(c.opts.ProbeInterval)
+	t := time.NewTicker(c.ladder.probe)
 	defer t.Stop()
 	for {
 		select {
@@ -577,7 +578,7 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 			return
 		case <-t.C:
 			for i := range c.workers {
-				pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeInterval)
+				pctx, cancel := context.WithTimeout(ctx, c.ladder.probe)
 				err := c.opts.Transport.Healthy(pctx, c.workers[i])
 				cancel()
 				if ctx.Err() != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/eadvfs/eadvfs/internal/experiment"
-	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/service"
 )
 
@@ -25,22 +24,27 @@ func testSpec() experiment.Spec {
 
 var testPolicies = []string{"lsa", "ea-dvfs"}
 
-// fastOptions returns coordinator options tuned for test time: millisecond
-// backoffs and hedges, tight probe cadence.
+// fastOptions returns coordinator options tuned for test time:
+// millisecond hedges and a short attempt timeout.
 func fastOptions(workers []string, tr Transport) Options {
 	return Options{
-		Workers:          workers,
-		Transport:        tr,
-		ShardsPerWorker:  2,
-		MaxAttempts:      6,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       10 * time.Millisecond,
-		HedgeAfter:       25 * time.Millisecond,
-		RequestTimeout:   2 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  20 * time.Millisecond,
-		ProbeInterval:    5 * time.Millisecond,
+		Workers:         workers,
+		Transport:       tr,
+		ShardsPerWorker: 2,
+		MaxAttempts:     6,
+		HedgeAfter:      25 * time.Millisecond,
+		RequestTimeout:  2 * time.Second,
 	}
+}
+
+// fastLadder is the failure ladder tuned for test time: millisecond
+// backoffs and breaker cooldown, tight probe cadence.
+var fastLadder = ladder{
+	baseBackoff: time.Millisecond,
+	maxBackoff:  10 * time.Millisecond,
+	threshold:   3,
+	cooldown:    20 * time.Millisecond,
+	probe:       5 * time.Millisecond,
 }
 
 func singleNodeJSON(t *testing.T, kind string, s experiment.Spec, policies []string) string {
@@ -182,7 +186,7 @@ func TestRunSweepHealthyPoolByteIdentical(t *testing.T) {
 	workers := []string{"http://w0", "http://w1"}
 	for _, kind := range experiment.SweepKinds() {
 		_, tr := newFaultNet(7, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
-		c, err := New(fastOptions(workers, tr))
+		c, err := newCoordinator(fastOptions(workers, tr), fastLadder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +229,7 @@ func TestRunSweepFaultMixAndKillByteIdentical(t *testing.T) {
 	// Drops black-hole until the attempt deadline: keep it short so the
 	// retry path, not the test timeout, absorbs them.
 	opts.RequestTimeout = 150 * time.Millisecond
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +277,7 @@ func TestRunSweepRetriesCorruptBodies(t *testing.T) {
 	opts := fastOptions(workers, tr)
 	opts.ShardsPerWorker = 4
 	opts.HedgeAfter = -1
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +310,7 @@ func TestRunSweepHedgesStragglers(t *testing.T) {
 	opts := fastOptions(workers, tr)
 	opts.ShardsPerWorker = 4
 	opts.HedgeAfter = 20 * time.Millisecond
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +348,9 @@ func TestRunSweepHedgesStragglers(t *testing.T) {
 func TestRunSweepPermanentErrorFailsFast(t *testing.T) {
 	workers := []string{"http://w0", "http://w1"}
 	_, tr := newFaultNet(1, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
-	opts := fastOptions(workers, tr)
-	opts.ProbeInterval = -1
-	c, err := New(opts)
+	noProbes := fastLadder
+	noProbes.probe = -1
+	c, err := newCoordinator(fastOptions(workers, tr), noProbes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +391,7 @@ func TestRunSweepPartialDegradation(t *testing.T) {
 	_, tr := newFaultNet(5, map[string]*netWorker{workers[0]: {}, workers[1]: {}})
 	opts := fastOptions(workers, &shardFilterTransport{inner: tr, reject: 1})
 	opts.AllowPartial = true
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +410,7 @@ func TestRunSweepPartialDegradation(t *testing.T) {
 	}
 	// Without AllowPartial the same damage fails the sweep loudly.
 	opts.AllowPartial = false
-	c2, err := New(opts)
+	c2, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +429,7 @@ func TestConsistentHashingCacheAffinity(t *testing.T) {
 	})
 	opts := fastOptions(workers, tr)
 	opts.HedgeAfter = -1 // hedges would double-serve shards and muddy the count
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +464,7 @@ func TestRunSweepHonorsShedding(t *testing.T) {
 		workers[0]: {FailRate: 0.9, Faults: []fault{faultShed}},
 		workers[1]: {},
 	})
-	c, err := New(fastOptions(workers, tr))
+	c, err := newCoordinator(fastOptions(workers, tr), fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +489,7 @@ func TestRunSweepCancellation(t *testing.T) {
 	})
 	opts := fastOptions(workers, tr)
 	opts.RequestTimeout = 30 * time.Second // the drop outlives the test unless cancelled
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,10 +519,7 @@ func TestRunSweepCancellation(t *testing.T) {
 func TestFabricMetricsExported(t *testing.T) {
 	workers := []string{"http://w0"}
 	_, tr := newFaultNet(2, map[string]*netWorker{workers[0]: {}})
-	reg := obs.NewRegistry()
-	opts := fastOptions(workers, tr)
-	opts.Registry = reg
-	c, err := New(opts)
+	c, err := newCoordinator(fastOptions(workers, tr), fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +527,7 @@ func TestFabricMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := c.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()

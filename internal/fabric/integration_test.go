@@ -64,19 +64,20 @@ func TestIntegrationKillWorkerMidSweep(t *testing.T) {
 	workers := []string{w0.ts.URL, w1.ts.URL, victim.ts.URL}
 
 	opts := Options{
-		Workers:          workers,
-		Transport:        &HTTPTransport{Client: &http.Client{}},
-		ShardsPerWorker:  2,
-		MaxAttempts:      6,
-		BaseBackoff:      2 * time.Millisecond,
-		MaxBackoff:       20 * time.Millisecond,
-		HedgeAfter:       250 * time.Millisecond,
-		RequestTimeout:   10 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		ProbeInterval:    10 * time.Millisecond,
+		Workers:         workers,
+		Transport:       &HTTPTransport{Client: &http.Client{}},
+		ShardsPerWorker: 2,
+		MaxAttempts:     6,
+		HedgeAfter:      250 * time.Millisecond,
+		RequestTimeout:  10 * time.Second,
 	}
-	c, err := New(opts)
+	c, err := newCoordinator(opts, ladder{
+		baseBackoff: 2 * time.Millisecond,
+		maxBackoff:  20 * time.Millisecond,
+		threshold:   3,
+		cooldown:    50 * time.Millisecond,
+		probe:       10 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +131,8 @@ func TestIntegrationRemainingEnergyByteIdentical(t *testing.T) {
 		Transport:      &HTTPTransport{Client: &http.Client{}},
 		RequestTimeout: 30 * time.Second,
 		HedgeAfter:     -1,
-		ProbeInterval:  -1,
 	}
-	c, err := New(opts)
+	c, err := newCoordinator(opts, ladder{baseBackoff, maxBackoff, breakerThreshold, breakerCooldown, -1})
 	if err != nil {
 		t.Fatal(err)
 	}

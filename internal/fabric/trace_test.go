@@ -18,7 +18,7 @@ func TestRunSweepEmitsStitchableTrace(t *testing.T) {
 	rec := obs.NewRecorder()
 	opts := fastOptions(workers, tr)
 	opts.Trace = rec
-	c, err := New(opts)
+	c, err := newCoordinator(opts, fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunSweepUntracedEmitsNoSpans(t *testing.T) {
 	spec := testSpec()
 	workers := []string{"http://w0"}
 	fnet, tr := newFaultNet(3, map[string]*netWorker{workers[0]: {}})
-	c, err := New(fastOptions(workers, tr))
+	c, err := newCoordinator(fastOptions(workers, tr), fastLadder)
 	if err != nil {
 		t.Fatal(err)
 	}

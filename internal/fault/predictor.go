@@ -36,6 +36,3 @@ func (b *blackoutPredictor) Observe(t, p float64) {
 func (b *blackoutPredictor) PredictEnergy(t1, t2 float64) float64 {
 	return b.inner.PredictEnergy(t1, t2)
 }
-
-// Name implements energy.Predictor.
-func (b *blackoutPredictor) Name() string { return "blackout(" + b.inner.Name() + ")" }

@@ -39,6 +39,3 @@ func (f *flakySource) MeanPower() float64 {
 	duty := f.set.dropout.dutyCycle()
 	return f.src.MeanPower() * (1 - float64(duty*(1-f.set.dropFactor)))
 }
-
-// Name implements energy.Source.
-func (f *flakySource) Name() string { return "flaky(" + f.src.Name() + ")" }

@@ -166,13 +166,6 @@ func (g *Gauge) Set(v float64) {
 	g.s.reg.mu.Unlock()
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.s.reg.mu.Lock()
-	defer g.s.reg.mu.Unlock()
-	return g.s.val
-}
-
 // Summary accumulates observations through a metrics.Welford.
 type Summary struct{ s *series }
 
@@ -198,13 +191,6 @@ func (s *Summary) Mean() float64 {
 	return s.s.w.Mean()
 }
 
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 {
-	s.s.reg.mu.Lock()
-	defer s.s.reg.mu.Unlock()
-	return s.s.w.StdDev()
-}
-
 // HistogramMetric is a registry-attached metrics.Histogram.
 type HistogramMetric struct{ s *series }
 
@@ -214,13 +200,6 @@ func (h *HistogramMetric) Observe(v float64) {
 	h.s.h.Add(v)
 	h.s.sum += v
 	h.s.reg.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *HistogramMetric) Count() int {
-	h.s.reg.mu.Lock()
-	defer h.s.reg.mu.Unlock()
-	return h.s.h.Count()
 }
 
 // withLabel appends a label pair to an existing (possibly empty) label set.

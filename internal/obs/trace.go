@@ -217,12 +217,6 @@ type Span struct {
 	Attrs    map[string]string
 }
 
-// Context returns the span's propagation context (always sampled: a span
-// that exists was sampled by construction).
-func (sp Span) Context() SpanContext {
-	return SpanContext{Trace: sp.Trace, Span: sp.ID, Sampled: true}
-}
-
 // End returns the span's wall-clock end time.
 func (sp Span) End() time.Time { return sp.Start.Add(sp.Duration) }
 

@@ -499,10 +499,9 @@ func (e *engine) finishStats(j *task.Job, now float64) {
 
 func (e *engine) onDeadline(now float64, j *task.Job) {
 	e.syncTo(now)
-	if j.Done() || j.Missed() {
+	if j.Done() {
 		return
 	}
-	j.MarkMissed()
 	e.res.Miss.Missed++
 	e.task(j.TaskID).missed++
 	e.emit(now, obs.KindMiss, j)

@@ -96,9 +96,6 @@ func (o *Oracle) PredictEnergy(t1, t2 float64) float64 {
 	return IntervalEnergy(o.Src, t1, t2)
 }
 
-// Name implements energy.Predictor.
-func (o *Oracle) Name() string { return "ref-oracle" }
-
 // EWMA is the reference exponentially-weighted moving-average predictor,
 // transcribed from the recurrence avg ← α·p + (1−α)·avg with the first
 // observation seeding the average. The float operations match
@@ -136,9 +133,6 @@ func (e *EWMA) PredictEnergy(t1, t2 float64) float64 {
 	return e.avg * (t2 - t1)
 }
 
-// Name implements energy.Predictor.
-func (e *EWMA) Name() string { return "ref-ewma" }
-
 // LastValue is the reference last-observation predictor.
 type LastValue struct {
 	last float64
@@ -158,9 +152,6 @@ func (l *LastValue) PredictEnergy(t1, t2 float64) float64 {
 	return l.last * (t2 - t1)
 }
 
-// Name implements energy.Predictor.
-func (l *LastValue) Name() string { return "ref-last-value" }
-
 // Zero is the reference no-future-harvest predictor.
 type Zero struct{}
 
@@ -174,6 +165,3 @@ func (Zero) PredictEnergy(t1, t2 float64) float64 {
 	}
 	return 0
 }
-
-// Name implements energy.Predictor.
-func (Zero) Name() string { return "ref-zero" }

@@ -168,16 +168,6 @@ func (p Params) Str(name, def string) string {
 	return def
 }
 
-// Bool returns the named parameter as a bool, or def when absent.
-func (p Params) Bool(name string, def bool) bool {
-	if v, ok := p[name]; ok {
-		if b, ok := v.(bool); ok {
-			return b
-		}
-	}
-	return def
-}
-
 // Floats returns the named parameter as a []float64, or nil when absent.
 // JSON arrays arrive as []any and are converted.
 func (p Params) Floats(name string) []float64 {
@@ -383,9 +373,6 @@ type SourceDef struct {
 	New    func(Params) (energy.Source, error)
 }
 
-// HasParam reports whether the def's schema declares the named parameter.
-func (d SourceDef) HasParam(name string) bool { return hasParam(d.Params, name) }
-
 // Build validates params and constructs the source.
 func (d SourceDef) Build(p Params) (energy.Source, error) {
 	if err := ValidateParams(KindSource, d.Name, d.Params, p); err != nil {
@@ -441,9 +428,6 @@ type TaskModelDef struct {
 	Params   []Param
 	Generate func(g TaskGen, p Params, r *rng.RNG) ([]task.Task, error)
 }
-
-// HasParam reports whether the def's schema declares the named parameter.
-func (d TaskModelDef) HasParam(name string) bool { return hasParam(d.Params, name) }
 
 // Build validates params and generates the task set.
 func (d TaskModelDef) Build(g TaskGen, p Params, r *rng.RNG) ([]task.Task, error) {

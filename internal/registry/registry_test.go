@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/eadvfs/eadvfs/internal/energy"
+	"github.com/eadvfs/eadvfs/internal/refimpl"
 	"github.com/eadvfs/eadvfs/internal/sched"
 )
 
@@ -320,7 +322,14 @@ func TestPredictorParamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f(nil).Name(); got != "ewma" {
-		t.Errorf("default-built predictor %q", got)
+	if got, ok := f(nil).(*energy.EWMA); !ok {
+		t.Errorf("default-built predictor %T", got)
+	}
+	rf, err := def.RefFactory(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rf(nil).(*refimpl.EWMA); !ok {
+		t.Errorf("default-built reference predictor %T", got)
 	}
 }

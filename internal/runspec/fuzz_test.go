@@ -10,6 +10,7 @@ import (
 
 	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/sim"
+	"github.com/eadvfs/eadvfs/internal/spec"
 	"github.com/eadvfs/eadvfs/internal/verify"
 )
 
@@ -50,7 +51,7 @@ func FuzzRunSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var doc runspec.Spec
-		if runspec.Decode(bytes.NewReader(blob), &doc) != nil {
+		if spec.Decode(bytes.NewReader(blob), &doc) != nil {
 			return
 		}
 		if !(doc.Horizon <= fuzzMaxTime) {

@@ -3,10 +3,9 @@ package runspec
 import (
 	"bytes"
 	"embed"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+
+	"github.com/eadvfs/eadvfs/internal/spec"
 )
 
 // paperDocs holds the paper's two worked examples, §2 / Figure 1 and
@@ -24,23 +23,8 @@ func Paper(name string) (*Spec, error) {
 		return nil, fmt.Errorf("runspec: unknown paper example %q (want fig1 or fig3)", name)
 	}
 	var s Spec
-	if err := Decode(bytes.NewReader(blob), &s); err != nil {
+	if err := spec.Decode(bytes.NewReader(blob), &s); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Decode reads one document into v (a *Spec, or a type embedding one)
-// strictly: an unknown member (a typo such as "capcity") or trailing data
-// is an error, not a silently different run.
-func Decode(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the document")
-	}
-	return nil
 }

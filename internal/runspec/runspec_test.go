@@ -117,8 +117,8 @@ func TestPaperDocuments(t *testing.T) {
 		if cfg.Horizon != tc.horizon || cfg.Store.Level() != tc.level || cfg.Store.Capacity() != 1e6 {
 			t.Errorf("%s: horizon %v, store %v of %v", tc.name, cfg.Horizon, cfg.Store.Level(), cfg.Store.Capacity())
 		}
-		if cfg.Source != (energy.Constant{P: tc.power}) || cfg.Predictor.Name() != "oracle" {
-			t.Errorf("%s: source %v, predictor %s", tc.name, cfg.Source, cfg.Predictor.Name())
+		if _, oracle := cfg.Predictor.(*energy.Oracle); cfg.Source != (energy.Constant{P: tc.power}) || !oracle {
+			t.Errorf("%s: source %v, predictor %T", tc.name, cfg.Source, cfg.Predictor)
 		}
 		if !reflect.DeepEqual(cfg.CPU, tc.proc) {
 			t.Errorf("%s: processor %+v, want %+v", tc.name, cfg.CPU, tc.proc)

@@ -89,9 +89,6 @@ type Options struct {
 	Timeout time.Duration
 	// RetryAfter is the hint sent with 429/503 responses (default 1s).
 	RetryAfter time.Duration
-	// Registry receives the service's metrics (and per-run eadvfs_run_*
-	// aggregates). One is created when nil; either way /metrics serves it.
-	Registry *obs.Registry
 	// FlightSpans / FlightDecisions bound the always-on flight recorder's
 	// rings (default obs.DefaultFlight*; negative disables the recorder
 	// and /debug/flight).
@@ -120,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
 	}
 	return o
 }
@@ -175,7 +169,9 @@ type errorBody struct {
 
 // Server is the simulation service. Create with New; serve via Handler.
 type Server struct {
-	opts  Options
+	opts Options
+	// reg holds the service's metrics and per-run eadvfs_run_*
+	// aggregates; /metrics serves it.
 	reg   *obs.Registry
 	cache *cache
 	mux   *http.ServeMux
@@ -218,7 +214,7 @@ func New(opts Options) *Server {
 	o := opts.withDefaults()
 	s := &Server{
 		opts:   o,
-		reg:    o.Registry,
+		reg:    obs.NewRegistry(),
 		cache:  newCache(o.CacheEntries, o.CacheBytes),
 		slots:  make(chan struct{}, o.Workers),
 		queued: make(chan struct{}, o.Queue),
@@ -275,9 +271,6 @@ func New(opts Options) *Server {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry returns the server's metrics registry (the one /metrics serves).
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // BeginDrain switches the server into draining mode: /healthz turns 503
 // and new compute requests are refused, while in-flight work completes.
@@ -353,7 +346,7 @@ func compute[T any](s *Server, endpoint, hint, prefix string, nested []string, h
 		}
 		var req T
 		if err == nil {
-			err = decodeStrict(bytes.NewReader(raw), &req)
+			err = spec.Decode(bytes.NewReader(raw), &req)
 		}
 		if err != nil {
 			s.writeError(w, decodeStatus(err), fmt.Errorf("%s: %w", prefix, err))
@@ -361,21 +354,6 @@ func compute[T any](s *Server, endpoint, hint, prefix string, nested []string, h
 		}
 		handle(w, r, req)
 	}
-}
-
-// decodeStrict unmarshals a request body into dst, rejecting unknown
-// fields (a typoed or future-schema field fails loudly, mirroring
-// obs.Manifest.DecodeConfig) and trailing garbage.
-func decodeStrict(r io.Reader, dst any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
 }
 
 // decodeStatus maps a request-body decode failure to an HTTP status:

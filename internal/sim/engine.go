@@ -627,10 +627,9 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 
 func (e *engine) onDeadline(now float64, j *task.Job) {
 	e.syncTo(now)
-	if j.Done() || j.Missed() {
+	if j.Done() {
 		return
 	}
-	j.MarkMissed()
 	e.res.Miss.Missed++
 	e.tasks.missed(j)
 	e.emit(now, obs.KindMiss, j)

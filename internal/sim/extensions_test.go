@@ -34,8 +34,8 @@ func TestEngineIdlePower(t *testing.T) {
 		}
 		return res
 	}
-	noIdle := mk(cpu.New("p", base))
-	withIdle := mk(cpu.New("p", base, cpu.WithIdlePower(0.1)))
+	noIdle := mk(cpu.New(base))
+	withIdle := mk(cpu.New(base, cpu.WithIdlePower(0.1)))
 	if withIdle.FinalLevel >= noIdle.FinalLevel {
 		t.Fatalf("idle draw did not reduce final energy: %v vs %v",
 			withIdle.FinalLevel, noIdle.FinalLevel)
@@ -48,10 +48,10 @@ func TestEngineIdlePower(t *testing.T) {
 // Idle power can itself empty the store; the engine must stall rather
 // than panic, and resume when harvest returns.
 func TestEngineIdlePowerDepletion(t *testing.T) {
-	proc := cpu.New("p", []cpu.OperatingPoint{{FreqMHz: 1000, Power: 5}},
+	proc := cpu.New([]cpu.OperatingPoint{{FreqMHz: 1000, Power: 5}},
 		cpu.WithIdlePower(1))
 	// Harvest 0 for a while: idle drains 10 units in 10 time units.
-	src := energy.NewTrace("burst", []float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 8, 8, 8, 8})
+	src := energy.NewTrace([]float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 8, 8, 8, 8})
 	cfg := &Config{
 		Horizon:   30,
 		Tasks:     []task.Task{{ID: 0, Period: 1e9, Deadline: 25, WCET: 1, Offset: 12}},

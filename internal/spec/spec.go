@@ -13,8 +13,8 @@
 //     any v2-only member without declaring "schema": 2 is an error,
 //     never a silent reinterpretation.
 //
-// CheckWire is the package's one entry point: the service runs every
-// request body through it before the strict typed decode.
+// CheckWire is the package's version gate: the service runs every
+// request body through it before the strict typed decode, Decode.
 //
 // The digest contract lives in the service, not here: handleSim and
 // handleSweep zero the decoded Schema field before the canonical
@@ -27,6 +27,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -95,6 +96,23 @@ func parse(raw []byte) ([]member, error) {
 		return nil, fmt.Errorf("spec: trailing data after document")
 	}
 	return members, nil
+}
+
+// Decode reads one JSON document into v strictly: an unknown member (a
+// typo such as "capcity") or anything but the end of the input after the
+// document is an error, not a silently different value. Every typed
+// decode of a wire or file document goes through it.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// As in parse: More would miss a stray '}' or ']'.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the document")
+	}
+	return nil
 }
 
 // versionOf extracts the schema version from parsed members: absent

@@ -54,6 +54,39 @@ func TestVersion(t *testing.T) {
 	}
 }
 
+// Decode accepts exactly one document with known members: a stray
+// closing brace (which json.Decoder.More reports as no further value),
+// any other trailing token and an unknown member are errors.
+func TestDecodeStrict(t *testing.T) {
+	type doc struct{ Horizon float64 }
+	for _, tc := range []struct {
+		name, in, errPart string
+	}{
+		{"one document", `{"Horizon":1}`, ""},
+		{"trailing whitespace", "{\"Horizon\":1} \n\t", ""},
+		{"trailing close brace", `{"Horizon":1}}`, "trailing data"},
+		{"trailing close bracket", `{"Horizon":1}]`, "trailing data"},
+		{"trailing word", `{"Horizon":1} x`, "trailing data"},
+		{"second document", `{"Horizon":1}{"Horizon":2}`, "trailing data"},
+		{"unknown member", `{"Horizon":1,"Horizn":2}`, "unknown field"},
+		{"malformed", `{"Horizon":`, "unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d doc
+			err := Decode(strings.NewReader(tc.in), &d)
+			if tc.errPart == "" {
+				if err != nil || d.Horizon != 1 {
+					t.Fatalf("Decode = %+v, %v", d, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.errPart) {
+				t.Fatalf("want an error containing %q, got %v", tc.errPart, err)
+			}
+		})
+	}
+}
+
 func TestCheckWireNested(t *testing.T) {
 	// A sweep request nests the simulation spec under "spec": v2-only
 	// members inside it need the top-level declaration too.

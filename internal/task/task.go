@@ -82,7 +82,6 @@ type Job struct {
 	remaining float64 // budget (WCET-based) work left, at f_max
 	actual    float64 // true work left, at f_max; exceeds remaining only under an injected overrun
 	finished  bool
-	missed    bool
 
 	heapIndex int // position in the ReadyQueue heap; -1 when not queued
 
@@ -206,12 +205,6 @@ func (j *Job) Progress(work float64) {
 
 // Done reports whether the job completed all its work.
 func (j *Job) Done() bool { return j.finished }
-
-// MarkMissed records a deadline miss.
-func (j *Job) MarkMissed() { j.missed = true }
-
-// Missed reports whether the job missed its deadline.
-func (j *Job) Missed() bool { return j.missed }
 
 // Slack returns the laxity at time now assuming execution at f_max:
 // (deadline − now) − remaining. Negative slack means the deadline is

@@ -87,17 +87,6 @@ func TestJobSlack(t *testing.T) {
 	}
 }
 
-func TestJobMiss(t *testing.T) {
-	j := NewJob(0, 0, 0, 5, 1)
-	if j.Missed() {
-		t.Fatal("fresh job marked missed")
-	}
-	j.MarkMissed()
-	if !j.Missed() {
-		t.Fatal("MarkMissed did not stick")
-	}
-}
-
 func TestEarlierDeadlineTotalOrder(t *testing.T) {
 	a := NewJob(0, 0, 0, 10, 1) // abs 10
 	b := NewJob(1, 0, 0, 12, 1) // abs 12

@@ -63,8 +63,6 @@ func (b *biasPredictor) PredictEnergy(t1, t2 float64) float64 {
 	return e
 }
 
-func (b *biasPredictor) Name() string { return b.inner.Name() }
-
 // Pair compiles the two configurations — optimized and reference — from
 // the spec, each with fresh stateful components, so the pair starts
 // bit-equal and neither run can contaminate the other.
