@@ -325,8 +325,16 @@ func (c *Processor) EnergyPerWork(n int) float64 {
 
 func (c *Processor) checkLevel(n int) {
 	if n < 0 || n >= len(c.points) {
-		panic(fmt.Sprintf("cpu: level %d outside [0, %d)", n, len(c.points)))
+		c.levelOutOfRange(n)
 	}
+}
+
+// levelOutOfRange panics for checkLevel. Kept out of line so the level
+// accessors on the engine's hot path (Speed, Power) stay inlinable.
+//
+//go:noinline
+func (c *Processor) levelOutOfRange(n int) {
+	panic(fmt.Sprintf("cpu: level %d outside [0, %d)", n, len(c.points)))
 }
 
 // SleepLevels returns the number of declared DPM sleep states (0 in the

@@ -23,7 +23,10 @@ import (
 // output power over the unit interval containing t; the value is constant
 // within each interval [k, k+1).
 type Source interface {
-	// PowerAt returns the harvested power at time t >= 0.
+	// PowerAt returns the harvested power at time t >= 0. It must be a
+	// pure function of t: the same t always gives the same power, whatever
+	// was queried before. The engine relies on this and memoizes the last
+	// query (internal/sim).
 	PowerAt(t float64) float64
 	// MeanPower returns the long-run average output power. The task-set
 	// generator (§5.1) sizes worst-case energies from this value.

@@ -81,8 +81,10 @@ type Set struct {
 
 	// Each job independently overruns its declared WCET with probability
 	// overrunProb, its work scaled by 1 + U(0, overrunMax]. Draws are per
-	// (task, seq), independent of event order.
+	// (task, seq), independent of event order: each job reseeds overrunJob
+	// from the overrun stream in place.
 	overrun     *rng.RNG
+	overrunJob  rng.RNG
 	overrunProb float64
 	overrunMax  float64
 }
@@ -128,7 +130,8 @@ func (s *Set) OverrunFactor(taskID, seq int) float64 {
 	if s == nil {
 		return 1
 	}
-	r := s.overrun.Child(uint64(taskID)<<32 ^ uint64(seq))
+	r := &s.overrunJob
+	s.overrun.ChildInto(r, uint64(taskID)<<32^uint64(seq))
 	if r.Float64() >= s.overrunProb {
 		return 1
 	}

@@ -34,9 +34,9 @@ type series struct {
 	labels string // label pairs without braces, "" when unlabeled
 	typ    string // "counter", "gauge", "summary", "histogram"
 
-	val float64         // counter/gauge value
-	w   metrics.Welford // summary state
-	sum float64         // summary/histogram running sum
+	val float64 // counter/gauge value
+	n   int     // summary observation count
+	sum float64 // summary/histogram running sum
 	h   *metrics.Histogram
 }
 
@@ -113,9 +113,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{s: r.register(name, help, "gauge")}
 }
 
-// Summary registers (or retrieves) a Welford-backed observation series
-// exposed as <name>_sum / <name>_count (mean and stddev are available
-// programmatically via Mean/StdDev).
+// Summary registers (or retrieves) an observation series exposed as
+// <name>_sum / <name>_count.
 func (r *Registry) Summary(name, help string) *Summary {
 	return &Summary{s: r.register(name, help, "summary")}
 }
@@ -172,23 +171,9 @@ type Summary struct{ s *series }
 // Observe incorporates one observation.
 func (s *Summary) Observe(v float64) {
 	s.s.reg.mu.Lock()
-	s.s.w.Add(v)
+	s.s.n++
 	s.s.sum += v
 	s.s.reg.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int {
-	s.s.reg.mu.Lock()
-	defer s.s.reg.mu.Unlock()
-	return s.s.w.N()
-}
-
-// Mean returns the running mean.
-func (s *Summary) Mean() float64 {
-	s.s.reg.mu.Lock()
-	defer s.s.reg.mu.Unlock()
-	return s.s.w.Mean()
 }
 
 // HistogramMetric is a registry-attached metrics.Histogram.
@@ -252,7 +237,7 @@ func (s *series) write(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%s %g\n", seriesName(s.base+"_sum", s.labels), s.sum); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s %d\n", seriesName(s.base+"_count", s.labels), s.w.N())
+		_, err := fmt.Fprintf(w, "%s %d\n", seriesName(s.base+"_count", s.labels), s.n)
 		return err
 	case "histogram":
 		cum := 0

@@ -34,7 +34,16 @@ func splitMix64(x *uint64) uint64 {
 // New returns a generator seeded from the given 64-bit seed. Distinct seeds
 // yield independent-looking streams; the zero seed is valid.
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r, in place, to the stream New(seed) starts: the
+// allocation-free form of New, for a caller that draws a fresh stream per
+// item into one generator it owns.
+func (r *RNG) Seed(seed uint64) {
+	*r = RNG{}
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitMix64(&sm)
@@ -44,7 +53,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Clone returns an exact copy of the generator's state. The clone and the
@@ -60,9 +68,17 @@ func (r *RNG) Clone() *RNG {
 // stream index. Calling Child(i) with distinct i values yields streams that
 // do not overlap in practice; the parent is not advanced.
 func (r *RNG) Child(stream uint64) *RNG {
+	c := new(RNG)
+	r.ChildInto(c, stream)
+	return c
+}
+
+// ChildInto resets dst, in place, to the stream Child(stream) returns: the
+// allocation-free form of Child. dst may be r itself.
+func (r *RNG) ChildInto(dst *RNG, stream uint64) {
 	// Mix the parent state with the stream index through SplitMix64.
 	x := r.s[0] ^ (r.s[1] << 1) ^ stream*0xd1342543de82ef95
-	return New(splitMix64(&x))
+	dst.Seed(splitMix64(&x))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

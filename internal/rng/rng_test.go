@@ -61,6 +61,40 @@ func TestChildIndependence(t *testing.T) {
 	}
 }
 
+// Seed and ChildInto reset a generator to exactly the streams New and
+// Child return, whatever it drew before (a cached Normal spare included),
+// without allocating.
+func TestInPlaceSeeding(t *testing.T) {
+	parent := New(7)
+	r := New(8)
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r.Normal() // leave a spare deviate cached
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 8; i++ {
+			if got, w := r.Normal(), want.Normal(); got != w {
+				t.Fatalf("Seed(%d): draw %d is %v, New gives %v", seed, i, got, w)
+			}
+		}
+		parent.ChildInto(r, seed)
+		want = parent.Child(seed)
+		for i := 0; i < 8; i++ {
+			if got, w := r.Normal(), want.Normal(); got != w {
+				t.Fatalf("ChildInto(%d): draw %d is %v, Child gives %v", seed, i, got, w)
+			}
+		}
+	}
+	self := New(9)
+	want := self.Child(3)
+	self.ChildInto(self, 3)
+	if self.Uint64() != want.Uint64() {
+		t.Fatal("ChildInto with dst == r differs from Child")
+	}
+	if n := testing.AllocsPerRun(100, func() { parent.ChildInto(r, 5) }); n != 0 {
+		t.Fatalf("ChildInto allocates %v times", n)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -17,13 +17,14 @@ import (
 
 // Context is the system state a policy observes at a decision point.
 //
-// Reuse contract: the engine owns ONE Context per run and overwrites its
-// fields in place before every Decide call (the hot path allocates
+// Reuse contract: the engine owns ONE Context per run, sets its
+// run-constant fields (Queue, CPU, Predictor, Probe) once and overwrites
+// the rest in place before every Decide call (the hot path allocates
 // nothing per decision). A policy must therefore treat the pointer as
 // valid only for the duration of Decide — read it, decide, return; never
-// retain the *Context (or its Queue) past the call. Policies can (and
-// should) be stateless: the paper's algorithms are pure functions of this
-// state. Per-job state that must survive across decisions (e.g. the
+// write its fields or retain the *Context (or its Queue) past the call.
+// Policies can (and should) be stateless: the paper's algorithms are pure
+// functions of this state. Per-job state that must survive across decisions (e.g. the
 // EA-DVFS s2 lock) lives on the Job itself.
 type Context struct {
 	Now       float64

@@ -3,12 +3,14 @@ package sim
 import (
 	"testing"
 
+	"github.com/eadvfs/eadvfs/internal/core"
 	"github.com/eadvfs/eadvfs/internal/cpu"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/storage"
 	"github.com/eadvfs/eadvfs/internal/task"
+	"github.com/eadvfs/eadvfs/internal/workload"
 )
 
 // allocConfig builds a fresh fig1-style config; stateful components
@@ -123,5 +125,56 @@ func TestArenaTaskSetSwitchAllocs(t *testing.T) {
 	}
 	if switched > repeated {
 		t.Fatalf("a run after a task-set switch allocates %.1f times, a repeated run %.1f", switched, repeated)
+	}
+}
+
+// A stochastic run's steady-state allocations do not grow with its job
+// count: every task draws its actual work (task.ExecSpec), a reclaiming
+// policy decides and the processor sleeps between jobs, and the per-job
+// draws reseed one engine-owned generator in place. The source is shared
+// and realized to the longer horizon before measuring, so only the
+// engine's own allocations can depend on the horizon. Race builds skip
+// the numeric bound.
+func TestStochasticRunAllocsFlatInJobs(t *testing.T) {
+	src := energy.NewSolarModel(21)
+	proc, err := cpu.XScaleScaled(10).WithSleepPreset("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := withUniformExec(paperWorkload(21, 0.5, 5), 0.25)
+	a := NewArena()
+	var res *Result
+	run := func(horizon float64) {
+		var err error
+		res, err = a.Run(&Config{
+			Horizon:   horizon,
+			Tasks:     tasks,
+			Source:    src,
+			Predictor: energy.NewEWMA(0.2),
+			Store:     storage.NewIdeal(1000),
+			CPU:       proc,
+			Policy:    workload.NewReclaimer("ea-dvfs-reclaim", core.NewEADVFS(), 0.5, 0.1),
+			ExecSeed:  3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(20000) // realize the source and size the arena
+	long := testing.AllocsPerRun(5, func() { run(20000) })
+	if res.Slack.DrawnJobs == 0 || res.Slack.EarlyCompletions == 0 || res.Wakeups == 0 {
+		t.Fatalf("run drew %d jobs, %d early completions, %d wakeups: not the stochastic DPM path",
+			res.Slack.DrawnJobs, res.Slack.EarlyCompletions, res.Wakeups)
+	}
+	longJobs := res.Slack.DrawnJobs
+	short := testing.AllocsPerRun(5, func() { run(2000) })
+	t.Logf("allocs/run: %.1f at horizon 2000 (%d drawn jobs), %.1f at horizon 20000 (%d drawn jobs)",
+		short, res.Slack.DrawnJobs, long, longJobs)
+	if raceEnabled {
+		t.Skip("race detector changes allocation behaviour; numeric bound not meaningful")
+	}
+	if long > short+2 {
+		t.Fatalf("a run of %d jobs allocates %.1f times, one of %d jobs %.1f: allocations grow with the job count",
+			longJobs, long, res.Slack.DrawnJobs, short)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/obs"
-	"github.com/eadvfs/eadvfs/internal/rng"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -124,11 +123,17 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		lastRunLv: -1,
 		tasks:     a.tasks,
 		faults:    faults,
+		srcT:      math.NaN(),
 		res: &Result{
 			Policy:    cfg.Policy.Name(),
 			LevelTime: make([]float64, cfg.CPU.Levels()),
 		},
 	}
+	// The run-constant part of the policy's view; no policy writes it.
+	e.ctx.Queue = a.queue
+	e.ctx.CPU = cfg.CPU
+	e.ctx.Predictor = cfg.Predictor
+	e.ctx.Probe = cfg.Probe
 	if cfg.CheckInvariants {
 		e.inv = &invariantChecker{probe: cfg.Probe}
 	}
@@ -138,7 +143,7 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		e.execRNG = rng.New(seed)
+		e.execRNG.Seed(seed)
 	}
 
 	if cfg.RecordEnergy {
@@ -149,6 +154,7 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 
 	planSpan := obs.StartSpan(trace, "sim", "plan", traceParent)
 	e.release = a.mergeReleases(cfg.Tasks, cfg.Horizon)
+	e.cacheNextRelease()
 	planSpan.SetInt("jobs", int64(len(e.release)))
 	planSpan.SetFloat("horizon", cfg.Horizon)
 	planSpan.End()

@@ -293,6 +293,7 @@ type engine struct {
 
 	release       []*task.Job // job releases sorted by arrival (stable)
 	nextArrival   int         // cursor into release
+	nextRelease   float64     // release[nextArrival].Arrival; +Inf when exhausted
 	nextBoundary  float64     // next unit boundary; +Inf when exhausted
 	segTime       float64     // pending segment end; +Inf when none
 	decideAt      float64     // pending decision instant
@@ -312,11 +313,21 @@ type engine struct {
 	waking    bool
 	wakeDone  float64 // wake transition completes here
 
-	ctx sched.Context // rebuilt in place per decision (sched contract)
+	// ctx is the policy's view, reused across decisions (sched contract):
+	// Queue, CPU, Predictor and Probe are set once per run, the rest per
+	// decision.
+	ctx sched.Context
+
+	// srcT and srcP memoize the last Source.PowerAt query (srcT is NaN
+	// before the first). Sources are pure in t, and the engine asks about
+	// one instant several times in a row: the end of one integration
+	// piece, the boundary observation and the decision that follow it.
+	srcT, srcP float64
 
 	initialLevel float64
 	tasks        *taskTable
-	execRNG      *rng.RNG // per-job actual-work draws; nil when no job has an ExecSpec
+	execRNG      rng.RNG // parent of the per-job draws; seeded only in stochastic runs
+	jobRNG       rng.RNG // reseeded per drawn job from execRNG
 	faults       *fault.Set
 	inv          *invariantChecker
 	res          *Result
@@ -377,6 +388,7 @@ func (e *engine) dispatch() error {
 		case prioArrival:
 			j := e.release[e.nextArrival]
 			e.nextArrival++
+			e.cacheNextRelease()
 			e.onArrival(t, j)
 		case prioDeadline:
 			e.onDeadline(t, e.checks.pop())
@@ -411,11 +423,19 @@ func (e *engine) admit() error {
 	return nil
 }
 
+// cacheNextRelease caches the release time at the arrival cursor, so the
+// per-event merge reads no job.
+func (e *engine) cacheNextRelease() {
+	e.nextRelease = math.Inf(1)
+	if e.nextArrival < len(e.release) {
+		e.nextRelease = e.release[e.nextArrival].Arrival
+	}
+}
+
 // aloneAt reports whether no segment end, arrival or deadline check is
 // pending at or before t, so the decision requested at t fires next.
 func (e *engine) aloneAt(t float64) bool {
-	return e.segTime > t &&
-		(e.nextArrival == len(e.release) || e.release[e.nextArrival].Arrival > t) &&
+	return e.segTime > t && e.nextRelease > t &&
 		(len(e.checks) == 0 || e.checks[0].t > t)
 }
 
@@ -436,10 +456,8 @@ func (e *engine) peekNext() (float64, int, bool) {
 	if better(e.segTime, prioSegment) {
 		best, bestPrio = e.segTime, prioSegment
 	}
-	if e.nextArrival < len(e.release) {
-		if t := e.release[e.nextArrival].Arrival; better(t, prioArrival) {
-			best, bestPrio = t, prioArrival
-		}
+	if better(e.nextRelease, prioArrival) {
+		best, bestPrio = e.nextRelease, prioArrival
 	}
 	if e.decidePending && better(e.decideAt, prioDecide) {
 		best, bestPrio = e.decideAt, prioDecide
@@ -477,6 +495,15 @@ func (e *engine) cpuPower() float64 {
 	}
 }
 
+// powerAt returns the source power at t, answering a repeat of the last
+// query instant from the memo.
+func (e *engine) powerAt(t float64) float64 {
+	if t != e.srcT {
+		e.srcT, e.srcP = t, e.cfg.Source.PowerAt(t)
+	}
+	return e.srcP
+}
+
 // syncTo advances the energy and execution state from lastT to now,
 // splitting at unit boundaries where the source power changes. Activity is
 // constant across the whole span — behavioural changes are events, and
@@ -501,7 +528,7 @@ func (e *engine) syncTo(now float64) {
 		// guaranteed.
 		end := min(math.Floor(e.lastT)+1, now)
 		dt := end - e.lastT
-		ps := e.cfg.Source.PowerAt(e.lastT)
+		ps := e.powerAt(e.lastT)
 		delivered, _ := e.cfg.Store.Flow(ps, pc, dt)
 		if e.inv != nil {
 			e.inv.checkStoreBounds(end, e.cfg.Store.Level(), e.cfg.Store.Capacity())
@@ -582,11 +609,13 @@ func (e *engine) emit(t float64, kind obs.EventKind, j *task.Job) {
 func (e *engine) onArrival(now float64, j *task.Job) {
 	e.syncTo(now)
 	actual := j.WCET
-	// Deterministic per-(task, seq) draw, independent of event order.
-	drawn := e.execRNG != nil && j.Exec != nil
+	// Deterministic per-(task, seq) draw, independent of event order. A
+	// job with an ExecSpec makes the run Stochastic, so execRNG is seeded;
+	// the draw reseeds the engine's one job generator in place.
+	drawn := j.Exec != nil
 	if drawn {
-		r := e.execRNG.Child(uint64(j.TaskID)<<32 ^ uint64(j.Seq))
-		actual = j.WCET * j.Exec.Ratio(r, j.Seq)
+		e.execRNG.ChildInto(&e.jobRNG, uint64(j.TaskID)<<32^uint64(j.Seq))
+		actual = j.WCET * j.Exec.Ratio(&e.jobRNG, j.Seq)
 		e.res.Slack.DrawnJobs++
 	}
 	// Injected overrun: the true work exceeds what the task declared; the
@@ -652,7 +681,7 @@ func (e *engine) onBoundary(now float64) {
 		m := e.cfg.Store.Meters()
 		e.inv.checkConservation(now, e.cfg.Store.ConservationError(e.initialLevel), e.initialLevel+m.Stored)
 	}
-	e.cfg.Predictor.Observe(now-1, e.cfg.Source.PowerAt(now-1))
+	e.cfg.Predictor.Observe(now-1, e.powerAt(now-1))
 	if s := e.res.EnergySeries; s != nil {
 		k := int(math.Round(now))
 		if k < s.Len() {
@@ -752,18 +781,14 @@ func (e *engine) onDecide(now float64, quiet bool) {
 	}
 
 	// The context struct is reused across decisions — policies must not
-	// retain it past Decide (sched.Context's documented contract). Its
-	// fields are assigned in place: a composite literal would build a
-	// temporary and block-copy it on every decision.
+	// retain it past Decide (sched.Context's documented contract). Only
+	// its per-decision fields are assigned here, in place: a composite
+	// literal would build a temporary and block-copy it on every decision.
 	ctx := &e.ctx
 	ctx.Now = now
-	ctx.Queue = e.queue
 	ctx.Stored = e.cfg.Store.Level()
 	ctx.Capacity = e.cfg.Store.Capacity()
-	ctx.CPU = e.cfg.CPU
-	ctx.Predictor = e.cfg.Predictor
 	ctx.Reclaimed = e.res.Slack.ReclaimedWork
-	ctx.Probe = e.cfg.Probe
 	d := e.cfg.Policy.Decide(ctx)
 	e.res.Decisions++
 	if quiet && e.inv != nil && d != sched.Idle(math.Inf(1)) {
@@ -792,7 +817,7 @@ func (e *engine) onDecide(now float64, quiet bool) {
 		if idle := e.cfg.CPU.IdlePower(); idle > 0 {
 			// A non-zero idle draw can also empty the store; split there
 			// so the exact-flow precondition holds.
-			sustain := e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), idle)
+			sustain := e.cfg.Store.TimeToEmpty(e.powerAt(now), idle)
 			if sustain < stallEps {
 				e.setActivity(now, ModeStall, nil, 0)
 				return
@@ -837,7 +862,7 @@ func (e *engine) onDecide(now float64, quiet bool) {
 		}
 	}
 
-	ps := e.cfg.Source.PowerAt(now)
+	ps := e.powerAt(now)
 	pc := e.cfg.CPU.Power(level)
 	sustain := e.cfg.Store.TimeToEmpty(ps, pc)
 	if sustain < stallEps {
@@ -864,10 +889,7 @@ func (e *engine) onDecide(now float64, quiet bool) {
 // break-even gating prices in). The planned wake initiates one latency
 // early, so the processor is available again right when the window ends.
 func (e *engine) maybeSleep(now, until float64) {
-	winEnd := min(until, e.cfg.Horizon)
-	if e.nextArrival < len(e.release) {
-		winEnd = min(winEnd, e.release[e.nextArrival].Arrival)
-	}
+	winEnd := min(until, e.cfg.Horizon, e.nextRelease)
 	idx := e.cfg.CPU.DeepestSleepFor(winEnd - now)
 	if idx < 0 {
 		return
@@ -906,7 +928,7 @@ func (e *engine) initiateWake(now float64) {
 // arrival re-decides), exactly as run and idle segments do.
 func (e *engine) holdSleep(now, end float64) {
 	draw := e.cfg.CPU.SleepState(e.sleepIdx).Power
-	sustain := e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), draw)
+	sustain := e.cfg.Store.TimeToEmpty(e.powerAt(now), draw)
 	if sustain < stallEps {
 		e.setActivity(now, ModeStall, nil, 0)
 		return

@@ -40,7 +40,7 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	end := s.level + float64(net*dt)
 
 	const tol = 1e-7
-	if end < -tol*max(1, pc*dt) {
+	if end < 0 && end < -tol*max(1, pc*dt) { // the bound matters only below empty
 		// The load over-draws an emptying store: the caller (engine)
 		// must have split at TimeToEmpty — this is a bug.
 		panic(fmt.Sprintf("storage: Flow empties the store mid-interval (level %v, net %v, dt %v)", s.level, net, dt))
@@ -69,8 +69,15 @@ func (s *Store) Flow(ps, pc, dt float64) (delivered, overflow float64) {
 	return delivered, overflow
 }
 
+// checkPower panics on a negative or NaN power. It stays small enough to
+// inline into the hot Flow and TimeToEmpty; the formatting is out of line.
 func checkPower(ps, pc float64) {
-	if ps < 0 || pc < 0 || math.IsNaN(ps) || math.IsNaN(pc) {
-		panic(fmt.Sprintf("storage: invalid powers ps=%v pc=%v", ps, pc))
+	if !(ps >= 0 && pc >= 0) {
+		invalidPowers(ps, pc)
 	}
+}
+
+//go:noinline
+func invalidPowers(ps, pc float64) {
+	panic(fmt.Sprintf("storage: invalid powers ps=%v pc=%v", ps, pc))
 }

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math"
+	"slices"
 
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/sched"
@@ -48,8 +48,14 @@ type Reclaimer struct {
 	// run of lucky completions can stretch the next job.
 	MinRatio float64
 
-	est  map[int]float64 // per-task EWMA of observed actual/WCET, absent = 1
-	prev *task.Job       // head job of the previous decision, observed on completion
+	est  []taskEstimate // per-task EWMA of observed actual/WCET, sorted by task ID; absent = 1
+	prev *task.Job      // head job of the previous decision, observed on completion
+}
+
+// taskEstimate is one task's EWMA of observed actual/WCET.
+type taskEstimate struct {
+	taskID int
+	ratio  float64
 }
 
 // NewReclaimer wraps inner as the named reclaiming policy. Alpha is
@@ -66,7 +72,6 @@ func NewReclaimer(name string, inner sched.Policy, alpha, minRatio float64) *Rec
 		inner:    inner,
 		Alpha:    alpha,
 		MinRatio: minRatio,
-		est:      make(map[int]float64),
 	}
 }
 
@@ -84,19 +89,36 @@ func (p *Reclaimer) observe() {
 		return
 	}
 	observed := (j.WCET - j.Remaining()) / j.WCET
-	e, ok := p.est[j.TaskID]
+	i, ok := p.find(j.TaskID)
 	if !ok {
-		e = 1
+		p.est = slices.Insert(p.est, i, taskEstimate{taskID: j.TaskID, ratio: 1})
 	}
-	p.est[j.TaskID] = float64((1-p.Alpha)*e) + float64(p.Alpha*observed)
+	e := &p.est[i]
+	e.ratio = float64((1-p.Alpha)*e.ratio) + float64(p.Alpha*observed)
+}
+
+// find returns the index of a task's estimate and whether it exists; when
+// it does not, the index is where it belongs in task-ID order.
+func (p *Reclaimer) find(taskID int) (int, bool) {
+	lo, hi := 0, len(p.est)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.est[m].taskID < taskID {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(p.est) && p.est[lo].taskID == taskID
 }
 
 // ratioFor returns the floored speculative ratio for a task.
 func (p *Reclaimer) ratioFor(taskID int) float64 {
-	r, ok := p.est[taskID]
+	i, ok := p.find(taskID)
 	if !ok {
 		return 1
 	}
+	r := p.est[i].ratio
 	if r < p.MinRatio {
 		r = p.MinRatio
 	}
@@ -134,7 +156,7 @@ func (p *Reclaimer) Decide(ctx *sched.Context) sched.Decision {
 	if !feasible || level >= d.Level {
 		return d
 	}
-	until := math.Min(d.Until, guard)
+	until := min(d.Until, guard)
 	if ctx.Auditing() {
 		ctx.AuditJob(p.name, j, ctx.AvailableEnergy(j.Abs), guard, guard,
 			level, until, obs.ReasonStretchReclaimed)
