@@ -14,6 +14,7 @@ import (
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/registry"
 	"github.com/eadvfs/eadvfs/internal/rng"
+	"github.com/eadvfs/eadvfs/internal/runspec"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
@@ -132,5 +133,114 @@ func TestBadFlagValue(t *testing.T) {
 	code := run([]string{"-fault-intensity", "1.5", "-horizon", "10"}, &out, &errb)
 	if code != 1 || !strings.Contains(errb.String(), "fault intensity") {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+}
+
+// runOK runs easim with args and returns its stdout, failing the test on
+// a non-zero exit.
+func runOK(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("easim %v: exit %d, stderr: %s", args, code, errb.String())
+	}
+	return out.Bytes()
+}
+
+// TestGoldens pins the rendering of the paper's worked examples byte for
+// byte: the Gantt chart with the activity table and decision audit, and
+// the segment CSV, under LSA and EA-DVFS.
+func TestGoldens(t *testing.T) {
+	for _, doc := range []string{"fig1", "fig3"} {
+		for _, policy := range []string{"lsa", "ea-dvfs"} {
+			for _, form := range []struct {
+				suffix string
+				flags  []string
+			}{
+				{"audit", []string{"-width", "78", "-activity", "-audit"}},
+				{"csv", []string{"-csv"}},
+			} {
+				name := doc + "-" + policy + "-" + form.suffix
+				t.Run(name, func(t *testing.T) {
+					got := runOK(t, append([]string{"-doc", doc, "-policy", policy}, form.flags...)...)
+					want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("output drifted from testdata/%s.golden:\n--- got\n%s--- want\n%s", name, got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// A run-document file renders exactly what the named paper example does;
+// only the header's scenario label (the file name) differs.
+func TestDocFileMatchesPaperExample(t *testing.T) {
+	doc, err := runspec.Paper("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fig1.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	views := []string{"-policy", "lsa", "-width", "78", "-activity", "-audit"}
+	named := runOK(t, append([]string{"-doc", "fig1"}, views...)...)
+	file := runOK(t, append([]string{"-doc", path}, views...)...)
+	_, namedViews, _ := bytes.Cut(named, []byte("\n"))
+	_, fileViews, _ := bytes.Cut(file, []byte("\n"))
+	if !bytes.Equal(namedViews, fileViews) {
+		t.Fatalf("document file renders differently:\n--- file\n%s--- fig1\n%s", file, named)
+	}
+	if !bytes.HasPrefix(file, []byte("scenario "+path+" under lsa")) {
+		t.Fatalf("header does not name the document: %s", file)
+	}
+	csv := runOK(t, "-doc", path, "-csv")
+	if want := runOK(t, "-doc", "fig1", "-csv"); !bytes.Equal(csv, want) {
+		t.Fatalf("document file CSV differs:\n--- file\n%s--- fig1\n%s", csv, want)
+	}
+}
+
+// Views follow a flag run's summary and leave its lines byte-identical.
+func TestViewsKeepTheSummary(t *testing.T) {
+	flags := []string{"-u", "0.4", "-horizon", "400", "-capacity", "300", "-seed", "1"}
+	summary := runOK(t, flags...)
+	viewed := runOK(t, append(flags, "-width", "78", "-activity", "-audit")...)
+	if !bytes.HasPrefix(viewed, summary) || len(viewed) == len(summary) {
+		t.Fatalf("views changed the summary or printed nothing:\n--- with views\n%s--- summary\n%s", viewed, summary)
+	}
+	for _, part := range []string{"task 0   |", "resp-mean", "decision audit"} {
+		if !bytes.Contains(viewed, []byte(part)) {
+			t.Errorf("views lack %q", part)
+		}
+	}
+}
+
+// Conflicting outputs, a bad width and unusable documents are named
+// errors with exit 1.
+func TestViewAndDocErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-width", "78", "-json"}, "claim"},
+		{[]string{"-audit", "-events"}, "claim"},
+		{[]string{"-csv", "-json"}, "claim stdout"},
+		{[]string{"-width", "9"}, "-width 9"},
+		{[]string{"-doc", "fig9"}, "-doc fig9"},
+		{[]string{"-doc", "fig1", "-u", "0.5"}, "-u does not apply"},
+		{[]string{"-doc", "fig1", "-policy", "nope"}, "nope"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming %q", tc.args, code, errb.String(), tc.want)
+		}
 	}
 }

@@ -14,7 +14,8 @@
 //   - "greedy-stretch"   — ablation: stretching without the §4.3 guard
 //
 // For the paper's full evaluation harness (figures 5–9, table 1) see
-// cmd/eaexp; for schedule traces of small scenarios see cmd/eatrace.
+// cmd/eaexp; for schedule views of a run or of the paper's worked examples
+// see cmd/easim (-doc fig1, -width 78).
 package eadvfs
 
 import (

@@ -215,7 +215,7 @@ func (m multi) TraceParent() SpanContext {
 }
 
 // Recorder is a Probe that retains everything it sees, for tests, for the
-// differential harness (internal/verify) and for eatrace's -audit
+// differential harness (internal/verify) and for easim's -audit
 // listing. Safe for concurrent use. The schedule-shaped view — coalesced
 // segments for a Gantt chart or CSV — is internal/trace's Recorder.
 type Recorder struct {

@@ -111,9 +111,6 @@ func registerBuiltinSources() {
 		Help: "replayed power trace, one sample per time unit, wrapping",
 		Params: []Param{
 			{Name: "samples", Type: TypeFloats, Required: true, Help: "power samples"},
-			// label is validated as a string and otherwise unread; the
-			// schema keeps it so documents that set it stay valid.
-			{Name: "label", Type: TypeString, Default: "trace", Help: "source name reported in manifests"},
 		},
 		New: func(p Params) (energy.Source, error) {
 			return energy.NewTraceChecked(p.Floats("samples"))

@@ -2,7 +2,7 @@
 // source, predictor, policy, processor, store and faults as plain JSON
 // data — and Spec.Compile, the one place non-test code turns such a
 // description into a sim.Config. The facade lowers eadvfs.Config into a
-// Spec, cmd/eatrace and examples/motivational run the documents Paper
+// Spec, cmd/easim -doc and examples/motivational run the documents Paper
 // returns, and internal/verify compiles each Spec once per engine.
 // Observers are not part of the document: the caller sets Probe, Context,
 // CheckInvariants and RecordEnergy on the compiled config.
@@ -49,8 +49,7 @@ type SourceSpec struct {
 // Build constructs a fresh source from the spec, resolving the kind
 // through the scenario registry. Every parameter is passed explicitly —
 // including zero values — so the constructed source is a pure function
-// of the spec, never of a registry default that might move. (A trace's
-// label is only its Name, which no Result, event or manifest carries.)
+// of the spec, never of a registry default that might move.
 func (s SourceSpec) Build() (energy.Source, error) {
 	def, err := registry.Source(s.Kind)
 	if err != nil {
@@ -65,7 +64,7 @@ func (s SourceSpec) Build() (energy.Source, error) {
 	case "solar":
 		p = registry.Params{"seed": s.Seed, "amplitude": s.Amplitude}
 	case "trace":
-		p = registry.Params{"samples": s.Samples, "label": "trace"}
+		p = registry.Params{"samples": s.Samples}
 	default:
 		return nil, fmt.Errorf("runspec: source kind %q is registered but has no parameter mapping here", s.Kind)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/eadvfs/eadvfs/internal/fault"
@@ -248,7 +249,12 @@ func (a *Arena) mergeReleases(tasks []task.Task, horizon float64) []*task.Job {
 	jobs := a.jobs[:0]
 	for len(h) > 0 {
 		top := &h[0]
-		jobs = append(jobs, tasks[top.task].Release(top.seq, top.next))
+		n := len(jobs)
+		if n == cap(jobs) {
+			jobs = slices.Grow(jobs, 1)
+		}
+		jobs = jobs[:n+1]
+		tasks[top.task].ReleaseInto(&jobs[n], top.seq, top.next)
 		top.seq++
 		top.next += top.period
 		if top.next >= horizon {

@@ -109,32 +109,35 @@ func NewJob(taskID, seq int, arrival, relDeadline, wcet float64) *Job {
 	if wcet < 0 || relDeadline <= 0 || arrival < 0 {
 		panic(fmt.Sprintf("task: invalid job parameters (a=%v d=%v w=%v)", arrival, relDeadline, wcet))
 	}
-	j := released(taskID, seq, arrival, relDeadline, wcet)
-	return &j
-}
-
-// released is a job's state at its release: all work outstanding, not
-// queued.
-func released(taskID, seq int, arrival, relDeadline, wcet float64) Job {
-	return Job{
-		TaskID:    taskID,
-		Seq:       seq,
-		Arrival:   arrival,
-		Abs:       arrival + relDeadline,
-		WCET:      wcet,
-		remaining: wcet,
-		actual:    wcet,
-		heapIndex: -1,
-	}
-}
-
-// Release returns the task's seq-th job, released at arrival, by value:
-// the job ReleaseJobs allocates for that instance, for callers that keep
-// release schedules in reusable buffers. The task must be valid.
-func (t Task) Release(seq int, arrival float64) Job {
-	j := released(t.ID, seq, arrival, t.Deadline, t.WCET)
-	j.Exec = t.Exec
+	j := new(Job)
+	j.release(taskID, seq, arrival, relDeadline, wcet, nil)
 	return j
+}
+
+// release overwrites every field of j with a job's state at its release:
+// all work outstanding, not queued, no locked s2. The fields are assigned
+// one by one, so a reused slot is filled in place without building a Job
+// value and copying it.
+func (j *Job) release(taskID, seq int, arrival, relDeadline, wcet float64, exec *ExecSpec) {
+	j.TaskID = taskID
+	j.Seq = seq
+	j.Arrival = arrival
+	j.Abs = arrival + relDeadline
+	j.WCET = wcet
+	j.Exec = exec
+	j.remaining = wcet
+	j.actual = wcet
+	j.finished = false
+	j.heapIndex = -1
+	j.s2lock = 0
+	j.s2locked = false
+}
+
+// ReleaseInto overwrites *j with the task's seq-th job, released at
+// arrival: the job ReleaseJobs allocates for that instance, for callers
+// that keep release schedules in reusable buffers. The task must be valid.
+func (t *Task) ReleaseInto(j *Job, seq int, arrival float64) {
+	j.release(t.ID, seq, arrival, t.Deadline, t.WCET, t.Exec)
 }
 
 // SetActualWork declares that the job will really take work <= WCET. It

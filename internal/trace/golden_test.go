@@ -13,7 +13,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current recorder output")
 
 // paperScenario compiles the paper's Figure 1 or Figure 3 run document,
-// the one cmd/eatrace runs, under the named policy.
+// the one easim -doc runs, under the named policy.
 func paperScenario(t *testing.T, name, policy string) *sim.Config {
 	t.Helper()
 	doc, err := runspec.Paper(name)
@@ -29,7 +29,7 @@ func paperScenario(t *testing.T, name, policy string) *sim.Config {
 }
 
 // TestGolden pins the recorder's three renderings of the paper's worked
-// examples byte for byte: the Gantt chart at eatrace's default width, the
+// examples byte for byte: the Gantt chart at 78 columns, the
 // segment CSV and the activity table.
 func TestGolden(t *testing.T) {
 	for _, scenario := range []string{"fig1", "fig3"} {

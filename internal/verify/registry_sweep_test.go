@@ -77,7 +77,7 @@ func TestRegistryDifferential(t *testing.T) {
 }
 
 // TestPaperExamplesDifferential puts the paper's two worked examples,
-// §2 / Fig 1 and §4.3 / Fig 3 (the run documents cmd/eatrace renders),
+// §2 / Fig 1 and §4.3 / Fig 3 (the run documents easim -doc renders),
 // under the differential check with every registered policy.
 func TestPaperExamplesDifferential(t *testing.T) {
 	for _, name := range []string{"fig1", "fig3"} {
